@@ -13,6 +13,7 @@ from fbmvar import (
     get_weight,
     limit_sigma,
     sample_fbmbt,
+    sample_walk,
     spatial_power_variation,
     terminal_site,
     walk_power_variation,

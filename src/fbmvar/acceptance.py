@@ -156,6 +156,7 @@ def check_a4(
 ) -> McReport:
     """A4: the trapezoid statistic has the same mixture law, and the
     trapezoid-midpoint gap decays in L2 between the two decay levels."""
+    start = time.perf_counter()
     report = mixture_law_test(
         h, r, f, level, replicates, master_seed, alpha, corr_slack, "trapezoid", threads
     )
@@ -186,6 +187,7 @@ def check_a4(
             f"not below {decay_ratio} * {l2[lo]:.4g}"
         )
     report.passed = not report.failures
+    report.wall_time_s = time.perf_counter() - start
     return report
 
 

@@ -181,16 +181,27 @@ def walk_power_variation(sample: FbmbtSample, f: WeightFunction, r: int, t: floa
     """Direct trapezoid-weighted odd-power sum over walk steps:
 
     sum_k (f(Z_k)+f(Z_{k+1}))/2 * (2^(nH/2) (Z_{k+1}-Z_k))^(2r-1).
+
+    Every step moves between the two ends of one lattice interval, so the
+    summand is read from a per-interval table built once over the spatial
+    path, at the interval's lower site min(S_k, S_{k+1}), and multiplied by
+    the step's sign.  This is bit-identical to evaluating each step: the
+    weight sum commutes exactly, the reversed increment is the exact
+    negation, and odd_power is exactly sign-symmetric, so a down step's
+    summand is the exact negation of the table entry.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    z = sample.z_values(t)
-    if len(z) < 2:
+    k = sample.walk.horizon(t)
+    if k == 0:
         return 0.0
+    x = sample.spatial.values
+    fx = f(x)
     scale = 2.0 ** (sample.level * sample.spatial.h.h / 2.0)
-    dz = scale * np.diff(z)
-    w = 0.5 * (f(z[:-1]) + f(z[1:]))
-    return _lsum(w * odd_power(dz, r))
+    table = 0.5 * (fx[:-1] + fx[1:]) * odd_power(scale * np.diff(x), r)
+    s = sample.walk.s
+    lower = sample.spatial.grid.zero_index + np.minimum(s[:k], s[1 : k + 1])
+    return _lsum(sample.walk.steps[:k] * table[lower])
 
 
 def crossing_power_variation(sample: FbmbtSample, f: WeightFunction, r: int, t: float) -> float:

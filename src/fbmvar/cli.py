@@ -34,6 +34,11 @@ from .version import VERSION
 from .weights import REGISTRY, get_weight
 
 
+#: largest grid `simulate fbm` samples, in points (level 21 over [0, 1]
+#: fits); the circulant sampler's buffers take about 64 bytes per point
+SIMULATE_FBM_CAP = 1 << 22
+
+
 class UsageError(Exception):
     """Invalid parameters; maps to exit code 2 with a one-line diagnostic."""
 
@@ -164,6 +169,10 @@ def cmd_simulate_fbm(args) -> int:
         grid = GridSpec(level=cfg["n"], t_min=cfg["t_min"], t_max=cfg["t"])
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if grid.npoints > SIMULATE_FBM_CAP:
+        raise UsageError(
+            f"grid has {grid.npoints} points, above the simulate cap {SIMULATE_FBM_CAP}"
+        )
     seed = SeedSpec(cfg["seed"], 0)
     path = sample_fbm(cfg["h"], grid, seed)
     results = {"terminal_value": path.value_at(cfg["t"]),

@@ -2,8 +2,10 @@
 
 Two generators with one law:
 
-* circulant embedding of the fGn correlation sequence (O(N log N), the
-  workhorse), and
+* circulant embedding of the fGn correlation sequence (Davies-Harte /
+  Wood-Chan, O(N log N), the workhorse): the embedding's spectrum is
+  real and symmetric, so only its Hermitian half is scaled by the cached
+  amplitudes and inverted with one real FFT, and
 * dense Cholesky factorization of the full covariance matrix (O(N^3), the
   small-scale oracle the fast path is validated against).
 
@@ -154,12 +156,15 @@ def make_path(level: int, values, h, t_min: float = 0.0, seed: SeedSpec | None =
 
 @functools.lru_cache(maxsize=64)
 def _circulant_spectrum(h: float, count: int) -> np.ndarray:
-    """FFT eigenvalues of the unit-spacing fGn correlation circulant.
+    """Pre-scaled half-spectrum amplitudes of the fGn correlation circulant.
 
     The correlation sequence rho(0..count) is embedded in a circulant of
-    length 2*count.  Eigenvalues below EIGENVALUE_FLOOR abort (silent
-    regularization would corrupt rate measurements); tiny negatives are
-    clamped to zero.
+    length 2*count, whose eigenvalues lam are real and symmetric.  Entry k
+    of the result, for k = 0..count, is sqrt(lam[k] * 2*count), times
+    1/sqrt(2) at the interior frequencies 0 < k < count, whose complex
+    normal is split into a real and an imaginary part.  Eigenvalues below
+    EIGENVALUE_FLOOR abort (silent regularization would corrupt rate
+    measurements); tiny negatives are clamped to zero.
     """
     rho = fgn_correlation(HurstParam(h), np.arange(count + 1))
     emb = np.concatenate([rho, rho[-2:0:-1]])
@@ -170,13 +175,22 @@ def _circulant_spectrum(h: float, count: int) -> np.ndarray:
             f"circulant embedding for h={h}, count={count} has eigenvalue "
             f"{lam_min:.3e} < {EIGENVALUE_FLOOR:g}"
         )
-    lam = np.clip(lam, 0.0, None)
-    lam.flags.writeable = False
-    return lam
+    amp = np.sqrt(np.clip(lam[: count + 1], 0.0, None) * (2 * count))
+    amp[1:count] *= math.sqrt(0.5)
+    amp.flags.writeable = False
+    return amp
 
 
 def sample_fgn_circulant(h, count: int, spacing: float, seed: SeedSpec, size: int | None = None):
     """Stationary fGn with covariance spacing^2H * rho_H(|i-j|).
+
+    Davies-Harte / Wood-Chan circulant embedding, inverted over the
+    Hermitian half of the spectrum only.  One row takes 2*count standard
+    normals: the first drives frequency 0, the second frequency count, and
+    the remaining ones the real, then the imaginary, parts of frequencies
+    1..count-1.  Each is scaled by its amplitude from _circulant_spectrum
+    and the real inverse FFT of length 2*count gives the path; its first
+    `count` entries are the fGn.
 
     Returns a vector of length `count`, or a (size, count) array when
     `size` is given (batch rows are consecutive draws from the same
@@ -187,21 +201,17 @@ def sample_fgn_circulant(h, count: int, spacing: float, seed: SeedSpec, size: in
     if spacing <= 0.0:
         raise ValueError("spacing must be positive")
     hp = as_hurst(h)
-    lam = _circulant_spectrum(hp.h, count)
-    m2 = lam.shape[0]  # 2*count
-    mid = m2 // 2
+    amp = _circulant_spectrum(hp.h, count)
     rows = 1 if size is None else int(size)
-    rng = seed.rng()
-    normals = rng.standard_normal((rows, m2))
-    z = np.empty((rows, m2), dtype=complex)
-    z[:, 0] = normals[:, 0]
-    z[:, mid] = normals[:, 1]
-    re = normals[:, 2 : mid + 1]
-    im = normals[:, mid + 1 :]
-    z[:, 1:mid] = (re + 1j * im) / math.sqrt(2.0)
-    z[:, mid + 1 :] = np.conj(z[:, 1:mid][:, ::-1])
-    fgn = np.fft.ifft(np.sqrt(lam) * z, axis=1).real[:, :count] * math.sqrt(m2)
-    fgn *= spacing**hp.h
+    normals = seed.rng().standard_normal((rows, 2 * count))
+    half = np.empty((rows, count + 1), dtype=complex)
+    half.real[:, 0] = normals[:, 0]
+    half.real[:, count] = normals[:, 1]
+    half.real[:, 1:count] = normals[:, 2 : count + 1]
+    half.imag[:, 1:count] = normals[:, count + 1 :]
+    half.imag[:, 0] = half.imag[:, count] = 0.0
+    half *= amp * spacing**hp.h
+    fgn = np.fft.irfft(half, n=2 * count, axis=1)[:, :count]
     return fgn[0] if size is None else fgn
 
 
@@ -246,8 +256,11 @@ def sample_fbm(h, grid: GridSpec, seed: SeedSpec, size: int | None = None):
     hp = as_hurst(h)
     fgn = sample_fgn_circulant(hp, grid.npoints - 1, grid.spacing, seed, size=size)
     fgn = np.atleast_2d(fgn)
-    vals = np.concatenate([np.zeros((fgn.shape[0], 1)), np.cumsum(fgn, axis=1)], axis=1)
-    vals -= vals[:, grid.zero_index : grid.zero_index + 1]
+    vals = np.empty((fgn.shape[0], grid.npoints))
+    vals[:, 0] = 0.0
+    np.cumsum(fgn, axis=1, out=vals[:, 1:])
+    if grid.zero_index:
+        vals -= vals[:, grid.zero_index : grid.zero_index + 1]
     if size is None:
         return FbmPath(grid=grid, h=hp, values=vals[0], seed=seed)
     return vals

@@ -62,10 +62,9 @@ class VariationSeries:
 
 
 def _running_sum(summands: np.ndarray) -> np.ndarray:
-    acc = np.cumsum(summands.astype(np.longdouble))
     out = np.empty(len(summands) + 1)
     out[0] = 0.0
-    out[1:] = acc.astype(np.float64)
+    out[1:] = np.cumsum(summands, dtype=np.longdouble)
     return out
 
 
@@ -107,7 +106,8 @@ def trapezoidal_variation(path: FbmPath, f: WeightFunction, r: int) -> Variation
     if r < 1:
         raise ValueError("r must be >= 1")
     x, _, xi, n = _positive_steps(path)
-    w = 0.5 * (f(x[:-1]) + f(x[1:]))
+    fx = f(x)
+    w = 0.5 * (fx[:-1] + fx[1:])
     return _series(n, w * odd_power(xi, r), 2.0 ** (-n / 2.0))
 
 

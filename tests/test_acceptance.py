@@ -26,6 +26,7 @@ import time
 
 import pytest
 
+import fbmvar.acceptance as acceptance
 from fbmvar.acceptance import ACCEPTANCE, run_check
 
 RUNTIME_LIMITS_S = {"A1": 120.0, "A5": 30.0}
@@ -104,3 +105,18 @@ def test_a9_brownian_time_limit():
 
 def test_a10_moment_scaling_band():
     _run("A10")
+
+
+def test_a4_wall_time_covers_gap_decay_loop(monkeypatch):
+    pause = 0.25
+    real_map = acceptance.replicate_map
+
+    def slow_map(*args, **kwargs):  # only the decay loop looks it up here
+        time.sleep(pause)
+        return real_map(*args, **kwargs)
+
+    monkeypatch.setattr(acceptance, "replicate_map", slow_map)
+    report = acceptance.check_a4(
+        replicates=60, level=6, decay_levels=(4, 6), decay_replicates=20
+    )
+    assert report.wall_time_s >= 2 * pause

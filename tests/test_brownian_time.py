@@ -23,6 +23,7 @@ from fbmvar import (
     terminal_site,
     walk_power_variation,
 )
+from fbmvar.variations import odd_power
 
 F_ONE = get_weight("one")
 F_ID = get_weight("identity")
@@ -213,3 +214,26 @@ def test_fbmbt_determinism():
     assert not np.array_equal(
         a.spatial.values, sample_fbmbt(0.25, 8, 1.0, SeedSpec(42, 8)).spatial.values
     )
+
+
+def _walk_power_variation_per_step(sample, f, r, t):
+    """Reference: the weight and power evaluated at every walk step."""
+    z = sample.z_values(t)
+    if len(z) < 2:
+        return 0.0
+    dz = 2.0 ** (sample.level * sample.spatial.h.h / 2.0) * np.diff(z)
+    w = 0.5 * (f(z[:-1]) + f(z[1:]))
+    return float(np.sum((w * odd_power(dz, r)).astype(np.longdouble)))
+
+
+@pytest.mark.parametrize("weight", ["one", "gauss", "sin"])
+@pytest.mark.parametrize("n", [4, 8, 14])
+def test_walk_variation_table_equals_per_step_formula(n, weight):
+    f = get_weight(weight)
+    for i in range(4):
+        sample = sample_fbmbt(0.25, n, 1.0, SeedSpec(60 + n, i))
+        for r in (1, 2, 3):
+            for t in (0.7, 1.0):
+                got = walk_power_variation(sample, f, r, t)
+                assert got == _walk_power_variation_per_step(sample, f, r, t)
+            assert walk_power_variation(sample, f, r, 0.5 / 2**n) == 0.0

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from fbmvar import cli
 from fbmvar.cli import main
 
 
@@ -82,6 +83,18 @@ def test_simulate_fbm_rejects_bad_grid(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "simulate", "fbm", "--n", "4", "--f", "nosuch")
     assert code == 2
+
+
+def test_simulate_fbm_refuses_oversized_grid_before_sampling(capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled an oversized grid")
+
+    monkeypatch.setattr(cli, "sample_fbm", no_sampling)
+    code, out, err = run_cli(capsys, "simulate", "fbm", "--n", "40")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(cli.SIMULATE_FBM_CAP) in err
 
 
 def test_simulate_fbmbt_reports_residuals(tmp_path, capsys):

@@ -177,3 +177,45 @@ def test_deterministic_across_thread_counts():
     serial = replicate_map(draw, 120, 77, threads=1)
     threaded = replicate_map(draw, 120, 77, threads=4)
     assert np.array_equal(serial, threaded)
+
+
+def _full_spectrum_fgn(h, count, spacing, seed, size):
+    """Reference: the same normals at the same frequencies, inverted with a
+    full-length complex FFT over the explicitly mirrored spectrum."""
+    rho = fgn_correlation(h, np.arange(count + 1))
+    lam = np.clip(np.fft.fft(np.concatenate([rho, rho[-2:0:-1]])).real, 0.0, None)
+    m2 = 2 * count
+    rows = 1 if size is None else size
+    normals = seed.rng().standard_normal((rows, m2))
+    z = np.empty((rows, m2), dtype=complex)
+    z[:, 0] = normals[:, 0]
+    z[:, count] = normals[:, 1]
+    z[:, 1:count] = (normals[:, 2 : count + 1] + 1j * normals[:, count + 1 :]) / math.sqrt(2.0)
+    z[:, count + 1 :] = np.conj(z[:, 1:count][:, ::-1])
+    fgn = np.fft.ifft(np.sqrt(lam) * z, axis=1).real[:, :count] * math.sqrt(m2) * spacing**h
+    return fgn[0] if size is None else fgn
+
+
+@pytest.mark.parametrize("size", [None, 1, 50])
+@pytest.mark.parametrize("count", [1, 2, 255, 256])
+def test_half_spectrum_matches_full_spectrum_reference(count, size):
+    seed = SeedSpec(41, count)
+    got = sample_fgn_circulant(0.3, count, 2.0**-8, seed, size=size)
+    want = _full_spectrum_fgn(0.3, count, 2.0**-8, seed, size)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("size", [None, 1, 50])
+@pytest.mark.parametrize("t_min", [0.0, -0.5, -63 / 128])  # even and odd step counts
+def test_sample_fbm_matches_full_spectrum_reference(t_min, size):
+    grid = GridSpec(level=7, t_min=t_min, t_max=1.0)
+    seed = SeedSpec(42, 0)
+    got = sample_fbm(0.3, grid, seed, size=size)
+    got = np.atleast_2d(got.values if size is None else got)
+    fgn = np.atleast_2d(_full_spectrum_fgn(0.3, grid.npoints - 1, grid.spacing, seed, size))
+    want = np.concatenate([np.zeros((len(fgn), 1)), np.cumsum(fgn, axis=1)], axis=1)
+    want -= want[:, grid.zero_index : grid.zero_index + 1]
+    assert got.shape == want.shape
+    assert np.all(got[:, grid.zero_index] == 0.0)
+    assert np.abs(got - want).max() <= 1e-12

@@ -25,6 +25,7 @@ from fbmvar import (
     trapezoidal_variation,
     unweighted_variation,
 )
+from fbmvar.variations import odd_power
 from fbmvar.weights import REGISTRY
 from scipy import stats as sps
 
@@ -328,3 +329,23 @@ def test_simulate_limit_conditional_variance():
     se = target_sd**2 * math.sqrt(2.0 / (len(draws) - 1))
     assert abs(var - target_sd**2) < 4 * se
     assert abs(draws.mean()) < 4 * target_sd / math.sqrt(len(draws))
+
+
+def _old_raw(summands):
+    """Reference running sum: longdouble copy, cumsum, cast back."""
+    out = np.zeros(len(summands) + 1)
+    out[1:] = np.cumsum(summands.astype(np.longdouble)).astype(np.float64)
+    return out
+
+
+@pytest.mark.parametrize("weight", ["one", "gauss", "sin"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_raw_sums_pinned_to_reference_formulas(weight, r):
+    f = get_weight(weight)
+    path = _path(level=10, seed=5, t_min=-0.25)
+    x = path.values[path.grid.zero_index :]
+    power = odd_power(2.0 ** (10 * path.h.h) * np.diff(x), r)
+    trapezoid = 0.5 * (f(x[:-1]) + f(x[1:])) * power
+    midpoint = f(0.5 * (x[:-1] + x[1:])) * power
+    assert np.array_equal(trapezoidal_variation(path, f, r).raw, _old_raw(trapezoid))
+    assert np.array_equal(midpoint_variation(path, f, r).raw, _old_raw(midpoint))
