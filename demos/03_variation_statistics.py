@@ -7,17 +7,14 @@ import numpy as np
 from fbmvar import (
     GridSpec,
     SeedSpec,
-    endpoint_variation,
     get_weight,
     ks_two_sample,
     limit_quadrature,
     limit_sigma,
-    midpoint_variation,
     sample_fbm,
     simulate_limit,
     taylor_remainder_split,
-    trapezoidal_variation,
-    unweighted_variation,
+    variation,
 )
 
 H, R = 0.25, 2
@@ -26,11 +23,11 @@ GRID = GridSpec(level=N, t_min=0.0, t_max=1.0)
 f = get_weight("gauss")
 
 path = sample_fbm(H, GRID, SeedSpec(99, 0))
-phi = midpoint_variation(path, f, R)
-psi = trapezoidal_variation(path, f, R)
-left = endpoint_variation(path, f, R, "left")
-right = endpoint_variation(path, f, R, "right")
-unw = unweighted_variation(path, R)
+phi = variation(path, f, R, "midpoint")
+psi = variation(path, f, R, "trapezoid")
+left = variation(path, f, R, "left")
+right = variation(path, f, R, "right")
+unw = variation(path, None, R)
 
 print(f"One path at level n={N}, H={H}, power 2r-1={2 * R - 1}, weight exp(-x^2)")
 print(f"  midpoint   Phi(1)  = {phi.value_at(1.0):+.6f}")
@@ -51,8 +48,8 @@ print()
 print("Deterministic endpoint limits (one path, finer level):")
 fine = sample_fbm(H, GridSpec(level=14, t_min=0.0, t_max=1.0), SeedSpec(99, 1))
 target = 1.5 * limit_quadrature(fine, f, "f_prime", 1.0)  # mu_4 / 2 = 3/2
-lv = endpoint_variation(fine, f, R, "left").value_at(1.0)
-rv = endpoint_variation(fine, f, R, "right").value_at(1.0)
+lv = variation(fine, f, R, "left").value_at(1.0)
+rv = variation(fine, f, R, "right").value_at(1.0)
 print(f"  left(1)  = {lv:+.4f}   vs  -mu_4/2 int f'(X) = {-target:+.4f}")
 print(f"  right(1) = {rv:+.4f}   vs  +mu_4/2 int f'(X) = {+target:+.4f}")
 print()
@@ -65,7 +62,7 @@ lim_draws = []
 for i in range(REPS):
     seed = SeedSpec(500, i)
     p1 = sample_fbm(H, GRID, seed.substream(0))
-    stat_draws.append(midpoint_variation(p1, f, R).value_at(1.0))
+    stat_draws.append(variation(p1, f, R).value_at(1.0))
     p2 = sample_fbm(H, GRID, seed.substream(1))
     lim_draws.append(simulate_limit(p2, f, sigma, 1.0, seed.substream(2)))
 stat_draws, lim_draws = np.array(stat_draws), np.array(lim_draws)

@@ -15,7 +15,6 @@ from .brownian_time import (
     identity_residuals,
     sample_fbmbt,
     sample_walk,
-    spatial_midpoint_power_variation,
     spatial_power_variation,
     terminal_site,
     walk_power_variation,
@@ -50,27 +49,22 @@ from .gaussian import (
     midpoint_increment_overlap_closed,
 )
 from .harness import (
-    ExperimentConfig,
     McReport,
     ks_one_sample,
     ks_two_sample,
     l2_endpoint_test,
     mixture_law_test,
     moment_scaling_test,
-    run_experiment,
 )
 from .acceptance import ACCEPTANCE, DEFAULT_MASTER_SEEDS, run_check
 from .variations import (
+    RULES,
     VariationSeries,
-    coarse_weight_variation,
-    endpoint_variation,
     limit_conditional_std,
     limit_quadrature,
-    midpoint_variation,
     simulate_limit,
     taylor_remainder_split,
-    trapezoidal_variation,
-    unweighted_variation,
+    variation,
 )
 from .version import VERSION as __version__
 from .weights import REGISTRY as WEIGHTS

@@ -45,7 +45,7 @@ from .harness import (
     moment_scaling_test,
     replicate_map,
 )
-from .variations import midpoint_variation, trapezoidal_variation, unweighted_variation
+from .variations import variation
 from .weights import get_weight
 
 #: shipped default seeds; the first is the primary, the other two are the
@@ -57,7 +57,7 @@ def _unweighted_draws(h, r, level, t, replicates, master_seed, threads):
     grid = GridSpec(level=level, t_min=0.0, t_max=t)
 
     def one(seed: SeedSpec) -> float:
-        return unweighted_variation(sample_fbm(h, grid, seed), r).value_at(t)
+        return variation(sample_fbm(h, grid, seed), None, r).value_at(t)
 
     return replicate_map(one, replicates, master_seed, threads)
 
@@ -173,8 +173,8 @@ def check_a4(
         def one(seed: SeedSpec, grid=grid) -> float:
             path = sample_fbm(h, grid, seed)
             gap = (
-                trapezoidal_variation(path, weight, r).value_at(1.0)
-                - midpoint_variation(path, weight, r).value_at(1.0)
+                variation(path, weight, r, "trapezoid").value_at(1.0)
+                - variation(path, weight, r).value_at(1.0)
             )
             return gap * gap
 
@@ -264,6 +264,8 @@ def check_a7(
 ) -> McReport:
     """A7: circulant generator against the Cholesky oracle on a two-sided
     grid — entrywise covariance against C_H, terminal-value KS."""
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
     cfg = dict(replicates=replicates, level=level, t_min=t_min, t_max=t_max,
                hs=list(hs), se_mult=se_mult, alpha=alpha)
     start = time.perf_counter()

@@ -220,11 +220,19 @@ def crossing_power_variation(sample: FbmbtSample, f: WeightFunction, r: int, t: 
     return _lsum(w * odd_power(dz, r) * counts.net())
 
 
-def _spatial_terms(path: FbmPath, f: WeightFunction, r: int, t: float, midpoint: bool):
+def spatial_power_variation(path: FbmPath, f: WeightFunction, r: int, t: float) -> float:
+    """Trapezoid-weighted odd-power sum along the spatial lattice up to a
+    signed time t; the negative branch walks leftward from the origin.
+
+    Composition rule: the direct walk statistic at time t equals this
+    statistic at u = 2^(-n/2) * (terminal site).
+    """
+    if r < 1:
+        raise ValueError("r must be >= 1")
     level = path.grid.level  # spatial level; the walk level is 2*level
     nsites = math.floor(abs(t) * 2**level)
     if nsites == 0:
-        return np.zeros(0)
+        return 0.0
     zero = path.grid.zero_index
     if t >= 0:
         if zero + nsites > path.grid.npoints - 1:
@@ -239,27 +247,7 @@ def _spatial_terms(path: FbmPath, f: WeightFunction, r: int, t: float, midpoint:
         x_b = path.values[idx - 1]
     scale = 2.0 ** (level * path.h.h)  # = 2^(nH/2) for the walk level n
     dz = scale * (x_b - x_a)
-    w = f(0.5 * (x_a + x_b)) if midpoint else 0.5 * (f(x_a) + f(x_b))
-    return w * odd_power(dz, r)
-
-
-def spatial_power_variation(path: FbmPath, f: WeightFunction, r: int, t: float) -> float:
-    """Trapezoid-weighted odd-power sum along the spatial lattice up to a
-    signed time t; the negative branch walks leftward from the origin.
-
-    Composition rule: the direct walk statistic at time t equals this
-    statistic at u = 2^(-n/2) * (terminal site).
-    """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    return _lsum(_spatial_terms(path, f, r, t, midpoint=False))
-
-
-def spatial_midpoint_power_variation(path: FbmPath, f: WeightFunction, r: int, t: float) -> float:
-    """Midpoint-weighted analog of spatial_power_variation."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    return _lsum(_spatial_terms(path, f, r, t, midpoint=True))
+    return _lsum(0.5 * (f(x_a) + f(x_b)) * odd_power(dz, r))
 
 
 def identity_residuals(sample: FbmbtSample, f: WeightFunction, r: int, t: float) -> dict:

@@ -23,13 +23,8 @@ import numpy as np
 from .acceptance import ACCEPTANCE, DEFAULT_MASTER_SEEDS, run_check
 from .brownian_time import identity_residuals, sample_fbmbt
 from .fbm import GridSpec, SeedSpec, sample_fbm
-from .gaussian import bivariate_odd_moment, fgn_correlation, limit_sigma
-from .variations import (
-    endpoint_variation,
-    midpoint_variation,
-    trapezoidal_variation,
-    unweighted_variation,
-)
+from .gaussian import bivariate_odd_moment, double_factorial, fgn_correlation, limit_sigma
+from .variations import RULES, variation
 from .version import VERSION
 from .weights import REGISTRY, get_weight
 
@@ -37,6 +32,29 @@ from .weights import REGISTRY, get_weight
 #: largest grid `simulate fbm` samples, in points (level 21 over [0, 1]
 #: fits); the circulant sampler's buffers take about 64 bytes per point
 SIMULATE_FBM_CAP = 1 << 22
+
+#: longest walk `simulate fbmbt` samples, in steps (level 22 over [0, 1]
+#: fits); the walk and its identity checks peak at about 50 bytes per step
+SIMULATE_FBMBT_CAP = 1 << 22
+
+#: every flag a subcommand may add; a config-file key is the flag's dest
+#: ("--t-min" -> "t_min") and is parsed with the flag's type
+_FLAGS = {
+    "--h": dict(type=float, help="Hurst parameter"),
+    "--r": dict(type=int, help="power parameter (statistic order 2r-1)"),
+    "--n": dict(type=int, help="dyadic level"),
+    "--t": dict(type=float, help="time horizon"),
+    "--t-min": dict(type=float, help="left grid endpoint (<= 0)"),
+    "--f": dict(type=str, help=f"weight id, one of {sorted(REGISTRY)}"),
+    "--replicates": dict(type=int, help="Monte Carlo replicates"),
+    "--seed": dict(type=int, help="master seed"),
+    "--threads": dict(type=int, help="worker thread cap"),
+    "--out": dict(type=str, help="write the JSON artifact here instead of stdout"),
+    "--dump-paths": dict(type=str, help="directory for path CSV dumps"),
+    "--dump-series": dict(type=str, help="directory for series CSV dumps"),
+    "--dump-walk": dict(type=str, help="directory for walk CSV dumps"),
+    "--tol": dict(type=float, help="tolerance"),
+}
 
 
 class UsageError(Exception):
@@ -57,21 +75,18 @@ def load_config(path: str) -> dict:
     return values
 
 
-_CASTS = {
-    "h": float, "t": float, "t_min": float, "tol": float,
-    "r": int, "n": int, "m": int, "replicates": int, "seed": int, "threads": int,
-    "f": str, "out": str, "dump_paths": str, "dump_series": str, "dump_walk": str,
-}
-
-
 def merge_config(args: argparse.Namespace, file_cfg: dict, defaults: dict) -> dict:
-    """Effective config: hard defaults < config file < explicit flags."""
+    """Effective config: hard defaults < config file < explicit flags.
+
+    `defaults` holds one entry per flag of the subcommand, so a file key
+    the subcommand has no flag for is refused.
+    """
     merged = dict(defaults)
     for key, raw in file_cfg.items():
-        if key not in _CASTS:
-            raise UsageError(f"unknown config key '{key}'")
+        if key not in defaults:
+            raise UsageError(f"config key '{key}' is not an option of this command")
         try:
-            merged[key] = _CASTS[key](raw)
+            merged[key] = _FLAGS["--" + key.replace("_", "-")]["type"](raw)
         except ValueError:
             raise UsageError(f"config key '{key}': cannot parse {raw!r}") from None
     for key in defaults:
@@ -90,10 +105,9 @@ def _emit(document: dict, out: str | None) -> None:
 
 
 def _write_csv(path: Path, header: str, columns) -> None:
-    rows = zip(*columns)
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for row in rows:
+        for row in zip(*columns):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
@@ -118,8 +132,7 @@ def cmd_sigma(args) -> int:
           f"{sigma.tail_bound:>12.3g}")
     if args.verbose:
         print("\n  j        rho_H(j)    series term (2*E[..])   running sigma^2")
-        running = float(sum(c * c * math.factorial(w)
-                            for c, w in zip(*_coeff_pairs(r))))
+        running = float(double_factorial(4 * r - 2))  # mu_{4r-2}, the j = 0 term
         for j in range(1, 21):
             rho = fgn_correlation(h, j)
             term = 2.0 * bivariate_odd_moment(r, rho)
@@ -141,13 +154,6 @@ def cmd_sigma(args) -> int:
     if cfg["out"]:
         _emit(document, cfg["out"])
     return 0
-
-
-def _coeff_pairs(r):
-    from .gaussian import hermite_coeffs
-
-    hc = hermite_coeffs(r)
-    return hc.c, hc.orders
 
 
 def cmd_simulate_fbm(args) -> int:
@@ -184,18 +190,14 @@ def cmd_simulate_fbm(args) -> int:
         results["path_csv"] = str(directory / "fbm_path.csv")
     if cfg["dump_series"]:
         f = get_weight(cfg["f"])
-        r = cfg["r"]
-        phi = midpoint_variation(path, f, r)
-        psi = trapezoidal_variation(path, f, r)
-        left = endpoint_variation(path, f, r, "left")
-        right = endpoint_variation(path, f, r, "right")
-        unw = unweighted_variation(path, r)
+        series = [variation(path, f, cfg["r"], rule) for rule in RULES]
+        series.append(variation(path, None, cfg["r"]))
         directory = Path(cfg["dump_series"])
         directory.mkdir(parents=True, exist_ok=True)
         _write_csv(
             directory / "series.csv",
             "t,phi,psi,left,right,unweighted",
-            (phi.times, phi.values, psi.values, left.values, right.values, unw.values),
+            [series[0].times] + [s.values for s in series],
         )
         results["series_csv"] = str(directory / "series.csv")
     _emit({"command": "simulate fbm", "version": VERSION, "config": cfg,
@@ -214,8 +216,18 @@ def cmd_simulate_fbmbt(args) -> int:
         raise UsageError(f"--h must lie in (0, 1), got {cfg['h']}")
     if cfg["r"] < 1:
         raise UsageError("--r must be >= 1")
-    if math.floor(cfg["t"] * 2 ** cfg["n"]) < 1:
+    if not cfg["t"] > 0.0:
+        raise UsageError("--t must be positive")
+    try:
+        steps = math.floor(cfg["t"] * 2.0 ** cfg["n"])
+    except OverflowError:  # beyond any float, so beyond the cap
+        steps = math.inf
+    if steps < 1:
         raise UsageError("--t too small: the walk needs at least one step")
+    if steps > SIMULATE_FBMBT_CAP:
+        raise UsageError(
+            f"walk has {steps} steps, above the simulate cap {SIMULATE_FBMBT_CAP}"
+        )
     if cfg["f"] not in REGISTRY:
         raise UsageError(f"--f must be one of {sorted(REGISTRY)}")
     seed = SeedSpec(cfg["seed"], 0)
@@ -254,21 +266,27 @@ def cmd_verify(args) -> int:
     seeds = DEFAULT_MASTER_SEEDS if cfg["seed"] is None else (
         (cfg["seed"],) + tuple(s for s in DEFAULT_MASTER_SEEDS if s != cfg["seed"])[:2]
     )
+    # flag -> (check parameter it sets, value), for the overrides given
+    given = {"--replicates": ("replicates", cfg["replicates"]), "--n": ("level", cfg["n"])}
+    given = {flag: pv for flag, pv in given.items() if pv[1] is not None}
     checks = {}
     all_passed = True
     for name in names:
-        fn = ACCEPTANCE[name].fn
-        overrides = {}
-        params = inspect.signature(fn).parameters
-        if cfg["replicates"] is not None and "replicates" in params:
-            overrides["replicates"] = cfg["replicates"]
-        if cfg["n"] is not None and "level" in params:
-            overrides["level"] = cfg["n"]
-        passed, reports = run_check(name, master_seeds=seeds, threads=cfg["threads"], **overrides)
+        params = inspect.signature(ACCEPTANCE[name].fn).parameters
+        overrides = {param: value for param, value in given.values() if param in params}
+        ignored = [flag for flag, (param, _) in given.items() if param not in params]
+        if ignored and args.suite != "all":
+            raise UsageError(f"{name} has no parameter for {', '.join(ignored)}")
+        try:
+            passed, reports = run_check(name, master_seeds=seeds, threads=cfg["threads"],
+                                        **overrides)
+        except ValueError as exc:
+            raise UsageError(f"{name}: {exc}") from None
         all_passed &= passed
         status = "PASS" if passed else "FAIL"
         extra = "" if len(reports) == 1 else f" (majority over {len(reports)} seeds)"
-        print(f"{name}: {status}{extra} - {ACCEPTANCE[name].summary}")
+        note = f" (ignored: {', '.join(ignored)})" if ignored else ""
+        print(f"{name}: {status}{extra} - {ACCEPTANCE[name].summary}{note}")
         for rep in reports:
             for msg in rep.failures:
                 print(f"    [{rep.master_seed}] {msg}")
@@ -285,25 +303,8 @@ def _file_cfg(args) -> dict:
 
 
 def _add_common(parser, *names):
-    spec = {
-        "--h": dict(type=float, help="Hurst parameter"),
-        "--r": dict(type=int, help="power parameter (statistic order 2r-1)"),
-        "--n": dict(type=int, help="dyadic level"),
-        "--m": dict(type=int, help="coarse dyadic level"),
-        "--t": dict(type=float, help="time horizon"),
-        "--t-min": dict(type=float, dest="t_min", help="left grid endpoint (<= 0)"),
-        "--f": dict(type=str, help=f"weight id, one of {sorted(REGISTRY)}"),
-        "--replicates": dict(type=int, help="Monte Carlo replicates"),
-        "--seed": dict(type=int, help="master seed"),
-        "--threads": dict(type=int, help="worker thread cap"),
-        "--out": dict(type=str, help="write the JSON artifact here instead of stdout"),
-        "--dump-paths": dict(type=str, dest="dump_paths", help="directory for path CSV dumps"),
-        "--dump-series": dict(type=str, dest="dump_series", help="directory for series CSV dumps"),
-        "--dump-walk": dict(type=str, dest="dump_walk", help="directory for walk CSV dumps"),
-        "--tol": dict(type=float, help="tolerance"),
-    }
     for name in names:
-        parser.add_argument(name, **spec[name])
+        parser.add_argument(name, **_FLAGS[name])
     parser.add_argument("--config", type=str, help="key=value config file (flags override)")
     parser.add_argument("--verbose", action="store_true")
 

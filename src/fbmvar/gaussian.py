@@ -232,7 +232,6 @@ def limit_sigma(
     tol: float = 1e-10,
     strict: bool = True,
     max_terms: int = 5_000_000,
-    correlation=None,
 ) -> LimitSigma:
     """Evaluate the variance-series constant sigma for power 2r-1 at Hurst h.
 
@@ -242,10 +241,6 @@ def limit_sigma(
     form (it contributes exactly -c_r^2 for h < 1/2); only the rank >= 3
     chaos terms are truncated, with tail certified <= `tol` using
     |rho_H(j)| <= 2 j^(2H-2).  For r = 1 the result is exactly 0.
-
-    `correlation` overrides rho_H(j) for diagnostics (e.g. a zero sequence);
-    the override is assumed absolutely summable and the tail is then only
-    estimated, not certified.
     """
     if r < 1:
         raise ValueError("r must be a positive integer")
@@ -260,50 +255,37 @@ def limit_sigma(
     mu = float(double_factorial(4 * r - 2))
     c_lin = float(coeffs.c[-1])  # coefficient of the rho^1 term
 
-    if correlation is not None:
-        total = 0.0
-        j = 1
-        while j <= max_terms:
-            term = bivariate_odd_moment(r, float(correlation(j)))
-            total += term
-            if j > 8 and abs(term) < tol / (8.0 * j):
-                break
-            j += 1
-        var = mu + 2.0 * total
-        tail = 0.0
-    elif hp.h > 0.5:
+    if hp.h > 0.5:
         raise ConvergenceError("the correlation series diverges for h > 1/2")
+    # Exact rank-1 contribution: 2 c_r^2 sum_j rho_j = -c_r^2 (h < 1/2),
+    # and 0 at h = 1/2 where rho vanishes identically.
+    lin = 0.0 if hp.h == 0.5 else -c_lin * c_lin
+    hi_mass = mu - c_lin * c_lin  # sum over w >= 3 of c_u^2 w!
+    if hi_mass == 0.0:  # r == 1
+        var = mu + lin
+        tail = 0.0
+        j_stop = 0
     else:
-        # Exact rank-1 contribution: 2 c_r^2 sum_j rho_j = -c_r^2 (h < 1/2),
-        # and 0 at h = 1/2 where rho vanishes identically.
-        lin = 0.0 if hp.h == 0.5 else -c_lin * c_lin
-        hi_mass = mu - c_lin * c_lin  # sum over w >= 3 of c_u^2 w!
-        if hi_mass == 0.0:  # r == 1
-            var = mu + lin
-            tail = 0.0
-            j_stop = 0
-        else:
-            a = 5.0 - 6.0 * hp.h
-            # 2 * hi_mass * 8 * J^(6H-5) / (5-6H) <= tol
-            j_stop = int(math.ceil((16.0 * hi_mass / (tol * a)) ** (1.0 / a)))
-            j_stop = max(j_stop, 8)
-            if j_stop > max_terms:
-                raise ConvergenceError(
-                    f"certified tail <= {tol:g} needs {j_stop} terms (cap {max_terms})"
-                )
-            js = np.arange(1, j_stop + 1)
-            rhos = fgn_correlation(hp, js)
-            hi = np.zeros_like(rhos)
-            for cu, w in zip(coeffs.c, coeffs.orders):
-                if w >= 3:
-                    hi += (cu * cu * math.factorial(w)) * rhos**w
-            var = mu + lin + 2.0 * float(np.sum(hi[::-1]))
-            tail = 16.0 * hi_mass * j_stop ** (6.0 * hp.h - 5.0) / a
-        j = j_stop
+        a = 5.0 - 6.0 * hp.h
+        # 2 * hi_mass * 8 * J^(6H-5) / (5-6H) <= tol
+        j_stop = int(math.ceil((16.0 * hi_mass / (tol * a)) ** (1.0 / a)))
+        j_stop = max(j_stop, 8)
+        if j_stop > max_terms:
+            raise ConvergenceError(
+                f"certified tail <= {tol:g} needs {j_stop} terms (cap {max_terms})"
+            )
+        js = np.arange(1, j_stop + 1)
+        rhos = fgn_correlation(hp, js)
+        hi = np.zeros_like(rhos)
+        for cu, w in zip(coeffs.c, coeffs.orders):
+            if w >= 3:
+                hi += (cu * cu * math.factorial(w)) * rhos**w
+        var = mu + lin + 2.0 * float(np.sum(hi[::-1]))
+        tail = 16.0 * hi_mass * j_stop ** (6.0 * hp.h - 5.0) / a
     if var < -max(tol, tail):
         raise ArithmeticError(f"sigma^2 evaluated to {var}, below -tolerance")
     value = math.sqrt(max(var, 0.0))
-    return LimitSigma(r=r, h=hp, value=value, tail_bound=tail, terms_used=j)
+    return LimitSigma(r=r, h=hp, value=value, tail_bound=tail, terms_used=j_stop)
 
 
 def midpoint_increment_overlap(h, n: int, s: float, t: float) -> float:
@@ -311,9 +293,8 @@ def midpoint_increment_overlap(h, n: int, s: float, t: float) -> float:
 
     For each j in [floor(2^n s), floor(2^n t)) the summand is
     |E[(X_b - X_a) (X_b + X_a)]| / 2 with a = j 2^-n, b = (j+1) 2^-n,
-    evaluated directly from the covariance.  The sum telescopes to the
-    closed form 2^(-2nH) (floor(2^n t)^2H - floor(2^n s)^2H) / 2; both are
-    computed and must agree to relative 1e-12.
+    evaluated directly from the covariance.  The sum telescopes to
+    midpoint_increment_overlap_closed; acceptance check A8 compares the two.
     """
     if not 0.0 <= s < t:
         raise ValueError("need 0 <= s < t")
@@ -334,13 +315,7 @@ def midpoint_increment_overlap(h, n: int, s: float, t: float) -> float:
         - fbm_covariance(hp, a, b)
         - fbm_covariance(hp, a, a)
     )
-    total = float(np.sum(direct))
-    closed = 0.5 * 2.0 ** (-2 * n * hp.h) * (hi ** (2 * hp.h) - lo ** (2 * hp.h))
-    if abs(total - closed) > 1e-12 * max(1.0, abs(closed)):
-        raise ArithmeticError(
-            f"telescoping identity violated: direct={total!r} closed={closed!r}"
-        )
-    return total
+    return float(np.sum(direct))
 
 
 def midpoint_increment_overlap_closed(h, n: int, s: float, t: float) -> float:

@@ -1,11 +1,12 @@
-"""Monte Carlo experiment driver and statistical tests.
+"""Monte Carlo replicate loop, the test operations built on it, and
+statistical tests.
 
-Experiments are replicate loops with seed stream = replicate index, so an
-aggregate is a deterministic function of the master seed regardless of the
-worker count (the reduction is ordered by replicate index).  Reports are
-self-describing: every threshold an assertion uses is part of the embedded
-config, and serialization has a canonical form (timing excluded) on which
-byte-reproducibility is defined.
+Every operation runs `replicate_map`, whose seed stream is the replicate
+index, so an aggregate is a deterministic function of the master seed
+regardless of the worker count (the reduction is ordered by replicate
+index).  Reports are self-describing: every threshold an assertion uses is
+part of the embedded config, and serialization has a canonical form
+(timing excluded) on which byte-reproducibility is defined.
 """
 
 from __future__ import annotations
@@ -21,14 +22,7 @@ from scipy import stats as sps
 
 from .fbm import GridSpec, SeedSpec, sample_fbm
 from .gaussian import gaussian_moment, limit_sigma
-from .variations import (
-    endpoint_variation,
-    limit_quadrature,
-    midpoint_variation,
-    simulate_limit,
-    trapezoidal_variation,
-    unweighted_variation,
-)
+from .variations import limit_quadrature, simulate_limit, variation
 from .version import VERSION
 from .weights import get_weight
 
@@ -89,52 +83,14 @@ class McReport:
         return self.to_json(include_timing=False)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Replicated-statistic experiment: which statistic, at which levels."""
-
-    statistic: str
-    h: float
-    r: int
-    f: str
-    levels: tuple[int, ...]
-    replicates: int
-    master_seed: int
-    t: float = 1.0
-    alpha: float = 0.01
-    se_mult: float = 3.0
-    threads: int = 1
-
-    def __post_init__(self):
-        if self.replicates < 100:
-            raise ValueError("replicates must be >= 100")
-        if not 0.0 < self.alpha <= 0.1:
-            raise ValueError("alpha must lie in (0, 0.1]")
-        if self.statistic not in STATISTICS:
-            raise ValueError(f"unknown statistic '{self.statistic}'; known: {sorted(STATISTICS)}")
-
-    def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "h": self.h,
-            "r": self.r,
-            "f": self.f,
-            "levels": list(self.levels),
-            "replicates": self.replicates,
-            "master_seed": self.master_seed,
-            "t": self.t,
-            "alpha": self.alpha,
-            "se_mult": self.se_mult,
-            "threads": self.threads,
-        }
-
-
 def replicate_map(fn, replicates: int, master_seed: int, threads: int = 1) -> np.ndarray:
     """Evaluate fn(SeedSpec(master_seed, i)) for i = 0..replicates-1.
 
     The reduction is ordered by replicate index, so the result is
     independent of the worker count.
     """
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
     seeds = [SeedSpec(master_seed, i) for i in range(replicates)]
     if threads <= 1:
         rows = [fn(s) for s in seeds]
@@ -166,54 +122,6 @@ def describe(x: np.ndarray) -> dict:
 
 def _grid_to(t: float, level: int) -> GridSpec:
     return GridSpec(level=level, t_min=0.0, t_max=t)
-
-
-def _variation_value(statistic: str, path, f, r: int, t: float) -> float:
-    if statistic == "midpoint":
-        return midpoint_variation(path, f, r).value_at(t)
-    if statistic == "trapezoid":
-        return trapezoidal_variation(path, f, r).value_at(t)
-    if statistic == "unweighted":
-        return unweighted_variation(path, r).value_at(t)
-    if statistic == "endpoint_left":
-        return endpoint_variation(path, f, r, "left").value_at(t)
-    if statistic == "endpoint_right":
-        return endpoint_variation(path, f, r, "right").value_at(t)
-    raise ValueError(f"unknown statistic '{statistic}'")
-
-
-def _make_statistic(cfg: ExperimentConfig, level: int):
-    f = get_weight(cfg.f)
-
-    if cfg.statistic == "limit":
-        sigma = limit_sigma(cfg.r, cfg.h, 1e-10)
-
-        def draw(seed: SeedSpec) -> float:
-            path = sample_fbm(cfg.h, _grid_to(cfg.t, level), seed.substream(0))
-            return simulate_limit(path, f, sigma, cfg.t, seed.substream(1))
-
-        return draw
-
-    def value(seed: SeedSpec) -> float:
-        path = sample_fbm(cfg.h, _grid_to(cfg.t, level), seed)
-        return _variation_value(cfg.statistic, path, f, cfg.r, cfg.t)
-
-    return value
-
-
-STATISTICS = ("midpoint", "trapezoid", "unweighted", "endpoint_left", "endpoint_right", "limit")
-
-
-def run_experiment(config: ExperimentConfig) -> McReport:
-    """Replicate loop over config.levels; deterministic given master_seed."""
-    start = time.perf_counter()
-    report = McReport(kind="experiment", config=config.to_dict(), master_seed=config.master_seed)
-    for level in config.levels:
-        fn = _make_statistic(config, level)
-        values = replicate_map(fn, config.replicates, config.master_seed, config.threads)
-        report.estimates[str(level)] = describe(values)
-    report.wall_time_s = time.perf_counter() - start
-    return report
 
 
 def ks_one_sample(samples, cdf, min_samples: int = 50) -> tuple[float, float]:
@@ -282,7 +190,7 @@ def moment_scaling_test(
 
     def one(seed: SeedSpec) -> np.ndarray:
         path = sample_fbm(h, grid, seed)
-        series = midpoint_variation(path, weight, r)
+        series = variation(path, weight, r)
         vals = series.values
         return np.array([abs(vals[kt] - vals[ks]) ** p for ks, kt in spans])
 
@@ -375,8 +283,8 @@ def l2_endpoint_test(
         def one(seed: SeedSpec, n=n, grid=grid) -> np.ndarray:
             path = sample_fbm(h, grid, seed)
             target = 0.5 * mu * limit_quadrature(path, weight, "f_prime", t)
-            left = endpoint_variation(path, weight, r, "left").value_at(t)
-            right = endpoint_variation(path, weight, r, "right").value_at(t)
+            left = variation(path, weight, r, "left").value_at(t)
+            right = variation(path, weight, r, "right").value_at(t)
             trap = 0.5 * (left + right)
             return np.array([(left + target) ** 2, (right - target) ** 2, trap**2])
 
@@ -424,10 +332,11 @@ def mixture_law_test(
 ) -> McReport:
     """Distributional check of the statistic at t=1 against the mixture law.
 
-    Draws of the statistic are compared (two-sample KS) with independent
-    draws of sigma * sum f(X) dW; the mean must vanish within se_mult
-    standard errors, and the correlation with the terminal path value must
-    be below 3/sqrt(R) + corr_slack.  For r = 1 the limit is degenerate and
+    The statistic is `variation` under the node rule `statistic`.  Its draws
+    are compared (two-sample KS) with independent draws of
+    sigma * sum f(X) dW; the mean must vanish within se_mult standard
+    errors, and the correlation with the terminal path value must be below
+    3/sqrt(R) + corr_slack.  For r = 1 the limit is degenerate and
     the check becomes variance decay: Var at level n must be below
     degenerate_ratio times its value at level n - degenerate_gap.
     """
@@ -456,7 +365,7 @@ def mixture_law_test(
         for level in (n - degenerate_gap, n):
             def one(seed: SeedSpec, level=level) -> float:
                 path = sample_fbm(h, _grid_to(1.0, level), seed)
-                return _variation_value(statistic, path, weight, r, 1.0)
+                return variation(path, weight, r, statistic).value_at(1.0)
 
             vals = replicate_map(one, replicates, master_seed, threads)
             variances[str(level)] = describe(vals)
@@ -468,7 +377,7 @@ def mixture_law_test(
     else:
         def stat_and_terminal(seed: SeedSpec) -> np.ndarray:
             path = sample_fbm(h, _grid_to(1.0, n), seed.substream(0))
-            val = _variation_value(statistic, path, weight, r, 1.0)
+            val = variation(path, weight, r, statistic).value_at(1.0)
             return np.array([val, path.value_at(1.0)])
 
         def limit_draw(seed: SeedSpec) -> np.ndarray:

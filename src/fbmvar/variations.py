@@ -1,18 +1,24 @@
-"""Weighted odd-power variation statistics as partial-sum processes.
+"""Weighted odd-power variation of a sampled path, and its limit objects.
 
 For a level-n path X on the dyadic grid, with increments
-D_j = X_{(j+1)2^-n} - X_{j2^-n} and midpoints b_j = (X_j + X_{j+1})/2,
-the statistics below are running sums over j = 0..floor(2^n t)-1 of
+D_j = X_{(j+1)2^-n} - X_{j2^-n}, one kernel, `variation(path, f, r, rule)`,
+returns the running sum over j = 0..floor(2^n t)-1 of
 
-    weight_j * (2^{nH} D_j)^(2r-1)
+    w_j * (2^{nH} D_j)^(2r-1)
 
-under four weight conventions (midpoint f(b_j), trapezoid
-(f(X_j)+f(X_{j+1}))/2, left/right endpoint, constant 1) and two
-normalizations (2^{-n/2} for the CLT-scale statistics, 2^{nH-n} for the
-endpoint statistics with deterministic limits).
+as a `VariationSeries`.  The node rule says where the weight f is read on
+each step: at the midpoint (X_j + X_{j+1})/2 (the symmetric rule of the
+non-central limit theorem), as the trapezoid (f(X_j) + f(X_{j+1}))/2, or at
+the left or right endpoint; f=None is the unit weight.  The rule also fixes
+the normalization: 2^{-n/2} for midpoint and trapezoid, whose limit is the
+mixture law, and 2^{nH-n} for the endpoint rules, whose limits are
+deterministic.
 
 Partial sums are accumulated in extended precision so that differencing
 recovers the per-step summands and window increments are one subtraction.
+The remaining functions give the Taylor split of the trapezoid-midpoint gap
+and the path functionals of the limits (quadrature, conditional std, a
+draw from the mixture law).
 """
 
 from __future__ import annotations
@@ -61,13 +67,6 @@ class VariationSeries:
         return self.scale * np.diff(self.raw)
 
 
-def _running_sum(summands: np.ndarray) -> np.ndarray:
-    out = np.empty(len(summands) + 1)
-    out[0] = 0.0
-    out[1:] = np.cumsum(summands, dtype=np.longdouble)
-    return out
-
-
 def odd_power(x: np.ndarray, r: int):
     """x^(2r-1) computed as x * (x*x)^(r-1).
 
@@ -78,7 +77,10 @@ def odd_power(x: np.ndarray, r: int):
 
 
 def _series(level: int, summands: np.ndarray, scale: float) -> VariationSeries:
-    return VariationSeries(level=level, raw=_running_sum(summands), scale=scale)
+    raw = np.empty(len(summands) + 1)
+    raw[0] = 0.0
+    raw[1:] = np.cumsum(summands, dtype=np.longdouble)
+    return VariationSeries(level=level, raw=raw, scale=scale)
 
 
 def _positive_steps(path: FbmPath):
@@ -92,64 +94,38 @@ def _positive_steps(path: FbmPath):
     return x, dx, xi, n
 
 
-def midpoint_variation(path: FbmPath, f: WeightFunction, r: int) -> VariationSeries:
-    """Sum of f((X_j+X_{j+1})/2) (2^nH D_j)^(2r-1), normalized by 2^(-n/2)."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    x, _, xi, n = _positive_steps(path)
-    beta = 0.5 * (x[:-1] + x[1:])
-    return _series(n, f(beta) * odd_power(xi, r), 2.0 ** (-n / 2.0))
+#: node rules of `variation`: where the weight is read on each step
+RULES = ("midpoint", "trapezoid", "left", "right")
 
 
-def trapezoidal_variation(path: FbmPath, f: WeightFunction, r: int) -> VariationSeries:
-    """As midpoint_variation with weight (f(X_j)+f(X_{j+1}))/2."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    x, _, xi, n = _positive_steps(path)
-    fx = f(x)
-    w = 0.5 * (fx[:-1] + fx[1:])
-    return _series(n, w * odd_power(xi, r), 2.0 ** (-n / 2.0))
+def variation(
+    path: FbmPath, f: WeightFunction | None, r: int, rule: str = "midpoint"
+) -> VariationSeries:
+    """Running sum of w_j (2^nH D_j)^(2r-1) under a node rule.
 
-
-def endpoint_variation(path: FbmPath, f: WeightFunction, r: int, side: str) -> VariationSeries:
-    """Left/right endpoint weights with the 2^(nH-n) normalization."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    x, _, xi, n = _positive_steps(path)
-    nodes = x[:-1] if side == "left" else x[1:]
-    return _series(n, f(nodes) * odd_power(xi, r), 2.0 ** (n * path.h.h - n))
-
-
-def unweighted_variation(path: FbmPath, r: int) -> VariationSeries:
-    """Sum of (2^nH D_j)^(2r-1), normalized by 2^(-n/2)."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    _, _, xi, n = _positive_steps(path)
-    return _series(n, odd_power(xi, r), 2.0 ** (-n / 2.0))
-
-
-def coarse_weight_variation(path: FbmPath, f: WeightFunction, r: int, m: int) -> VariationSeries:
-    """Midpoint weight frozen on the coarser level-m grid.
-
-    The j-th summand uses f evaluated at the level-m midpoint of the coarse
-    interval containing j 2^-n (k(j) = floor(j 2^(m-n))); a diagnostic for
-    the frozen-weight decomposition.
+    The weight w_j is f((X_j+X_{j+1})/2) for "midpoint",
+    (f(X_j)+f(X_{j+1}))/2 for "trapezoid", f(X_j) for "left" and f(X_{j+1})
+    for "right"; f=None is the unit weight and evaluates nothing.  The
+    normalization is 2^(-n/2) for midpoint and trapezoid, 2^(nH-n) for the
+    endpoint rules.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
+    if rule not in RULES:
+        raise ValueError(f"unknown rule '{rule}'; known: {', '.join(RULES)}")
     x, _, xi, n = _positive_steps(path)
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= path level {n}, got m={m}")
-    stride = 1 << (n - m)
-    nsteps = len(xi)
-    if nsteps % stride:
-        raise ValueError("path must end on a level-m grid point")
-    j = np.arange(nsteps)
-    k = j >> (n - m)
-    beta_m = 0.5 * (x[k * stride] + x[(k + 1) * stride])
-    return _series(n, f(beta_m) * odd_power(xi, r), 2.0 ** (-n / 2.0))
+    summands = odd_power(xi, r)
+    if f is not None:
+        if rule == "midpoint":
+            w = f(0.5 * (x[:-1] + x[1:]))
+        elif rule == "trapezoid":
+            fx = f(x)
+            w = 0.5 * (fx[:-1] + fx[1:])
+        else:
+            w = f(x[:-1] if rule == "left" else x[1:])
+        summands = w * summands
+    scale = 2.0 ** (-n / 2.0) if rule in ("midpoint", "trapezoid") else 2.0 ** (n * path.h.h - n)
+    return _series(n, summands, scale)
 
 
 def taylor_remainder_split(
@@ -178,8 +154,8 @@ def taylor_remainder_split(
     for k in range(1, kmax + 1):
         corr += f.eval(2 * k, beta) * (dx * dx) ** k / (4.0**k * math.factorial(2 * k))
     a_series = _series(n, corr * power, 2.0 ** (-n / 2.0))
-    psi = trapezoidal_variation(path, f, r)
-    phi = midpoint_variation(path, f, r)
+    psi = variation(path, f, r, "trapezoid")
+    phi = variation(path, f, r)
     b_raw = psi.raw - phi.raw - a_series.raw
     b_series = VariationSeries(level=n, raw=b_raw, scale=a_series.scale)
     return a_series, b_series

@@ -18,7 +18,6 @@ from fbmvar import (
     sample_fbm,
     sample_fbmbt,
     sample_walk,
-    spatial_midpoint_power_variation,
     spatial_power_variation,
     terminal_site,
     walk_power_variation,
@@ -26,7 +25,6 @@ from fbmvar import (
 from fbmvar.variations import odd_power
 
 F_ONE = get_weight("one")
-F_ID = get_weight("identity")
 F_GAUSS = get_weight("gauss")
 
 
@@ -164,7 +162,6 @@ def test_spatial_variation_edges():
     grid = GridSpec(level=4, t_min=-1.0, t_max=1.0)
     path = sample_fbm(0.25, grid, SeedSpec(13, 0))
     assert spatial_power_variation(path, F_GAUSS, 2, 0.0) == 0.0
-    assert spatial_midpoint_power_variation(path, F_GAUSS, 2, 0.0) == 0.0
     with pytest.raises(ValueError):
         spatial_power_variation(path, F_GAUSS, 2, 1.5)
     with pytest.raises(ValueError):
@@ -179,31 +176,6 @@ def test_spatial_variation_telescopes_for_unit_weight():
         sites = math.floor(abs(t) * 2**5)
         target = 2.0 ** (5 * 0.3) * path.values[path.grid.zero_index + int(math.copysign(sites, t))]
         assert val == pytest.approx(target, rel=1e-12, abs=1e-13)
-
-
-def test_midpoint_equals_trapezoid_for_affine_weight():
-    grid = GridSpec(level=5, t_min=-1.0, t_max=1.0)
-    path = sample_fbm(0.25, grid, SeedSpec(15, 0))
-    for t in (1.0, -1.0, 0.625):
-        a = spatial_midpoint_power_variation(path, F_ID, 2, t)
-        b = spatial_power_variation(path, F_ID, 2, t)
-        assert a == pytest.approx(b, rel=1e-13, abs=1e-15)
-
-
-def test_midpoint_gap_vanishes_with_level():
-    # 2^(-n/4)(M_n - W_n) -> 0 in L2
-    h, r = 0.25, 2
-    gaps = {}
-    for n in (8, 14):
-        sq = []
-        for i in range(150):
-            sample = sample_fbmbt(h, n, 1.0, SeedSpec(4000 + n, i))
-            u = terminal_site(sample.walk, 1.0, check=False) * sample.spatial.grid.spacing
-            m = spatial_midpoint_power_variation(sample.spatial, F_GAUSS, r, u)
-            w = spatial_power_variation(sample.spatial, F_GAUSS, r, u)
-            sq.append((2.0 ** (-n / 4.0) * (m - w)) ** 2)
-        gaps[n] = np.mean(sq)
-    assert gaps[14] < gaps[8]
 
 
 def test_fbmbt_determinism():

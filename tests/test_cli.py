@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from fbmvar import cli
+from fbmvar import McReport, cli
 from fbmvar.cli import main
 
 
@@ -117,10 +117,70 @@ def test_simulate_fbmbt_rejects_odd_level(capsys):
     assert code == 2
 
 
+def test_simulate_fbmbt_refuses_oversized_walk_before_sampling(capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled an oversized walk")
+
+    monkeypatch.setattr(cli, "sample_fbmbt", no_sampling)
+    for n in ("60", "2000"):
+        code, out, err = run_cli(capsys, "simulate", "fbmbt", "--n", n)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(cli.SIMULATE_FBMBT_CAP) in err
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "verify", "nonexistent")
     assert code == 2
     assert "unknown check" in err
+
+
+def test_verify_rejected_override_exits_2(capsys):
+    # too few replicates for A2's KS test, raised inside the check
+    code, out, err = run_cli(capsys, "verify", "A2", "--replicates", "20")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: A2: ") and err.count("\n") == 1
+
+
+def test_verify_rejects_zero_replicates(capsys):
+    # A1 through replicate_map, A7 through its own chunked loop
+    for name in ("A1", "A7"):
+        code, out, err = run_cli(capsys, "verify", name, "--replicates", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {name}: replicates") and err.count("\n") == 1
+
+
+def test_verify_named_check_refuses_override_it_has_no_parameter_for(capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran a check with an override it does not take")
+
+    monkeypatch.setattr(cli, "run_check", no_run)
+    code, out, err = run_cli(capsys, "verify", "A5", "--n", "7")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: A5") and "--n" in err and err.count("\n") == 1
+
+
+def test_verify_all_names_ignored_overrides(capsys, monkeypatch):
+    taken = {}
+
+    def fake_run(name, master_seeds, threads, **overrides):
+        taken[name] = overrides
+        return True, [McReport(kind=name, config={}, master_seed=master_seeds[0], passed=True)]
+
+    monkeypatch.setattr(cli, "run_check", fake_run)
+    code, out, _ = run_cli(capsys, "verify", "all", "--n", "7", "--replicates", "100")
+    assert code == 0
+    lines = {line.split(":")[0]: line for line in out.splitlines()}
+    assert lines["A5"].endswith("(ignored: --replicates, --n)")
+    assert lines["A6"].endswith("(ignored: --n)")
+    assert "ignored" not in lines["A1"]
+    assert taken["A1"] == {"replicates": 100, "level": 7}
+    assert taken["A6"] == {"replicates": 100}
+    assert taken["A8"] == {}
 
 
 def test_verify_exact_check_passes(tmp_path, capsys):
@@ -159,6 +219,24 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     bad.write_text("no_such_key = 1\n")
     code, _, err = run_cli(capsys, "sigma", "--config", str(bad))
     assert code == 2
+    # keys of other subcommands' flags, and of no flag at all, are refused
+    out_file = tmp_path / "sigma.json"
+    for line in ("m = 3", "dump_walk = /x", "threads = 4"):
+        foreign = tmp_path / "foreign.cfg"
+        foreign.write_text(f"h = 0.3\n{line}\n")
+        code, out, err = run_cli(capsys, "sigma", "--config", str(foreign), "--out", str(out_file))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert line.split(" =")[0] in err
+    assert not out_file.exists()
+    # a flag's type parses its config key
+    typed = tmp_path / "typed.cfg"
+    typed.write_text("t-min = -0.5\nn = 4\nseed = 3\n")
+    code, out, _ = run_cli(capsys, "simulate", "fbm", "--config", str(typed))
+    assert code == 0
+    doc = json.loads(out)["config"]
+    assert (doc["t_min"], doc["n"], doc["seed"]) == (-0.5, 4, 3)
 
 
 def test_rerun_from_embedded_config_is_byte_identical(tmp_path, capsys):

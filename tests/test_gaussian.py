@@ -202,11 +202,6 @@ def test_sigma_r1_is_exactly_zero():
         assert s.tail_bound == 0.0
 
 
-def test_sigma_zero_correlation_gives_sqrt_moment():
-    s = limit_sigma(2, 0.25, 1e-10, correlation=lambda j: 0.0)
-    assert s.value == pytest.approx(math.sqrt(15.0), rel=1e-12)
-
-
 def test_sigma_r2_quarter():
     s = limit_sigma(2, 0.25, 1e-8)
     assert s.tail_bound <= 1e-8

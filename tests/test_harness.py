@@ -1,4 +1,4 @@
-"""Harness tests: KS calibration, experiment determinism, the MC test ops."""
+"""Harness tests: KS calibration, report determinism, the MC test ops."""
 
 import math
 
@@ -7,14 +7,18 @@ import pytest
 from scipy import stats as sps
 
 from fbmvar import (
-    ExperimentConfig,
+    GridSpec,
+    SeedSpec,
     ks_one_sample,
     ks_two_sample,
     l2_endpoint_test,
+    limit_sigma,
     mixture_law_test,
     moment_scaling_test,
-    run_experiment,
+    sample_fbm,
+    variation,
 )
+from fbmvar.harness import describe, replicate_map
 
 
 # --- Kolmogorov-Smirnov wrappers -------------------------------------------
@@ -84,47 +88,28 @@ def test_ks_two_sample_requires_enough_samples():
         ks_two_sample(np.zeros(10), np.zeros(100))
 
 
-# --- run_experiment ---------------------------------------------------------
+# --- replicate loop and reports ---------------------------------------------
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        ExperimentConfig("midpoint", 0.25, 2, "one", (8,), 50, 0)
-    with pytest.raises(ValueError):
-        ExperimentConfig("midpoint", 0.25, 2, "one", (8,), 100, 0, alpha=0.5)
-    with pytest.raises(ValueError):
-        ExperimentConfig("nope", 0.25, 2, "one", (8,), 100, 0)
-
-
-def test_zero_statistic_is_exactly_zero():
-    cfg = ExperimentConfig("midpoint", 0.25, 2, "zero", (6,), 100, 11)
-    report = run_experiment(cfg)
-    est = report.estimates["6"]
-    assert est["mean"] == 0.0
-    assert est["variance"] == 0.0
-
-
-def test_experiment_determinism_and_thread_independence():
-    base = dict(statistic="trapezoid", h=0.3, r=2, f="gauss", levels=(6, 7), replicates=120,
-                master_seed=5, t=1.0)
-    r1 = run_experiment(ExperimentConfig(**base))
-    r2 = run_experiment(ExperimentConfig(**base))
-    assert r1.canonical_json() == r2.canonical_json()
-    r4 = run_experiment(ExperimentConfig(**base, threads=4))
-    d1, d4 = r1.to_dict(False), r4.to_dict(False)
-    assert d1["estimates"] == d4["estimates"]
+def _unit_weight_draw(seed):
+    path = sample_fbm(0.25, GridSpec(level=8, t_min=0.0, t_max=1.0), seed)
+    return variation(path, None, 2).value_at(1.0)
 
 
 def test_se_shrinks_with_replicates():
-    small = run_experiment(ExperimentConfig("unweighted", 0.25, 2, "one", (8,), 400, 21))
-    large = run_experiment(ExperimentConfig("unweighted", 0.25, 2, "one", (8,), 800, 21))
-    ratio = large.estimates["8"]["se_mean"] / small.estimates["8"]["se_mean"]
+    small = describe(replicate_map(_unit_weight_draw, 400, 21))
+    large = describe(replicate_map(_unit_weight_draw, 800, 21))
+    ratio = large["se_mean"] / small["se_mean"]
     assert abs(ratio - 1 / math.sqrt(2)) < 0.2 / math.sqrt(2)
 
 
-def test_limit_statistic_runs():
-    cfg = ExperimentConfig("limit", 0.25, 2, "gauss", (7,), 150, 31)
-    report = run_experiment(cfg)
-    assert abs(report.estimates["7"]["mean"]) < 5 * report.estimates["7"]["se_mean"]
+def test_experiment_determinism_and_thread_independence():
+    args = (0.3, 2, "gauss", 6, 120)
+    r1 = mixture_law_test(*args, master_seed=5, statistic="trapezoid")
+    r2 = mixture_law_test(*args, master_seed=5, statistic="trapezoid")
+    assert r1.canonical_json() == r2.canonical_json()
+    r4 = mixture_law_test(*args, master_seed=5, statistic="trapezoid", threads=4)
+    d1, d4 = r1.to_dict(False), r4.to_dict(False)
+    assert (d1["estimates"], d1["tests"]) == (d4["estimates"], d4["tests"])
 
 
 # --- moment scaling ----------------------------------------------------------
@@ -174,22 +159,20 @@ def test_l2_endpoint_mu_factor():
 # --- mixture law -------------------------------------------------------------
 
 def test_mixture_law_unit_weight_reduces_to_gaussian():
-    report = mixture_law_test(0.25, 2, "one", 10, 600, master_seed=19, statistic="unweighted")
+    report = mixture_law_test(0.25, 2, "one", 10, 600, master_seed=19, statistic="midpoint")
     assert report.tests["ks_two_sample"]["p_value"] > 0.01
     # the f=1 mixture collapses: check directly against N(0, sigma^2)
-    from fbmvar import GridSpec, SeedSpec, limit_sigma, sample_fbm, unweighted_variation
-
     sigma = limit_sigma(2, 0.25, 1e-8)
     draws = []
     for i in range(600):
         path = sample_fbm(0.25, GridSpec(level=10, t_min=0.0, t_max=1.0), SeedSpec(23, i))
-        draws.append(unweighted_variation(path, 2).value_at(1.0))
+        draws.append(variation(path, None, 2).value_at(1.0))
     _, p = ks_one_sample(np.array(draws) / sigma.value, sps.norm.cdf)
     assert p > 0.01
 
 
 def test_mixture_law_degenerate_r1():
-    report = mixture_law_test(0.25, 1, "one", 10, 400, master_seed=29, statistic="unweighted")
+    report = mixture_law_test(0.25, 1, "one", 10, 400, master_seed=29, statistic="midpoint")
     assert report.passed
     v = report.estimates["variances"]
     # Var at level n is 2^(n(2H-1)) for f=1, r=1: each 4 levels divide it by 4

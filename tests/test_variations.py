@@ -10,22 +10,18 @@ from fbmvar import (
     SeedSpec,
     WeightFunction,
     check_derivatives,
-    coarse_weight_variation,
-    endpoint_variation,
     get_weight,
     ks_one_sample,
     limit_conditional_std,
     limit_quadrature,
     limit_sigma,
     make_path,
-    midpoint_variation,
     sample_fbm,
     simulate_limit,
     taylor_remainder_split,
-    trapezoidal_variation,
-    unweighted_variation,
+    variation,
 )
-from fbmvar.variations import odd_power
+from fbmvar.variations import RULES, odd_power
 from fbmvar.weights import REGISTRY
 from scipy import stats as sps
 
@@ -67,34 +63,34 @@ def test_bad_derivatives_are_caught():
 
 def test_midpoint_hand_example():
     path = make_path(1, [0.0, 1.0, 2.0], 0.25)
-    series = midpoint_variation(path, F_ID, 1)
+    series = variation(path, F_ID, 1)
     assert series.value_at(1.0) == pytest.approx(2.0**0.75, rel=1e-12)
 
 
 def test_trapezoid_hand_example():
     path = make_path(1, [0.0, 1.0, 2.0], 0.25)
-    series = trapezoidal_variation(path, F_SQ, 1)
+    series = variation(path, F_SQ, 1, "trapezoid")
     assert series.value_at(1.0) == pytest.approx(3.0 * 2.0**-0.25, rel=1e-12)
 
 
 def test_zero_weight_gives_zero_series():
     path = _path()
-    assert np.all(midpoint_variation(path, F_ZERO, 2).values == 0.0)
+    assert np.all(variation(path, F_ZERO, 2).values == 0.0)
 
 
 def test_unit_weight_equals_unweighted():
     path = _path(seed=3)
-    weighted = midpoint_variation(path, F_ONE, 2)
-    plain = unweighted_variation(path, 2)
+    weighted = variation(path, F_ONE, 2)
+    plain = variation(path, None, 2)
     assert np.array_equal(weighted.raw, plain.raw)
-    assert np.array_equal(trapezoidal_variation(path, F_ONE, 2).raw, plain.raw)
+    assert np.array_equal(variation(path, F_ONE, 2, "trapezoid").raw, plain.raw)
 
 
 # --- series mechanics ------------------------------------------------------
 
 def test_series_starts_at_zero_and_is_right_continuous():
     path = _path(level=6)
-    series = midpoint_variation(path, F_GAUSS, 2)
+    series = variation(path, F_GAUSS, 2)
     assert series.values[0] == 0.0
     k = 37
     t_lo, t_hi = k * 2.0**-6, (k + 1) * 2.0**-6
@@ -106,12 +102,12 @@ def test_series_starts_at_zero_and_is_right_continuous():
 
 def test_empty_sum_below_first_step():
     path = _path(level=6)
-    assert unweighted_variation(path, 1).value_at(2.0**-7) == 0.0
+    assert variation(path, None, 1).value_at(2.0**-7) == 0.0
 
 
 def test_summands_recover_per_step_terms():
     path = _path(level=7, seed=5)
-    series = trapezoidal_variation(path, F_SIN, 2)
+    series = variation(path, F_SIN, 2, "trapezoid")
     n = 7
     x = path.values[path.grid.zero_index :]
     xi = 2.0 ** (n * 0.25) * np.diff(x)
@@ -127,9 +123,9 @@ def test_trapezoid_is_mean_of_endpoint_sums():
     for seed in range(5):
         path = _path(level=9, seed=seed)
         for r in (1, 2, 3):
-            trap = trapezoidal_variation(path, F_GAUSS, r)
-            left = endpoint_variation(path, F_GAUSS, r, "left")
-            right = endpoint_variation(path, F_GAUSS, r, "right")
+            trap = variation(path, F_GAUSS, r, "trapezoid")
+            left = variation(path, F_GAUSS, r, "left")
+            right = variation(path, F_GAUSS, r, "right")
             mean_raw = 0.5 * (left.raw + right.raw)
             scale = np.max(np.abs(trap.raw)) + 1.0
             assert np.max(np.abs(trap.raw - mean_raw)) <= 1e-12 * scale
@@ -138,19 +134,19 @@ def test_trapezoid_is_mean_of_endpoint_sums():
 def test_affine_weight_collapses_trapezoid_to_midpoint():
     path = _path(level=8, seed=2)
     assert np.array_equal(
-        trapezoidal_variation(path, F_ID, 2).raw, midpoint_variation(path, F_ID, 2).raw
+        variation(path, F_ID, 2, "trapezoid").raw, variation(path, F_ID, 2).raw
     )
     affine = WeightFunction(
         "affine", 8, lambda k, x: (1.7 * x + 0.3, np.full_like(x, 1.7), np.zeros_like(x))[min(k, 2)]
     )
-    psi = trapezoidal_variation(path, affine, 2)
-    phi = midpoint_variation(path, affine, 2)
+    psi = variation(path, affine, 2, "trapezoid")
+    phi = variation(path, affine, 2)
     assert np.allclose(psi.raw, phi.raw, rtol=1e-12, atol=1e-13)
 
 
 def test_unweighted_r1_brownian_telescopes_to_path():
     path = _path(level=10, h=0.5, seed=7)
-    series = unweighted_variation(path, 1)
+    series = variation(path, None, 1)
     n = 10
     for t in (0.25, 0.5, 1.0):
         recovered = 2.0 ** (n / 2) * series.value_at(t) * 2.0 ** (-n * 0.5)
@@ -161,23 +157,17 @@ def test_odd_symmetry():
     path = _path(level=8, seed=11)
     flipped = make_path(8, -path.values, 0.25)
     reflected = WeightFunction("refl", 8, lambda k, x: F_GAUSS.eval(k, -x))
-    for stat, f, args in (
-        (midpoint_variation, F_GAUSS, (2,)),
-        (trapezoidal_variation, F_GAUSS, (2,)),
-        (unweighted_variation, None, (2,)),
-    ):
-        if f is None:
-            a, b = stat(path, *args), stat(flipped, *args)
-        else:
-            a, b = stat(path, f, *args), stat(flipped, reflected, *args)
-        assert np.array_equal(a.raw, -b.raw)
+    for rule in RULES:
+        for f, g in ((F_GAUSS, reflected), (None, None)):
+            a, b = variation(path, f, 2, rule), variation(flipped, g, 2, rule)
+            assert np.array_equal(a.raw, -b.raw)
 
 
 def test_endpoint_left_r1_identity_and_limit():
     # identity: raw left sum with f(x)=x equals (X_t^2 - sum dX^2)/2
     path = _path(level=9, seed=13)
     n = 9
-    left = endpoint_variation(path, F_ID, 1, "left")
+    left = variation(path, F_ID, 1, "left")
     x = path.values[path.grid.zero_index :]
     dx = np.diff(x)
     for t in (0.5, 1.0):
@@ -190,35 +180,10 @@ def test_endpoint_left_r1_identity_and_limit():
         sq = []
         for i in range(150):
             p = _path(level=n, h=0.25, seed=1000 + i)
-            sq.append((endpoint_variation(p, F_ID, 1, "left").value_at(1.0) + 0.5) ** 2)
+            sq.append((variation(p, F_ID, 1, "left").value_at(1.0) + 0.5) ** 2)
         errs[n] = np.mean(sq)
     assert errs[14] < errs[8]
     assert errs[14] < 0.05
-
-
-def test_coarse_weight_reduces_to_midpoint_and_scales():
-    path = _path(level=8, seed=4)
-    full = coarse_weight_variation(path, F_GAUSS, 2, 8)
-    assert np.array_equal(full.raw, midpoint_variation(path, F_GAUSS, 2).raw)
-    const = coarse_weight_variation(path, F_ONE, 2, 3)
-    assert np.array_equal(const.raw, unweighted_variation(path, 2).raw)
-    with pytest.raises(ValueError):
-        coarse_weight_variation(path, F_GAUSS, 2, 9)
-
-
-def test_coarse_weight_gap_shrinks_with_m():
-    h, r = 0.25, 2
-    f = get_weight("xsq_gauss")
-    gaps = {}
-    for m in (2, 5, 8):
-        sq = []
-        for i in range(250):
-            path = _path(level=10, h=h, seed=3000 + i)
-            phi = midpoint_variation(path, f, r).value_at(1.0)
-            phi_m = coarse_weight_variation(path, f, r, m).value_at(1.0)
-            sq.append((phi - phi_m) ** 2)
-        gaps[m] = np.mean(sq)
-    assert gaps[8] < gaps[5] < gaps[2]
 
 
 # --- Taylor split ----------------------------------------------------------
@@ -240,7 +205,7 @@ def test_taylor_split_square_is_exact_at_order_two():
 def test_taylor_split_partitions_the_gap():
     path = _path(level=9, seed=9)
     a, b = taylor_remainder_split(path, F_SIN, 2, 4)
-    delta = trapezoidal_variation(path, F_SIN, 2).raw - midpoint_variation(path, F_SIN, 2).raw
+    delta = variation(path, F_SIN, 2, "trapezoid").raw - variation(path, F_SIN, 2).raw
     scale = np.max(np.abs(delta)) + 1.0
     assert np.max(np.abs(a.raw + b.raw - delta)) <= 1e-13 * scale
 
@@ -338,14 +303,32 @@ def _old_raw(summands):
     return out
 
 
-@pytest.mark.parametrize("weight", ["one", "gauss", "sin"])
+@pytest.mark.parametrize("weight", [None, "one", "gauss", "sin"])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_raw_sums_pinned_to_reference_formulas(weight, r):
-    f = get_weight(weight)
     path = _path(level=10, seed=5, t_min=-0.25)
     x = path.values[path.grid.zero_index :]
     power = odd_power(2.0 ** (10 * path.h.h) * np.diff(x), r)
-    trapezoid = 0.5 * (f(x[:-1]) + f(x[1:])) * power
-    midpoint = f(0.5 * (x[:-1] + x[1:])) * power
-    assert np.array_equal(trapezoidal_variation(path, f, r).raw, _old_raw(trapezoid))
-    assert np.array_equal(midpoint_variation(path, f, r).raw, _old_raw(midpoint))
+    f = None if weight is None else get_weight(weight)
+    if f is None:
+        expected = dict.fromkeys(RULES, power)
+    else:
+        expected = {
+            "midpoint": f(0.5 * (x[:-1] + x[1:])) * power,
+            "trapezoid": 0.5 * (f(x[:-1]) + f(x[1:])) * power,
+            "left": f(x[:-1]) * power,
+            "right": f(x[1:]) * power,
+        }
+    clt_scale, endpoint_scale = 2.0**-5, 2.0 ** (10 * path.h.h - 10)
+    for rule, summands in expected.items():
+        series = variation(path, f, r, rule)
+        assert np.array_equal(series.raw, _old_raw(summands))
+        assert series.scale == (clt_scale if rule in ("midpoint", "trapezoid") else endpoint_scale)
+
+
+def test_unknown_rule_is_rejected():
+    path = _path(level=4)
+    with pytest.raises(ValueError, match="unknown rule"):
+        variation(path, F_GAUSS, 2, "simpson")
+    with pytest.raises(ValueError, match="unknown rule"):
+        variation(path, None, 2, "unweighted")
