@@ -48,14 +48,7 @@ from .gaussian import (
     midpoint_increment_overlap,
     midpoint_increment_overlap_closed,
 )
-from .harness import (
-    McReport,
-    ks_one_sample,
-    ks_two_sample,
-    l2_endpoint_test,
-    mixture_law_test,
-    moment_scaling_test,
-)
+from .harness import McReport, ks_one_sample, ks_two_sample
 from .acceptance import ACCEPTANCE, DEFAULT_MASTER_SEEDS, run_check
 from .variations import (
     RULES,

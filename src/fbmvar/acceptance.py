@@ -28,29 +28,26 @@ from .brownian_time import (
 )
 from .fbm import GridSpec, SeedSpec, sample_fbm, sample_fbm_cholesky
 from .gaussian import (
-    as_hurst,
     coarse_increment_overlap,
     fbm_covariance,
+    gaussian_moment,
     limit_sigma,
     midpoint_increment_overlap,
     midpoint_increment_overlap_closed,
 )
-from .harness import (
-    McReport,
-    describe,
-    ks_one_sample,
-    ks_two_sample,
-    l2_endpoint_test,
-    mixture_law_test,
-    moment_scaling_test,
-    replicate_map,
-)
-from .variations import variation
+from .harness import McReport, describe, ks_one_sample, ks_two_sample, replicate_map
+from .variations import limit_quadrature, simulate_limit, variation
 from .weights import get_weight
 
 #: shipped default seeds; the first is the primary, the other two are the
 #: documented re-run seeds for the majority policy
 DEFAULT_MASTER_SEEDS = (20260809, 1115741, 902245)
+
+#: for r = 1 the mixture law is degenerate (sigma = 0); A3/A4 then assert
+#: that the variance at their level is below DEGENERATE_RATIO times its
+#: value DEGENERATE_GAP levels lower
+DEGENERATE_GAP = 4
+DEGENERATE_RATIO = 0.7
 
 
 def _unweighted_draws(h, r, level, t, replicates, master_seed, threads):
@@ -60,6 +57,82 @@ def _unweighted_draws(h, r, level, t, replicates, master_seed, threads):
         return variation(sample_fbm(h, grid, seed), None, r).value_at(t)
 
     return replicate_map(one, replicates, master_seed, threads)
+
+
+def _mixture_law(kind, statistic, master_seed, threads, replicates, level, h, r, f,
+                 alpha, corr_slack) -> McReport:
+    """Distributional check of the statistic at t=1 against the mixture law.
+
+    The statistic is `variation` under the node rule `statistic`.  Its draws
+    are compared (two-sample KS) with independent draws of
+    sigma * sum f(X) dW; the mean must vanish within 3 standard errors,
+    and the correlation with the terminal path value must be below
+    3/sqrt(R) + corr_slack.  For r = 1 the limit is degenerate and the
+    check becomes variance decay: Var at `level` must be below
+    DEGENERATE_RATIO times its value at level - DEGENERATE_GAP.
+    """
+    weight = get_weight(f)
+    sigma = limit_sigma(r, h, 1e-10)
+    cfg = dict(h=h, r=r, f=f, n=level, replicates=replicates, alpha=alpha,
+               corr_slack=corr_slack, statistic=statistic, sigma=sigma.value,
+               degenerate_gap=DEGENERATE_GAP, degenerate_ratio=DEGENERATE_RATIO,
+               threads=threads)
+    start = time.perf_counter()
+    report = McReport(kind=kind, config=cfg, master_seed=master_seed)
+
+    if sigma.value == 0.0:
+        variances = {}
+        for n in (level - DEGENERATE_GAP, level):
+            grid = GridSpec(level=n, t_min=0.0, t_max=1.0)
+
+            def one(seed: SeedSpec, grid=grid) -> float:
+                path = sample_fbm(h, grid, seed)
+                return variation(path, weight, r, statistic).value_at(1.0)
+
+            variances[str(n)] = describe(replicate_map(one, replicates, master_seed, threads))
+        v_lo = variances[str(level - DEGENERATE_GAP)]["variance"]
+        v_hi = variances[str(level)]["variance"]
+        if not v_hi < DEGENERATE_RATIO * v_lo:
+            report.failures.append(f"degenerate variance did not decay: {v_lo:.4g} -> {v_hi:.4g}")
+        report.estimates["variances"] = variances
+    else:
+        grid = GridSpec(level=level, t_min=0.0, t_max=1.0)
+
+        def stat_and_terminal(seed: SeedSpec) -> np.ndarray:
+            path = sample_fbm(h, grid, seed.substream(0))
+            val = variation(path, weight, r, statistic).value_at(1.0)
+            return np.array([val, path.value_at(1.0)])
+
+        def limit_draw(seed: SeedSpec) -> np.ndarray:
+            path = sample_fbm(h, grid, seed.substream(1))
+            val = simulate_limit(path, weight, sigma, 1.0, seed.substream(2))
+            return np.array([val, path.value_at(1.0)])
+
+        pairs = replicate_map(stat_and_terminal, replicates, master_seed, threads)
+        phi, x1 = pairs[:, 0], pairs[:, 1]
+        lim_pairs = replicate_map(limit_draw, replicates, master_seed, threads)
+        lim = lim_pairs[:, 0]
+        ks_stat, p_val = ks_two_sample(phi, lim)
+        desc = describe(phi)
+        corr = float(np.corrcoef(phi, x1)[0, 1])
+        corr_bound = 3.0 / math.sqrt(replicates) + corr_slack
+        report.estimates["statistic"] = desc
+        report.estimates["limit"] = describe(lim)
+        report.tests["ks_two_sample"] = {"statistic": ks_stat, "p_value": p_val}
+        report.tests["corr_with_terminal"] = {"value": corr, "bound": corr_bound}
+        # diagnostic: on the limit side W really is independent of the path,
+        # so this correlation is exactly zero in law at every n
+        report.tests["corr_limit_side"] = {
+            "value": float(np.corrcoef(lim, lim_pairs[:, 1])[0, 1])
+        }
+        if not p_val > alpha:
+            report.failures.append(f"mixture KS p-value {p_val:.4g} <= {alpha}")
+        if abs(desc["mean"]) > 3.0 * desc["se_mean"]:
+            report.failures.append(f"mean {desc['mean']:.4g} not within 3 SE of 0")
+        if not abs(corr) < corr_bound:
+            report.failures.append(f"|corr| {abs(corr):.4g} >= {corr_bound:.4g}")
+    report.wall_time_s = time.perf_counter() - start
+    return report
 
 
 def check_a1(
@@ -91,7 +164,6 @@ def check_a1(
             f"variance {desc['variance']:.4g} vs sigma^2 {sigma.value ** 2:.4g}: "
             f"gap {gap:.4g} > {se_mult} SE"
         )
-    report.passed = not report.failures
     report.wall_time_s = time.perf_counter() - start
     return report
 
@@ -116,7 +188,6 @@ def check_a2(
     report.tests["ks_vs_standard_normal"] = {"statistic": stat, "p_value": p}
     if not p > alpha:
         report.failures.append(f"KS p-value {p:.4g} <= {alpha}")
-    report.passed = not report.failures
     report.wall_time_s = time.perf_counter() - start
     return report
 
@@ -133,11 +204,9 @@ def check_a3(
     corr_slack: float = 0.02,
 ) -> McReport:
     """A3: weighted mixture law for the midpoint statistic."""
-    report = mixture_law_test(
-        h, r, f, level, replicates, master_seed, alpha, corr_slack, "midpoint", threads
+    return _mixture_law(
+        "A3", "midpoint", master_seed, threads, replicates, level, h, r, f, alpha, corr_slack
     )
-    report.kind = "A3"
-    return report
 
 
 def check_a4(
@@ -157,10 +226,9 @@ def check_a4(
     """A4: the trapezoid statistic has the same mixture law, and the
     trapezoid-midpoint gap decays in L2 between the two decay levels."""
     start = time.perf_counter()
-    report = mixture_law_test(
-        h, r, f, level, replicates, master_seed, alpha, corr_slack, "trapezoid", threads
+    report = _mixture_law(
+        "A4", "trapezoid", master_seed, threads, replicates, level, h, r, f, alpha, corr_slack
     )
-    report.kind = "A4"
     report.config.update(
         {"decay_levels": list(decay_levels), "decay_replicates": decay_replicates,
          "decay_ratio": decay_ratio}
@@ -186,7 +254,6 @@ def check_a4(
             f"|trapezoid-midpoint| L2 at n={hi} is {l2[hi]:.4g}, "
             f"not below {decay_ratio} * {l2[lo]:.4g}"
         )
-    report.passed = not report.failures
     report.wall_time_s = time.perf_counter() - start
     return report
 
@@ -226,7 +293,6 @@ def check_a5(
     for name, value in worst.items():
         if not value <= residual_tol:
             report.failures.append(f"{name} residual {value:.3e} > {residual_tol:g}")
-    report.passed = not report.failures
     report.wall_time_s = time.perf_counter() - start
     return report
 
@@ -242,11 +308,61 @@ def check_a6(
     t: float = 0.5,
     rms_threshold: float = 0.15,
 ) -> McReport:
-    """A6: endpoint statistics converge to +-mu_{2r}/2 * integral f'(X)."""
-    report = l2_endpoint_test(
-        h, r, f, n_list, t, replicates, master_seed, rms_threshold, threads
-    )
-    report.kind = "A6"
+    """A6: endpoint statistics converge to +-mu_{2r}/2 * integral f'(X).
+
+    Per path, the left statistic is compared with -mu_{2r}/2 * integral of
+    f'(X) (trapezoid quadrature on the same path), the right statistic with
+    the + sign, and the trapezoid-weighted statistic under the same
+    normalization with 0.  Asserted: the last level of `n_list` improves
+    on the first, the left/right RMS at the last level is below
+    `rms_threshold`, and the trapezoid RMS is below both endpoint RMS
+    values at the first level -- the coarse level is where the endpoint
+    bias terms are visible; at fine levels all three statistics share the
+    same dominant fluctuation and the comparison carries no information.
+    """
+    if r < 2:
+        raise ValueError("the endpoint limits require r >= 2")
+    weight = get_weight(f)
+    if weight.order < 1:
+        raise ValueError("weight must provide a first derivative")
+    mu = gaussian_moment(2 * r)
+    cfg = dict(h=h, r=r, f=f, n_list=list(n_list), t=t, replicates=replicates,
+               rms_threshold=rms_threshold, threads=threads)
+    start = time.perf_counter()
+    rms = {}
+    for n in n_list:
+        grid = GridSpec(level=n, t_min=0.0, t_max=t)
+
+        def one(seed: SeedSpec, grid=grid) -> np.ndarray:
+            path = sample_fbm(h, grid, seed)
+            target = 0.5 * mu * limit_quadrature(path, weight, "f_prime", t)
+            left = variation(path, weight, r, "left").value_at(t)
+            right = variation(path, weight, r, "right").value_at(t)
+            trap = 0.5 * (left + right)
+            return np.array([(left + target) ** 2, (right - target) ** 2, trap**2])
+
+        sq = replicate_map(one, replicates, master_seed, threads).mean(axis=0)
+        rms[str(n)] = {
+            "left": math.sqrt(sq[0]),
+            "right": math.sqrt(sq[1]),
+            "trapezoid": math.sqrt(sq[2]),
+        }
+    report = McReport(kind="A6", config=cfg, master_seed=master_seed,
+                      estimates={"rms": rms, "mu_2r_half": 0.5 * mu})
+    first, last = str(n_list[0]), str(n_list[-1])
+    for side in ("left", "right"):
+        if not rms[last][side] < rms[first][side]:
+            report.failures.append(
+                f"{side} RMS did not decrease: {rms[first][side]:.4g} -> {rms[last][side]:.4g}"
+            )
+        if not rms[last][side] < rms_threshold:
+            report.failures.append(
+                f"{side} RMS at n={last} is {rms[last][side]:.4g} >= {rms_threshold}"
+            )
+    # exact tie allowed: for constant f the three statistics coincide
+    if rms[first]["trapezoid"] > min(rms[first]["left"], rms[first]["right"]) * (1 + 1e-12):
+        report.failures.append("trapezoid RMS is not below both endpoint RMS values")
+    report.wall_time_s = time.perf_counter() - start
     return report
 
 
@@ -301,7 +417,6 @@ def check_a7(
         report.estimates[f"h={h}"] = {"max_z": zmax, "ks_terminal": {"statistic": stat, "p_value": p}}
         if not p > alpha:
             report.failures.append(f"h={h}: terminal KS p-value {p:.4g} <= {alpha}")
-    report.passed = not report.failures
     report.wall_time_s = time.perf_counter() - start
     return report
 
@@ -348,7 +463,6 @@ def check_a8(
         if not spread <= band_factor:
             report.failures.append(f"h={h}: coarse overlap ratio spread {spread:.3g} > {band_factor}")
     report.estimates["bands"] = bands
-    report.passed = not report.failures
     report.wall_time_s = time.perf_counter() - start
     return report
 
@@ -422,7 +536,6 @@ def check_a9(
         report.failures.append("walk terminal variance not within tolerance of 1")
     if not dp > alpha:
         report.failures.append(f"Donsker KS p-value {dp:.4g} <= {alpha}")
-    report.passed = not report.failures
     report.wall_time_s = time.perf_counter() - start
     return report
 
@@ -440,22 +553,62 @@ def check_a10(
     widths: tuple[float, ...] = (2**-3, 2**-4, 2**-5, 2**-6, 2**-7, 2**-8),
     band_factor: float = 10.0,
 ) -> McReport:
-    """A10: window-increment moment scaling stays inside the fitted band."""
+    """A10: window-increment moment scaling stays inside the fitted band.
+
+    For each window [base, base + w] and each h in `hs`, the p-th absolute
+    moment of the window increment of the midpoint statistic is estimated
+    and divided by C * (d^(p/2) + d^(pH)),
+    d = (floor(2^n (base + w)) - floor(2^n base)) / 2^n, with C fitted on
+    the widest window.  The claim is an upper bound with an unspecified
+    constant, so the assertion is one-sided: no ratio may exceed
+    band_factor, and a zero-width window must have moment exactly 0.
+    (Ratios well below 1 are expected wherever one bound term is loose,
+    e.g. constant weights kill the d^(pH) part.)  `slope_log2` is the
+    fitted exponent of d: the moment behaves like d^slope_log2.
+    """
+    if p not in (4, 6):
+        raise ValueError("p must be 4 or 6")
     cfg = dict(replicates=replicates, level=level, hs=list(hs), r=r, f=f, p=p,
                base=base, widths=list(widths), band_factor=band_factor)
     start = time.perf_counter()
     report = McReport(kind="A10", config=cfg, master_seed=master_seed)
+    weight = get_weight(f)
+    grid = GridSpec(level=level, t_min=0.0, t_max=1.0)
     pairs = [(base, base + w) for w in widths]
+    spans = []
+    for s, t in pairs:
+        ks, kt = math.floor(s * 2**level), math.floor(t * 2**level)
+        if not 0 <= ks <= kt <= 2**level:
+            raise ValueError(f"pair ({s}, {t}) not inside [0, 1]")
+        spans.append((ks, kt))
+    d = np.array([(kt - ks) / 2.0**level for ks, kt in spans])
+    live = d > 0
     for h in hs:
-        sub = moment_scaling_test(
-            h, r, f, level, p, pairs, replicates, master_seed, band_factor, threads
-        )
-        report.estimates[f"h={h}"] = {
-            "ratios": sub.estimates["ratios"],
-            "slope_log2": sub.estimates["slope_log2"],
-        }
-        report.failures.extend(f"h={h}: {msg}" for msg in sub.failures)
-    report.passed = not report.failures
+        def one(seed: SeedSpec, h=h) -> np.ndarray:
+            vals = variation(sample_fbm(h, grid, seed), weight, r).values
+            return np.array([abs(vals[kt] - vals[ks]) ** p for ks, kt in spans])
+
+        moments = replicate_map(one, replicates, master_seed, threads).mean(axis=0)
+        bound = d ** (p / 2.0) + d ** (p * h)
+        for i in np.flatnonzero(~live):
+            if moments[i] != 0.0:
+                report.failures.append(
+                    f"h={h}: pair {pairs[i]} has zero width but moment {moments[i]}"
+                )
+        ratios = np.full_like(d, np.nan)
+        slope = None
+        if np.any(live):
+            coarse = int(np.argmax(d))
+            c_fit = moments[coarse] / bound[coarse]
+            ratios[live] = moments[live] / (c_fit * bound[live])
+            for i in np.flatnonzero(live)[ratios[live] > band_factor]:
+                report.failures.append(
+                    f"h={h}: pair {pairs[i]}: ratio {ratios[i]:.3g} above band {band_factor}"
+                )
+            pos = live & (moments > 0)
+            if pos.sum() >= 2:
+                slope = float(np.polyfit(np.log2(d[pos]), np.log2(moments[pos]), 1)[0])
+        report.estimates[f"h={h}"] = {"ratios": ratios, "slope_log2": slope}
     report.wall_time_s = time.perf_counter() - start
     return report
 
@@ -499,7 +652,7 @@ def run_check(
         raise ValueError(f"unknown acceptance check '{name}'; known: {sorted(ACCEPTANCE)}") from None
     reports = [spec.fn(master_seed=master_seeds[0], threads=threads, **overrides)]
     if reports[0].passed or not spec.statistical or len(master_seeds) == 1:
-        return bool(reports[0].passed), reports
+        return reports[0].passed, reports
     for seed in master_seeds[1:]:
         reports.append(spec.fn(master_seed=seed, threads=threads, **overrides))
     votes = sum(1 for rep in reports if rep.passed)

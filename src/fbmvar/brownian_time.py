@@ -37,7 +37,6 @@ class EmbeddedWalk:
     level: int
     steps: np.ndarray  # +-1 per step
     s: np.ndarray  # partial sums, S_0 = 0
-    seed: SeedSpec | None = None
 
     def __post_init__(self):
         if self.s[0] != 0 or len(self.s) != len(self.steps) + 1:
@@ -60,7 +59,7 @@ def sample_walk(n: int, t: float, seed: SeedSpec) -> EmbeddedWalk:
         raise ValueError("need floor(2^n t) >= 1")
     steps = (seed.rng().integers(0, 2, size=k, dtype=np.int64) * 2 - 1).astype(np.int64)
     s = np.concatenate([[0], np.cumsum(steps)])
-    return EmbeddedWalk(level=n, steps=steps, s=s, seed=seed)
+    return EmbeddedWalk(level=n, steps=steps, s=s)
 
 
 @dataclass(frozen=True)
@@ -101,26 +100,25 @@ def crossing_counts(walk: EmbeddedWalk, t: float) -> CrossingCounts:
     return CrossingCounts(walk.level, k, j_lo, up.astype(np.int64), down.astype(np.int64))
 
 
-def terminal_site(walk: EmbeddedWalk, t: float, check: bool = True) -> int:
+def terminal_site(walk: EmbeddedWalk, t: float) -> int:
     """Terminal walk position S_{floor(2^n t)}.
 
-    With check=True the net-crossing profile is verified against the
-    indicator form it must take: net(j) = 1 for 0 <= j < S_K when S_K > 0,
-    -1 for S_K <= j < 0 when S_K < 0, and identically 0 when S_K = 0.
+    The net-crossing profile is verified against the indicator form it
+    must take: net(j) = 1 for 0 <= j < S_K when S_K > 0, -1 for
+    S_K <= j < 0 when S_K < 0, and identically 0 when S_K = 0.
     """
     k = walk.horizon(t)
     j_star = int(walk.s[k])
-    if check:
-        counts = crossing_counts(walk, t)
-        net = counts.net()
-        expected = np.zeros_like(net)
-        sites = counts.sites()
-        if j_star > 0:
-            expected[(sites >= 0) & (sites < j_star)] = 1
-        elif j_star < 0:
-            expected[(sites >= j_star) & (sites < 0)] = -1
-        if not np.array_equal(net, expected):
-            raise AssertionError("net crossing profile disagrees with the terminal site")
+    counts = crossing_counts(walk, t)
+    net = counts.net()
+    expected = np.zeros_like(net)
+    sites = counts.sites()
+    if j_star > 0:
+        expected[(sites >= 0) & (sites < j_star)] = 1
+    elif j_star < 0:
+        expected[(sites >= j_star) & (sites < 0)] = -1
+    if not np.array_equal(net, expected):
+        raise AssertionError("net crossing profile disagrees with the terminal site")
     return j_star
 
 

@@ -16,6 +16,7 @@ import inspect
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,13 @@ import numpy as np
 from .acceptance import ACCEPTANCE, DEFAULT_MASTER_SEEDS, run_check
 from .brownian_time import identity_residuals, sample_fbmbt
 from .fbm import GridSpec, SeedSpec, sample_fbm
-from .gaussian import bivariate_odd_moment, double_factorial, fgn_correlation, limit_sigma
+from .gaussian import (
+    ConvergenceError,
+    bivariate_odd_moment,
+    double_factorial,
+    fgn_correlation,
+    limit_sigma,
+)
 from .variations import RULES, variation
 from .version import VERSION
 from .weights import REGISTRY, get_weight
@@ -124,9 +131,12 @@ def cmd_sigma(args) -> int:
         raise UsageError(f"--r must be >= 1, got {r}")
     if not 0.0 < h < 0.5:
         raise UsageError(f"--h must lie in (0, 1/2) for the variance constant, got {h}")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise UsageError("--tol must be positive")
-    sigma = limit_sigma(r, h, tol)
+    try:
+        sigma = limit_sigma(r, h, tol)
+    except (ConvergenceError, OverflowError) as exc:
+        raise UsageError(f"sigma(r={r}, H={h}) cannot be evaluated: {exc}") from None
     print(f"{'r':>3} {'H':>8} {'sigma':>18} {'sigma^2':>18} {'tail_bound':>12}")
     print(f"{r:>3} {h:>8.4g} {sigma.value:>18.12g} {sigma.value ** 2:>18.12g} "
           f"{sigma.tail_bound:>12.3g}")
@@ -165,12 +175,14 @@ def cmd_simulate_fbm(args) -> int:
         raise UsageError(f"--n must be >= 1, got {cfg['n']}")
     if not 0.0 < cfg["h"] < 1.0:
         raise UsageError(f"--h must lie in (0, 1), got {cfg['h']}")
-    if cfg["t"] <= 0.0:
+    if not cfg["t"] > 0.0:
         raise UsageError("--t must be positive")
     if cfg["r"] < 1:
         raise UsageError("--r must be >= 1")
     if cfg["f"] not in REGISTRY:
         raise UsageError(f"--f must be one of {sorted(REGISTRY)}")
+    if cfg["seed"] < 0:
+        raise UsageError(f"--seed must be >= 0, got {cfg['seed']}")
     try:
         grid = GridSpec(level=cfg["n"], t_min=cfg["t_min"], t_max=cfg["t"])
     except ValueError as exc:
@@ -218,6 +230,8 @@ def cmd_simulate_fbmbt(args) -> int:
         raise UsageError("--r must be >= 1")
     if not cfg["t"] > 0.0:
         raise UsageError("--t must be positive")
+    if not cfg["tol"] > 0.0:
+        raise UsageError("--tol must be positive")
     try:
         steps = math.floor(cfg["t"] * 2.0 ** cfg["n"])
     except OverflowError:  # beyond any float, so beyond the cap
@@ -230,6 +244,8 @@ def cmd_simulate_fbmbt(args) -> int:
         )
     if cfg["f"] not in REGISTRY:
         raise UsageError(f"--f must be one of {sorted(REGISTRY)}")
+    if cfg["seed"] < 0:
+        raise UsageError(f"--seed must be >= 0, got {cfg['seed']}")
     seed = SeedSpec(cfg["seed"], 0)
     sample = sample_fbmbt(cfg["h"], cfg["n"], cfg["t"], seed)
     res = identity_residuals(sample, get_weight(cfg["f"]), cfg["r"], cfg["t"])
@@ -277,16 +293,18 @@ def cmd_verify(args) -> int:
         ignored = [flag for flag, (param, _) in given.items() if param not in params]
         if ignored and args.suite != "all":
             raise UsageError(f"{name} has no parameter for {', '.join(ignored)}")
+        start = time.perf_counter()
         try:
             passed, reports = run_check(name, master_seeds=seeds, threads=cfg["threads"],
                                         **overrides)
         except ValueError as exc:
             raise UsageError(f"{name}: {exc}") from None
+        seconds = time.perf_counter() - start  # every seed run, kept out of the artifact
         all_passed &= passed
         status = "PASS" if passed else "FAIL"
         extra = "" if len(reports) == 1 else f" (majority over {len(reports)} seeds)"
         note = f" (ignored: {', '.join(ignored)})" if ignored else ""
-        print(f"{name}: {status}{extra} - {ACCEPTANCE[name].summary}{note}")
+        print(f"{name}: {status}{extra} in {seconds:.2f} s - {ACCEPTANCE[name].summary}{note}")
         for rep in reports:
             for msg in rep.failures:
                 print(f"    [{rep.master_seed}] {msg}")

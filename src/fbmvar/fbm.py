@@ -39,7 +39,7 @@ class CholeskyError(RuntimeError):
 #: tiny negatives above it are clamped to zero.
 EIGENVALUE_FLOOR = -1e-9
 
-#: default point-count cap for the O(N^3) Cholesky oracle
+#: point-count cap for the O(N^3) Cholesky oracle
 CHOLESKY_CAP = 2048
 
 
@@ -66,9 +66,6 @@ class SeedSpec:
     def substream(self, k: int) -> "SeedSpec":
         return SeedSpec(self.master_seed, self.stream_id, self.sub + (k,))
 
-    def stream(self, stream_id: int) -> "SeedSpec":
-        return SeedSpec(self.master_seed, stream_id, self.sub)
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -82,6 +79,8 @@ class GridSpec:
     def __post_init__(self):
         if self.level < 1:
             raise ValueError("grid level must be a positive integer")
+        if not (math.isfinite(self.t_min) and math.isfinite(self.t_max)):
+            raise ValueError("grid endpoints must be finite")
         if not self.t_min <= 0.0 < self.t_max:
             raise ValueError("need t_min <= 0 < t_max")
         for name in ("t_min", "t_max"):
@@ -130,7 +129,6 @@ class FbmPath:
     grid: GridSpec
     h: HurstParam
     values: np.ndarray
-    seed: SeedSpec | None = None
 
     def __post_init__(self):
         if len(self.values) != self.grid.npoints:
@@ -141,17 +139,13 @@ class FbmPath:
     def value_at(self, t: float) -> float:
         return float(self.values[self.grid.index_of(t)])
 
-    def steps_right_of_zero(self) -> int:
-        """Number of grid steps between t=0 and t_max."""
-        return self.grid.i_max
 
-
-def make_path(level: int, values, h, t_min: float = 0.0, seed: SeedSpec | None = None) -> FbmPath:
+def make_path(level: int, values, h, t_min: float = 0.0) -> FbmPath:
     """Wrap explicit grid values (e.g. hand-built test paths) as an FbmPath."""
     values = np.asarray(values, dtype=float)
     t_max = t_min + (len(values) - 1) * 2.0**-level
     grid = GridSpec(level=level, t_min=t_min, t_max=t_max)
-    return FbmPath(grid=grid, h=as_hurst(h), values=values, seed=seed)
+    return FbmPath(grid=grid, h=as_hurst(h), values=values)
 
 
 @functools.lru_cache(maxsize=64)
@@ -229,15 +223,15 @@ def _cholesky_factor(h: float, grid: GridSpec) -> np.ndarray:
     return chol
 
 
-def sample_fbm_cholesky(
-    h, grid: GridSpec, seed: SeedSpec, size: int | None = None, cap: int = CHOLESKY_CAP
-):
+def sample_fbm_cholesky(h, grid: GridSpec, seed: SeedSpec, size: int | None = None):
     """Exact-law fBm path via dense Cholesky; the small-scale oracle.
 
     The point t=0 is excluded from the factorized set and pinned to 0.
     """
-    if grid.npoints > cap:
-        raise ValueError(f"grid has {grid.npoints} points, above the Cholesky cap {cap}")
+    if grid.npoints > CHOLESKY_CAP:
+        raise ValueError(
+            f"grid has {grid.npoints} points, above the Cholesky cap {CHOLESKY_CAP}"
+        )
     hp = as_hurst(h)
     chol = _cholesky_factor(hp.h, grid)
     rows = 1 if size is None else int(size)
@@ -246,7 +240,7 @@ def sample_fbm_cholesky(
     vals = z @ chol.T
     vals = np.insert(vals, grid.zero_index, 0.0, axis=1)
     if size is None:
-        return FbmPath(grid=grid, h=hp, values=vals[0], seed=seed)
+        return FbmPath(grid=grid, h=hp, values=vals[0])
     return vals
 
 
@@ -262,5 +256,5 @@ def sample_fbm(h, grid: GridSpec, seed: SeedSpec, size: int | None = None):
     if grid.zero_index:
         vals -= vals[:, grid.zero_index : grid.zero_index + 1]
     if size is None:
-        return FbmPath(grid=grid, h=hp, values=vals[0], seed=seed)
+        return FbmPath(grid=grid, h=hp, values=vals[0])
     return vals

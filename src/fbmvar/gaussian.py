@@ -26,6 +26,10 @@ class ConvergenceError(RuntimeError):
     """A certified series truncation could not reach the requested tolerance."""
 
 
+#: most correlation-series terms `limit_sigma` sums before refusing
+SIGMA_MAX_TERMS = 5_000_000
+
+
 @dataclass(frozen=True)
 class HurstParam:
     """Hurst parameter, constrained to the open interval (0, 1)."""
@@ -102,9 +106,6 @@ class HermiteCoeffs:
     def orders(self) -> tuple[int, ...]:
         """Hermite orders w(u) = 2(r-u)+1 aligned with `c`."""
         return tuple(2 * (self.r - u) + 1 for u in range(1, self.r + 1))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.c, dtype=float)
 
     def reconstruct(self, x):
         """Evaluate sum_u c[u] H_{w(u)}(x); equals x^(2r-1) pointwise."""
@@ -226,40 +227,30 @@ class LimitSigma:
             raise ValueError("sigma is a standard deviation; must be >= 0")
 
 
-def limit_sigma(
-    r: int,
-    h,
-    tol: float = 1e-10,
-    strict: bool = True,
-    max_terms: int = 5_000_000,
-) -> LimitSigma:
-    """Evaluate the variance-series constant sigma for power 2r-1 at Hurst h.
+def limit_sigma(r: int, h, tol: float = 1e-10) -> LimitSigma:
+    """Evaluate the variance-series constant sigma for power 2r-1 at Hurst h < 1/2.
 
     sigma^2 = mu_{4r-2} + 2 sum_{j>=1} bivariate_odd_moment(r, rho_H(j)).
 
     The Hermite-rank-1 part of the series telescopes and is summed in closed
     form (it contributes exactly -c_r^2 for h < 1/2); only the rank >= 3
     chaos terms are truncated, with tail certified <= `tol` using
-    |rho_H(j)| <= 2 j^(2H-2).  For r = 1 the result is exactly 0.
+    |rho_H(j)| <= 2 j^(2H-2), in at most SIGMA_MAX_TERMS terms (else
+    ConvergenceError).  For r = 1 the result is exactly 0.
     """
     if r < 1:
         raise ValueError("r must be a positive integer")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     hp = as_hurst(h)
-    if strict and not hp.subdiffusive:
-        raise ValueError(
-            f"sigma requires h < 1/2 (got h={hp.h}); pass strict=False to evaluate anyway"
-        )
+    if not hp.subdiffusive:
+        raise ValueError(f"sigma requires h < 1/2, got h={hp.h}")
     coeffs = hermite_coeffs(r)
     mu = float(double_factorial(4 * r - 2))
     c_lin = float(coeffs.c[-1])  # coefficient of the rho^1 term
 
-    if hp.h > 0.5:
-        raise ConvergenceError("the correlation series diverges for h > 1/2")
-    # Exact rank-1 contribution: 2 c_r^2 sum_j rho_j = -c_r^2 (h < 1/2),
-    # and 0 at h = 1/2 where rho vanishes identically.
-    lin = 0.0 if hp.h == 0.5 else -c_lin * c_lin
+    # Exact rank-1 contribution: 2 c_r^2 sum_j rho_j = -c_r^2.
+    lin = -c_lin * c_lin
     hi_mass = mu - c_lin * c_lin  # sum over w >= 3 of c_u^2 w!
     if hi_mass == 0.0:  # r == 1
         var = mu + lin
@@ -270,9 +261,9 @@ def limit_sigma(
         # 2 * hi_mass * 8 * J^(6H-5) / (5-6H) <= tol
         j_stop = int(math.ceil((16.0 * hi_mass / (tol * a)) ** (1.0 / a)))
         j_stop = max(j_stop, 8)
-        if j_stop > max_terms:
+        if j_stop > SIGMA_MAX_TERMS:
             raise ConvergenceError(
-                f"certified tail <= {tol:g} needs {j_stop} terms (cap {max_terms})"
+                f"certified tail <= {tol:g} needs {j_stop} terms (cap {SIGMA_MAX_TERMS})"
             )
         js = np.arange(1, j_stop + 1)
         rhos = fgn_correlation(hp, js)

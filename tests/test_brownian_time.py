@@ -67,11 +67,11 @@ def test_terminal_site_matches_indicator_profile():
     assert np.array_equal(cc.net(), [-1, -1, -1])
     flat = _walk([1, -1])
     assert terminal_site(flat, 0.5) == 0
-    # the check= path validates the profile on every random walk
+    # the profile check runs on every random walk
     rng = np.random.default_rng(78)
     for _ in range(25):
         walk = sample_walk(int(rng.integers(3, 10)), 1.0, SeedSpec(int(rng.integers(1 << 30)), 0))
-        terminal_site(walk, 1.0, check=True)
+        terminal_site(walk, 1.0)
 
 
 def test_sample_walk_contracts():

@@ -1,6 +1,7 @@
 """CLI tests: exit codes, artifact echo, dump stability, config file."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,28 @@ def test_sigma_verbose_lists_terms(capsys):
     assert code == 0
     assert "rho_H(j)" in out
     assert len(out.splitlines()) > 20
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sigma", "--r", "3", "--h", "0.499", "--tol", "1e-10"),  # tail needs too many terms
+        ("sigma", "--r", "40", "--h", "0.3"),  # likewise
+        ("sigma", "--r", "200", "--h", "0.3"),  # coefficients overflow a float
+        ("sigma", "--h", "0.3", "--tol", "nan"),
+        ("simulate", "fbm", "--t", "inf"),
+        ("simulate", "fbmbt", "--n", "8", "--tol", "nan"),  # would switch the gate off
+        ("simulate", "fbm", "--seed", "-1"),
+        ("simulate", "fbmbt", "--seed", "-1"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_input_exits_2_with_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_sigma_rejects_out_of_range(capsys):
@@ -169,12 +192,14 @@ def test_verify_all_names_ignored_overrides(capsys, monkeypatch):
 
     def fake_run(name, master_seeds, threads, **overrides):
         taken[name] = overrides
-        return True, [McReport(kind=name, config={}, master_seed=master_seeds[0], passed=True)]
+        return True, [McReport(kind=name, config={}, master_seed=master_seeds[0])]
 
     monkeypatch.setattr(cli, "run_check", fake_run)
     code, out, _ = run_cli(capsys, "verify", "all", "--n", "7", "--replicates", "100")
     assert code == 0
     lines = {line.split(":")[0]: line for line in out.splitlines()}
+    # each status line gives the check's seconds before its summary
+    assert all(re.match(rf"{name}: PASS in \d+\.\d\d s - ", line) for name, line in lines.items())
     assert lines["A5"].endswith("(ignored: --replicates, --n)")
     assert lines["A6"].endswith("(ignored: --n)")
     assert "ignored" not in lines["A1"]

@@ -219,11 +219,11 @@ def test_sigma_invariants():
 def test_sigma_strict_mode_rejects_large_h():
     with pytest.raises(ValueError):
         limit_sigma(2, 0.6, 1e-8)
-    with pytest.raises(ConvergenceError):
-        limit_sigma(2, 0.6, 1e-8, strict=False)
-    # h = 1/2: the correlation vanishes and only the moment term survives
-    s = limit_sigma(2, 0.5, 1e-8, strict=False)
-    assert s.value == pytest.approx(math.sqrt(15.0), rel=1e-12)
+    with pytest.raises(ValueError):
+        limit_sigma(2, 0.5)
+    # just below 1/2 the certified tail needs more than SIGMA_MAX_TERMS terms
+    with pytest.raises(ConvergenceError, match="cap 5000000"):
+        limit_sigma(3, 0.499, 1e-10)
 
 
 def test_overlap_sum_examples():

@@ -1,4 +1,6 @@
-"""Harness tests: KS calibration, report determinism, the MC test ops."""
+"""Harness tests: KS calibration, report determinism, and the checks built
+on the replicate loop (mixture law A3, endpoint limits A6, moment scaling
+A10)."""
 
 import math
 
@@ -11,13 +13,11 @@ from fbmvar import (
     SeedSpec,
     ks_one_sample,
     ks_two_sample,
-    l2_endpoint_test,
     limit_sigma,
-    mixture_law_test,
-    moment_scaling_test,
     sample_fbm,
     variation,
 )
+from fbmvar.acceptance import check_a3, check_a6, check_a10
 from fbmvar.harness import describe, replicate_map
 
 
@@ -26,13 +26,6 @@ from fbmvar.harness import describe, replicate_map
 def test_ks_one_sample_requires_enough_samples():
     with pytest.raises(ValueError):
         ks_one_sample(np.zeros(10), sps.norm.cdf)
-
-
-def test_ks_one_sample_small_sample_closed_form():
-    # with a single observation the statistic is max(F(x), 1-F(x))
-    for x in (-1.3, 0.2, 2.4):
-        stat, _ = ks_one_sample([x], sps.norm.cdf, min_samples=1)
-        assert stat == pytest.approx(max(sps.norm.cdf(x), 1 - sps.norm.cdf(x)), rel=1e-12)
 
 
 def test_ks_one_sample_calibration():
@@ -103,63 +96,72 @@ def test_se_shrinks_with_replicates():
 
 
 def test_experiment_determinism_and_thread_independence():
-    args = (0.3, 2, "gauss", 6, 120)
-    r1 = mixture_law_test(*args, master_seed=5, statistic="trapezoid")
-    r2 = mixture_law_test(*args, master_seed=5, statistic="trapezoid")
+    kwargs = dict(master_seed=5, replicates=120, level=6, h=0.3)
+    r1 = check_a3(**kwargs)
+    r2 = check_a3(**kwargs)
     assert r1.canonical_json() == r2.canonical_json()
-    r4 = mixture_law_test(*args, master_seed=5, statistic="trapezoid", threads=4)
-    d1, d4 = r1.to_dict(False), r4.to_dict(False)
+    r4 = check_a3(threads=4, **kwargs)
+    d1, d4 = r1.to_dict(), r4.to_dict()
     assert (d1["estimates"], d1["tests"]) == (d4["estimates"], d4["tests"])
 
 
-# --- moment scaling ----------------------------------------------------------
+def test_passed_is_derived_from_failures():
+    report = check_a10(master_seed=7, replicates=60, level=8, hs=(0.25,), band_factor=0.1)
+    assert report.failures and report.passed is False
+    assert report.to_dict()["passed"] is False
+    report.failures.clear()
+    assert report.passed is True
+    assert "wall_time_s" not in report.to_dict()
+
+
+# --- moment scaling (A10) ----------------------------------------------------
 
 def test_moment_scaling_zero_width_pair():
-    report = moment_scaling_test(
-        0.25, 2, "one", 8, 4, [(0.5, 0.75), (0.25, 0.25)], replicates=120, master_seed=7
-    )
+    report = check_a10(master_seed=7, replicates=120, level=8, hs=(0.25,), widths=(0.25, 0.0))
     assert report.passed
-    assert report.estimates["moments"][1] == 0.0
+    ratios = report.estimates["h=0.25"]["ratios"]
+    assert ratios[0] == pytest.approx(1.0, rel=1e-12)  # the widest window fits the constant
+    assert math.isnan(ratios[1])
 
 
 def test_moment_scaling_band_and_slope():
-    pairs = [(0.5, 0.5 + w) for w in (2**-3, 2**-5, 2**-7)]
-    report = moment_scaling_test(0.4, 2, "one", 10, 4, pairs, replicates=500, master_seed=9)
+    h, p = 0.4, 4
+    report = check_a10(master_seed=9, replicates=500, level=10, hs=(h,), p=p,
+                       widths=(2**-3, 2**-5, 2**-7))
     assert report.passed
     # halving the window scales the moment like d^min(p/2, pH)
-    assert abs(report.estimates["slope_log2"] - report.estimates["slope_reference"]) <= 0.4
+    assert abs(report.estimates[f"h={h}"]["slope_log2"] - min(p / 2.0, p * h)) <= 0.4
 
 
 def test_moment_scaling_rejects_bad_p():
     with pytest.raises(ValueError):
-        moment_scaling_test(0.25, 2, "one", 8, 3, [(0.0, 0.5)], replicates=100)
+        check_a10(replicates=100, level=8, p=3)
 
 
-# --- endpoint limits ---------------------------------------------------------
+# --- endpoint limits (A6) ----------------------------------------------------
 
 def test_l2_endpoint_constant_weight_converges_to_zero():
     # f' = 0: the limit is 0 and the statistic itself must shrink
-    report = l2_endpoint_test(0.3, 2, "one", (6, 10), 1.0, replicates=150, master_seed=13,
-                              rms_threshold=0.8)
+    report = check_a6(master_seed=13, replicates=150, f="one", n_list=(6, 10), t=1.0,
+                      rms_threshold=0.8)
     assert report.passed
     assert report.estimates["rms"]["10"]["left"] < report.estimates["rms"]["6"]["left"]
 
 
 def test_l2_endpoint_requires_r_at_least_two():
     with pytest.raises(ValueError):
-        l2_endpoint_test(0.3, 1, "sin", (6, 8), 1.0, replicates=100)
+        check_a6(replicates=100, r=1, n_list=(6, 8), t=1.0)
 
 
 def test_l2_endpoint_mu_factor():
-    report = l2_endpoint_test(0.3, 2, "sin", (6, 8), 0.5, replicates=100, master_seed=17,
-                              rms_threshold=10.0)
+    report = check_a6(master_seed=17, replicates=100, n_list=(6, 8), t=0.5, rms_threshold=10.0)
     assert report.estimates["mu_2r_half"] == 1.5  # mu_4 / 2
 
 
-# --- mixture law -------------------------------------------------------------
+# --- mixture law (A3) --------------------------------------------------------
 
 def test_mixture_law_unit_weight_reduces_to_gaussian():
-    report = mixture_law_test(0.25, 2, "one", 10, 600, master_seed=19, statistic="midpoint")
+    report = check_a3(master_seed=19, replicates=600, level=10, f="one")
     assert report.tests["ks_two_sample"]["p_value"] > 0.01
     # the f=1 mixture collapses: check directly against N(0, sigma^2)
     sigma = limit_sigma(2, 0.25, 1e-8)
@@ -172,7 +174,7 @@ def test_mixture_law_unit_weight_reduces_to_gaussian():
 
 
 def test_mixture_law_degenerate_r1():
-    report = mixture_law_test(0.25, 1, "one", 10, 400, master_seed=29, statistic="midpoint")
+    report = check_a3(master_seed=29, replicates=400, level=10, r=1, f="one")
     assert report.passed
     v = report.estimates["variances"]
     # Var at level n is 2^(n(2H-1)) for f=1, r=1: each 4 levels divide it by 4
@@ -181,5 +183,5 @@ def test_mixture_law_degenerate_r1():
 
 
 def test_mixture_law_limit_side_is_uncorrelated():
-    report = mixture_law_test(0.25, 2, "gauss", 8, 500, master_seed=31)
+    report = check_a3(master_seed=31, replicates=500, level=8)
     assert abs(report.tests["corr_limit_side"]["value"]) < 3.0 / math.sqrt(500) + 0.02
