@@ -116,11 +116,16 @@ def hermite_coeffs(r: int) -> HermiteCoeffs:
     """Hermite expansion coefficients of x^(2r-1), computed exactly.
 
     c[u] = (2r-1)! / (2^(u-1) (u-1)! (2(r-u)+1)!) for u = 1..r.  Raises
-    OverflowError once the integers exceed float range, since downstream
-    use is floating point.
+    OverflowError, before any factorial is formed, when mu_{4r-2} does not
+    fit a float (r > 75), since downstream use is floating point; every
+    c[u]^2 w! is at most mu_{4r-2}, so the coefficients then fit too.
     """
     if r < 1:
         raise ValueError("r must be a positive integer")
+    # (4r-3)!! = (4r-2)! / (2^(2r-1) (2r-1)!)
+    log_mu = math.lgamma(4 * r - 1) - (2 * r - 1) * math.log(2.0) - math.lgamma(2 * r)
+    if log_mu > np.log(np.finfo(float).max):
+        raise OverflowError(f"mu_{{4r-2}} = (4r-3)!! does not fit a float for r={r}")
     num = math.factorial(2 * r - 1)
     c = []
     for u in range(1, r + 1):
@@ -128,7 +133,6 @@ def hermite_coeffs(r: int) -> HermiteCoeffs:
         cu, rem = divmod(num, den)
         if rem:
             raise ArithmeticError("Hermite coefficient is not an integer; bad formula")
-        float(cu)  # overflow guard: report, do not wrap
         c.append(cu)
     return HermiteCoeffs(r=r, c=tuple(c))
 
@@ -234,9 +238,25 @@ def limit_sigma(r: int, h, tol: float = 1e-10) -> LimitSigma:
 
     The Hermite-rank-1 part of the series telescopes and is summed in closed
     form (it contributes exactly -c_r^2 for h < 1/2); only the rank >= 3
-    chaos terms are truncated, with tail certified <= `tol` using
-    |rho_H(j)| <= 2 j^(2H-2), in at most SIGMA_MAX_TERMS terms (else
-    ConvergenceError).  For r = 1 the result is exactly 0.
+    chaos terms are truncated after J = `terms_used` terms.  Their tail is
+    at most
+
+        2 (mu_{4r-2} - c_r^2) sum_{j>J} |rho_H(j)|^3
+            <= 2 (mu_{4r-2} - c_r^2) kappa^3 J^(6H-5) / (5-6H) = `tail_bound`,
+
+    with kappa = (64/63) H(1-2H), because for j >= 8
+
+        |rho_H(j)| <= H(1-2H) j^(2H-2) / (1 - j^-2) <= kappa j^(2H-2).
+
+    That bound holds since rho_H(j) = sum_{k>=1} C(2H, 2k) j^(2H-2k) (the
+    series `_second_difference_power` sums): for 0 < 2H < 1 the ratio of
+    successive coefficients, (2H-2k)(2H-2k-1) / ((2k+1)(2k+2)), lies in
+    (0, 1), so every term has the sign of C(2H, 2) = -H(1-2H) and is no
+    larger in size than H(1-2H) j^(2H-2) j^(2-2k).  J is the least integer
+    >= 8 whose `tail_bound`, as computed in floating point, is <= `tol`; if J
+    would exceed SIGMA_MAX_TERMS, ConvergenceError is raised.  The constant
+    vanishes as H -> 1/2, so the whole range H < 1/2 needs few terms.  For
+    r = 1 the result is exactly 0.
     """
     if r < 1:
         raise ValueError("r must be a positive integer")
@@ -258,13 +278,18 @@ def limit_sigma(r: int, h, tol: float = 1e-10) -> LimitSigma:
         j_stop = 0
     else:
         a = 5.0 - 6.0 * hp.h
-        # 2 * hi_mass * 8 * J^(6H-5) / (5-6H) <= tol
-        j_stop = int(math.ceil((16.0 * hi_mass / (tol * a)) ** (1.0 / a)))
-        j_stop = max(j_stop, 8)
-        if j_stop > SIGMA_MAX_TERMS:
+        kappa = 64.0 / 63.0 * hp.h * (1.0 - 2.0 * hp.h)
+        scale = 2.0 * hi_mass * kappa**3 / a  # tail after J terms: scale * J^-a
+        terms = (scale / tol) ** (1.0 / a)
+        if terms > SIGMA_MAX_TERMS:
             raise ConvergenceError(
-                f"certified tail <= {tol:g} needs {j_stop} terms (cap {SIGMA_MAX_TERMS})"
+                f"certified tail <= {tol:g} needs {terms:.4g} terms (cap {SIGMA_MAX_TERMS})"
             )
+        j_stop = max(math.ceil(terms), 8)
+        tail = scale * j_stop**-a
+        while tail > tol:  # rounding in `terms` may leave J one short
+            j_stop += 1
+            tail = scale * j_stop**-a
         js = np.arange(1, j_stop + 1)
         rhos = fgn_correlation(hp, js)
         hi = np.zeros_like(rhos)
@@ -272,7 +297,6 @@ def limit_sigma(r: int, h, tol: float = 1e-10) -> LimitSigma:
             if w >= 3:
                 hi += (cu * cu * math.factorial(w)) * rhos**w
         var = mu + lin + 2.0 * float(np.sum(hi[::-1]))
-        tail = 16.0 * hi_mass * j_stop ** (6.0 * hp.h - 5.0) / a
     if var < -max(tol, tail):
         raise ArithmeticError(f"sigma^2 evaluated to {var}, below -tolerance")
     value = math.sqrt(max(var, 0.0))

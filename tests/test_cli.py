@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -39,9 +40,10 @@ def test_sigma_verbose_lists_terms(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("sigma", "--r", "3", "--h", "0.499", "--tol", "1e-10"),  # tail needs too many terms
+        ("sigma", "--r", "3", "--h", "0.45", "--tol", "1e-30"),  # tail needs too many terms
         ("sigma", "--r", "40", "--h", "0.3"),  # likewise
         ("sigma", "--r", "200", "--h", "0.3"),  # coefficients overflow a float
+        ("sigma", "--r", "1000000", "--h", "0.3"),  # refused before any factorial
         ("sigma", "--h", "0.3", "--tol", "nan"),
         ("simulate", "fbm", "--t", "inf"),
         ("simulate", "fbmbt", "--n", "8", "--tol", "nan"),  # would switch the gate off
@@ -51,7 +53,9 @@ def test_sigma_verbose_lists_terms(capsys):
     ids=lambda argv: " ".join(argv),
 )
 def test_bad_input_exits_2_with_one_line(capsys, argv):
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

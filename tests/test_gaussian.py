@@ -114,6 +114,15 @@ def test_factorial_overflow_reported():
         gaussian_moment(400)
     with pytest.raises(OverflowError):
         hermite_coeffs(200)
+    # mu_{4r-2} = (4r-3)!! fits a float up to r = 75; r = 10**9 would need a
+    # factorial of about 1.7e10 digits, so it is refused from a bound
+    assert math.isfinite(float(double_factorial(4 * 75 - 2)))
+    assert len(hermite_coeffs(75).c) == 75
+    for r in (76, 10**9):
+        with pytest.raises(OverflowError, match="does not fit a float"):
+            hermite_coeffs(r)
+        with pytest.raises(OverflowError, match="does not fit a float"):
+            limit_sigma(r, 0.3)
 
 
 def test_fbm_covariance_examples():
@@ -147,6 +156,14 @@ def test_fgn_correlation_telescoping():
         lhs = math.fsum(fgn_correlation(h, np.arange(1, n + 1)))
         rhs = 0.5 * ((n + 1) ** (2 * h) - n ** (2 * h) - 1)
         assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
+
+
+def test_fgn_correlation_sharp_bound():
+    # the lemma behind limit_sigma's tail: |rho_H(j)| <= H(1-2H) j^(2H-2) / (1 - j^-2)
+    j = np.arange(2, 100_001, dtype=float)
+    for h in (0.001, *np.linspace(0.01, 0.49, 49), 0.499, 0.4999):
+        bound = h * (1.0 - 2.0 * h) * j ** (2.0 * h - 2.0) / (1.0 - j**-2)
+        assert np.all(np.abs(fgn_correlation(h, j.astype(np.int64))) <= bound * (1.0 + 1e-12))
 
 
 def test_fgn_correlation_matches_sampled_noise():
@@ -216,14 +233,23 @@ def test_sigma_invariants():
             assert s.value**2 >= -s.tail_bound
 
 
+def test_sigma_limit_at_half():
+    # as H -> 1/2 every rho_H(j) -> 0, so sigma^2 -> mu_{4r-2} - c_r^2
+    assert limit_sigma(2, 0.4999).value ** 2 == pytest.approx(15 - 3**2, abs=1e-6)
+    assert limit_sigma(3, 0.4999).value ** 2 == pytest.approx(945 - 15**2, abs=1e-6)
+
+
 def test_sigma_strict_mode_rejects_large_h():
     with pytest.raises(ValueError):
         limit_sigma(2, 0.6, 1e-8)
     with pytest.raises(ValueError):
         limit_sigma(2, 0.5)
-    # just below 1/2 the certified tail needs more than SIGMA_MAX_TERMS terms
+    # just below 1/2 the tail constant H(1-2H) is small, so few terms certify it
+    s = limit_sigma(3, 0.499, 1e-10)
+    assert s.tail_bound <= 1e-10
+    # a tolerance this far below rounding needs about 3.2e12 terms
     with pytest.raises(ConvergenceError, match="cap 5000000"):
-        limit_sigma(3, 0.499, 1e-10)
+        limit_sigma(3, 0.45, 1e-30)
 
 
 def test_overlap_sum_examples():

@@ -1,4 +1,5 @@
-"""Property tests of the exact identities behind A5 and A8.
+"""Property tests of the exact identities behind A5 and A8, and of the
+certified tail of `limit_sigma`.
 
 Examples are derandomized and nothing is stored between runs, so the
 suite draws the same inputs every time.
@@ -14,6 +15,7 @@ from fbmvar import (
     SeedSpec,
     get_weight,
     identity_residuals,
+    limit_sigma,
     midpoint_increment_overlap,
     midpoint_increment_overlap_closed,
     sample_fbmbt,
@@ -53,3 +55,21 @@ def test_a8_overlap_sum_telescopes(h, n, t_frac, s_frac):
     direct = midpoint_increment_overlap(h, n, s, t)
     closed = midpoint_increment_overlap_closed(h, n, s, t)
     assert abs(direct - closed) / max(1.0, abs(closed)) <= 1e-12
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(
+    h=st.floats(min_value=0.01, max_value=0.4999),
+    r=st.sampled_from((2, 3, 4)),
+    log10_tol=st.floats(min_value=-12.0, max_value=-6.0),
+)
+def test_sigma_tail_certificate_holds(h, r, log10_tol):
+    tol = 10.0**log10_tol
+    coarse = limit_sigma(r, h, tol)
+    fine = limit_sigma(r, h, tol / 100)
+    assert coarse.tail_bound <= tol
+    assert fine.tail_bound <= tol / 100
+    # both truncations err on the same side, by at most their tail bounds;
+    # rounding adds a few ulps of sigma^2 (1.1e-13 at r = 3, 1.5e-11 at r = 4)
+    rounding = 4 * math.ulp(coarse.value**2)
+    assert abs(coarse.value**2 - fine.value**2) <= 1.01 * tol + rounding
