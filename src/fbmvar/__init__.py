@@ -25,7 +25,6 @@ from .fbm import (
     GridSpec,
     SeedSpec,
     SpectralError,
-    make_path,
     sample_fbm,
     sample_fbm_cholesky,
     sample_fgn_circulant,
@@ -56,11 +55,12 @@ from .variations import (
     limit_conditional_std,
     limit_quadrature,
     simulate_limit,
+    step_summands,
     taylor_remainder_split,
     variation,
 )
 from .version import VERSION as __version__
 from .weights import REGISTRY as WEIGHTS
-from .weights import WeightFunction, check_derivatives, get_weight
+from .weights import WeightFunction, get_weight
 
 __all__ = [name for name in dir() if not name.startswith("_")]

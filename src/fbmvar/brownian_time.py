@@ -12,6 +12,8 @@ provided: the direct sum over walk steps, and the spatial sum weighted by
 net crossing counts.  Their agreement is an exact algebraic identity and
 is used as an acceptance check, as is the composition rule
 (direct sum at time t) = (spatial statistic at the walk's terminal site).
+All three sums read one table, the spatial path's trapezoid
+`variations.step_summands`, and evaluate no weight or power of their own.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fbm import FbmPath, GridSpec, SeedSpec, sample_fbm
-from .gaussian import as_hurst
-from .variations import odd_power
+from .variations import step_summands
 from .weights import WeightFunction
 
 #: spatial grids are padded to site multiples of this, to stabilize caches
@@ -147,9 +148,6 @@ class FbmbtSample:
         idx = self.spatial.grid.zero_index + self.walk.s[: k + 1]
         return self.spatial.values[idx]
 
-    def site_value(self, j) -> np.ndarray:
-        return self.spatial.values[self.spatial.grid.zero_index + np.asarray(j)]
-
 
 def sample_fbmbt(h, n: int, t: float, seed: SeedSpec) -> FbmbtSample:
     """Walk plus independent spatial fBm covering the walk's range.
@@ -181,22 +179,16 @@ def walk_power_variation(sample: FbmbtSample, f: WeightFunction, r: int, t: floa
     sum_k (f(Z_k)+f(Z_{k+1}))/2 * (2^(nH/2) (Z_{k+1}-Z_k))^(2r-1).
 
     Every step moves between the two ends of one lattice interval, so the
-    summand is read from a per-interval table built once over the spatial
-    path, at the interval's lower site min(S_k, S_{k+1}), and multiplied by
-    the step's sign.  This is bit-identical to evaluating each step: the
-    weight sum commutes exactly, the reversed increment is the exact
-    negation, and odd_power is exactly sign-symmetric, so a down step's
-    summand is the exact negation of the table entry.
+    summand is the spatial path's trapezoid `step_summands` entry at the
+    interval's lower site min(S_k, S_{k+1}), times the step's sign; the
+    walk scale 2^(nH/2) is the spatial level's 2^(LH), L = n/2.  This is
+    bit-identical to evaluating each step: the weight sum commutes
+    exactly, the reversed increment is the exact negation, and odd_power is
+    exactly sign-symmetric, so a down step's summand is the exact negation
+    of the table entry.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    table = step_summands(sample.spatial, f, r, "trapezoid")
     k = sample.walk.horizon(t)
-    if k == 0:
-        return 0.0
-    x = sample.spatial.values
-    fx = f(x)
-    scale = 2.0 ** (sample.level * sample.spatial.h.h / 2.0)
-    table = 0.5 * (fx[:-1] + fx[1:]) * odd_power(scale * np.diff(x), r)
     s = sample.walk.s
     lower = sample.spatial.grid.zero_index + np.minimum(s[:k], s[1 : k + 1])
     return _lsum(sample.walk.steps[:k] * table[lower])
@@ -204,48 +196,30 @@ def walk_power_variation(sample: FbmbtSample, f: WeightFunction, r: int, t: floa
 
 def crossing_power_variation(sample: FbmbtSample, f: WeightFunction, r: int, t: float) -> float:
     """The same statistic as a spatial sum weighted by net crossing counts."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    table = step_summands(sample.spatial, f, r, "trapezoid")
     counts = crossing_counts(sample.walk, t)
-    if counts.horizon == 0:
-        return 0.0
-    js = counts.sites()
-    x_lo = sample.site_value(js)
-    x_hi = sample.site_value(js + 1)
-    scale = 2.0 ** (sample.level * sample.spatial.h.h / 2.0)
-    dz = scale * (x_hi - x_lo)
-    w = 0.5 * (f(x_lo) + f(x_hi))
-    return _lsum(w * odd_power(dz, r) * counts.net())
+    return _lsum(table[sample.spatial.grid.zero_index + counts.sites()] * counts.net())
 
 
 def spatial_power_variation(path: FbmPath, f: WeightFunction, r: int, t: float) -> float:
     """Trapezoid-weighted odd-power sum along the spatial lattice up to a
-    signed time t; the negative branch walks leftward from the origin.
+    signed time t; the negative branch walks leftward from the origin, so
+    each of its summands is the negated table entry of the step it
+    crosses.
 
     Composition rule: the direct walk statistic at time t equals this
     statistic at u = 2^(-n/2) * (terminal site).
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    level = path.grid.level  # spatial level; the walk level is 2*level
-    nsites = math.floor(abs(t) * 2**level)
-    if nsites == 0:
-        return 0.0
+    table = step_summands(path, f, r, "trapezoid")
+    m = math.floor(abs(t) * 2**path.grid.level)
     zero = path.grid.zero_index
     if t >= 0:
-        if zero + nsites > path.grid.npoints - 1:
+        if zero + m > len(table):
             raise ValueError("spatial range insufficient for the requested t")
-        x_a = path.values[zero : zero + nsites]
-        x_b = path.values[zero + 1 : zero + nsites + 1]
-    else:
-        if zero - nsites < 0:
-            raise ValueError("spatial range insufficient for the requested t")
-        idx = zero - np.arange(nsites)
-        x_a = path.values[idx]
-        x_b = path.values[idx - 1]
-    scale = 2.0 ** (level * path.h.h)  # = 2^(nH/2) for the walk level n
-    dz = scale * (x_b - x_a)
-    return _lsum(0.5 * (f(x_a) + f(x_b)) * odd_power(dz, r))
+        return _lsum(table[zero : zero + m])
+    if zero - m < 0:
+        raise ValueError("spatial range insufficient for the requested t")
+    return _lsum(-table[zero - m : zero][::-1])
 
 
 def identity_residuals(sample: FbmbtSample, f: WeightFunction, r: int, t: float) -> dict:

@@ -15,6 +15,7 @@ import argparse
 import inspect
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -275,6 +276,9 @@ def cmd_simulate_fbmbt(args) -> int:
 def cmd_verify(args) -> int:
     defaults = {"seed": None, "replicates": None, "n": None, "threads": 1, "out": None}
     cfg = merge_config(args, _file_cfg(args), defaults)
+    cpus = os.cpu_count() or 1
+    if not 1 <= cfg["threads"] <= cpus:
+        raise UsageError(f"--threads must lie in 1..{cpus}, got {cfg['threads']}")
     names = list(ACCEPTANCE) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in ACCEPTANCE:
@@ -324,7 +328,6 @@ def _add_common(parser, *names):
     for name in names:
         parser.add_argument(name, **_FLAGS[name])
     parser.add_argument("--config", type=str, help="key=value config file (flags override)")
-    parser.add_argument("--verbose", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sigma = sub.add_parser("sigma", help="variance-series constant sigma(r, H)")
     _add_common(p_sigma, "--r", "--h", "--tol", "--out")
+    p_sigma.add_argument("--verbose", action="store_true", help="list the first series terms")
 
     p_sim = sub.add_parser("simulate", help="generate paths/walks and dump statistics")
     sim_sub = p_sim.add_subparsers(dest="process", required=True)

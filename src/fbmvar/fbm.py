@@ -140,14 +140,6 @@ class FbmPath:
         return float(self.values[self.grid.index_of(t)])
 
 
-def make_path(level: int, values, h, t_min: float = 0.0) -> FbmPath:
-    """Wrap explicit grid values (e.g. hand-built test paths) as an FbmPath."""
-    values = np.asarray(values, dtype=float)
-    t_max = t_min + (len(values) - 1) * 2.0**-level
-    grid = GridSpec(level=level, t_min=t_min, t_max=t_max)
-    return FbmPath(grid=grid, h=as_hurst(h), values=values)
-
-
 @functools.lru_cache(maxsize=64)
 def _circulant_spectrum(h: float, count: int) -> np.ndarray:
     """Pre-scaled half-spectrum amplitudes of the fGn correlation circulant.

@@ -29,6 +29,10 @@ class ConvergenceError(RuntimeError):
 #: most correlation-series terms `limit_sigma` sums before refusing
 SIGMA_MAX_TERMS = 5_000_000
 
+#: `limit_sigma` sums its series in blocks of this many terms, so its
+#: memory does not grow with the term count
+_SIGMA_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class HurstParam:
@@ -254,7 +258,8 @@ def limit_sigma(r: int, h, tol: float = 1e-10) -> LimitSigma:
     (0, 1), so every term has the sign of C(2H, 2) = -H(1-2H) and is no
     larger in size than H(1-2H) j^(2H-2) j^(2-2k).  J is the least integer
     >= 8 whose `tail_bound`, as computed in floating point, is <= `tol`; if J
-    would exceed SIGMA_MAX_TERMS, ConvergenceError is raised.  The constant
+    would exceed SIGMA_MAX_TERMS, ConvergenceError is raised.  The J terms
+    are summed in blocks of 2^16, from j = J downwards.  The constant
     vanishes as H -> 1/2, so the whole range H < 1/2 needs few terms.  For
     r = 1 the result is exactly 0.
     """
@@ -290,13 +295,15 @@ def limit_sigma(r: int, h, tol: float = 1e-10) -> LimitSigma:
         while tail > tol:  # rounding in `terms` may leave J one short
             j_stop += 1
             tail = scale * j_stop**-a
-        js = np.arange(1, j_stop + 1)
-        rhos = fgn_correlation(hp, js)
-        hi = np.zeros_like(rhos)
-        for cu, w in zip(coeffs.c, coeffs.orders):
-            if w >= 3:
-                hi += (cu * cu * math.factorial(w)) * rhos**w
-        var = mu + lin + 2.0 * float(np.sum(hi[::-1]))
+        hi_sum = 0.0
+        for stop in range(j_stop, 0, -_SIGMA_BLOCK):  # smallest terms first
+            rhos = fgn_correlation(hp, np.arange(max(stop - _SIGMA_BLOCK, 0) + 1, stop + 1))
+            hi = np.zeros_like(rhos)
+            for cu, w in zip(coeffs.c, coeffs.orders):
+                if w >= 3:
+                    hi += (cu * cu * math.factorial(w)) * rhos**w
+            hi_sum += float(np.sum(hi[::-1]))
+        var = mu + lin + 2.0 * hi_sum
     if var < -max(tol, tail):
         raise ArithmeticError(f"sigma^2 evaluated to {var}, below -tolerance")
     value = math.sqrt(max(var, 0.0))

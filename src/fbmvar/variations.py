@@ -1,18 +1,21 @@
 """Weighted odd-power variation of a sampled path, and its limit objects.
 
 For a level-n path X on the dyadic grid, with increments
-D_j = X_{(j+1)2^-n} - X_{j2^-n}, one kernel, `variation(path, f, r, rule)`,
-returns the running sum over j = 0..floor(2^n t)-1 of
+D_j = X_{(j+1)2^-n} - X_{j2^-n}, one kernel,
+`step_summands(path, f, r, rule)`, returns the per-step summands
 
     w_j * (2^{nH} D_j)^(2r-1)
 
-as a `VariationSeries`.  The node rule says where the weight f is read on
-each step: at the midpoint (X_j + X_{j+1})/2 (the symmetric rule of the
-non-central limit theorem), as the trapezoid (f(X_j) + f(X_{j+1}))/2, or at
-the left or right endpoint; f=None is the unit weight.  The rule also fixes
-the normalization: 2^{-n/2} for midpoint and trapezoid, whose limit is the
-mixture law, and 2^{nH-n} for the endpoint rules, whose limits are
-deterministic.
+over the path's whole grid, on both sides of t = 0.  The node rule says
+where the weight f is read on each step: at the midpoint (X_j + X_{j+1})/2
+(the symmetric rule of the non-central limit theorem), as the trapezoid
+(f(X_j) + f(X_{j+1}))/2, or at the left or right endpoint; f=None is the
+unit weight.  `variation(path, f, r, rule)` is the running sum of these
+summands over j = 0..floor(2^n t)-1, as a `VariationSeries`; the rule also
+fixes its normalization: 2^{-n/2} for midpoint and trapezoid, whose limit
+is the mixture law, and 2^{nH-n} for the endpoint rules, whose limits are
+deterministic.  The Brownian-time sums of `brownian_time` index the
+trapezoid table of the spatial path.
 
 Partial sums are accumulated in extended precision so that differencing
 recovers the per-step summands and window increments are one subtraction.
@@ -63,9 +66,6 @@ class VariationSeries:
         """Right-continuous step evaluation: the sum over j < floor(2^n t)."""
         return float(self.values[self.index_at(t)])
 
-    def summands(self) -> np.ndarray:
-        return self.scale * np.diff(self.raw)
-
 
 def odd_power(x: np.ndarray, r: int):
     """x^(2r-1) computed as x * (x*x)^(r-1).
@@ -83,47 +83,49 @@ def _series(level: int, summands: np.ndarray, scale: float) -> VariationSeries:
     return VariationSeries(level=level, raw=raw, scale=scale)
 
 
-def _positive_steps(path: FbmPath):
-    """(x, dx, xi, n): values X_0..X_{t_max}, raw and normalized increments."""
-    n = path.grid.level
-    x = path.values[path.grid.zero_index :]
-    if len(x) < 2:
-        raise ValueError("path must cover at least one step right of t=0")
-    dx = np.diff(x)
-    xi = 2.0 ** (n * path.h.h) * dx
-    return x, dx, xi, n
-
-
 #: node rules of `variation`: where the weight is read on each step
 RULES = ("midpoint", "trapezoid", "left", "right")
 
 
-def variation(
+def step_summands(
     path: FbmPath, f: WeightFunction | None, r: int, rule: str = "midpoint"
-) -> VariationSeries:
-    """Running sum of w_j (2^nH D_j)^(2r-1) under a node rule.
+) -> np.ndarray:
+    """Unnormalized summands w_j (2^nH D_j)^(2r-1), one per step of the
+    path's whole grid, on both sides of t = 0.
 
     The weight w_j is f((X_j+X_{j+1})/2) for "midpoint",
     (f(X_j)+f(X_{j+1}))/2 for "trapezoid", f(X_j) for "left" and f(X_{j+1})
-    for "right"; f=None is the unit weight and evaluates nothing.  The
-    normalization is 2^(-n/2) for midpoint and trapezoid, 2^(nH-n) for the
-    endpoint rules.
+    for "right"; f=None is the unit weight and evaluates nothing.  Entry i
+    belongs to the step that starts at grid index i.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     if rule not in RULES:
         raise ValueError(f"unknown rule '{rule}'; known: {', '.join(RULES)}")
-    x, _, xi, n = _positive_steps(path)
-    summands = odd_power(xi, r)
-    if f is not None:
-        if rule == "midpoint":
-            w = f(0.5 * (x[:-1] + x[1:]))
-        elif rule == "trapezoid":
-            fx = f(x)
-            w = 0.5 * (fx[:-1] + fx[1:])
-        else:
-            w = f(x[:-1] if rule == "left" else x[1:])
-        summands = w * summands
+    x = path.values
+    summands = odd_power(2.0 ** (path.grid.level * path.h.h) * np.diff(x), r)
+    if f is None:
+        return summands
+    if rule == "midpoint":
+        w = f(0.5 * (x[:-1] + x[1:]))
+    elif rule == "trapezoid":
+        fx = f(x)
+        w = 0.5 * (fx[:-1] + fx[1:])
+    else:
+        w = f(x[:-1] if rule == "left" else x[1:])
+    return w * summands
+
+
+def variation(
+    path: FbmPath, f: WeightFunction | None, r: int, rule: str = "midpoint"
+) -> VariationSeries:
+    """Running sum over the steps right of t = 0 of `step_summands`.
+
+    The normalization is 2^(-n/2) for midpoint and trapezoid, 2^(nH-n) for
+    the endpoint rules.
+    """
+    summands = step_summands(path, f, r, rule)[path.grid.zero_index :]
+    n = path.grid.level
     scale = 2.0 ** (-n / 2.0) if rule in ("midpoint", "trapezoid") else 2.0 ** (n * path.h.h - n)
     return _series(n, summands, scale)
 
@@ -147,9 +149,11 @@ def taylor_remainder_split(
     kmax = n_order // 2
     if f.order < 2 * kmax:
         raise ValueError(f"weight '{f.name}' lacks derivatives up to {2 * kmax}")
-    x, dx, xi, n = _positive_steps(path)
+    n = path.grid.level
+    x = path.values[path.grid.zero_index :]
+    dx = np.diff(x)
     beta = 0.5 * (x[:-1] + x[1:])
-    power = odd_power(xi, r)
+    power = step_summands(path, None, r)[path.grid.zero_index :]
     corr = np.zeros_like(dx)
     for k in range(1, kmax + 1):
         corr += f.eval(2 * k, beta) * (dx * dx) ** k / (4.0**k * math.factorial(2 * k))
@@ -175,24 +179,26 @@ def limit_quadrature(path: FbmPath, f: WeightFunction, which: str, t: float) -> 
     return float(np.sum(steps.astype(np.longdouble)) * np.longdouble(2.0**-n))
 
 
+def _left_values(path: FbmPath, t: float) -> np.ndarray:
+    """X_j for the floor(2^n t) grid steps of [0, t], read at their left ends."""
+    k = math.floor(t * 2**path.grid.level)
+    if k < 0 or path.grid.zero_index + k > path.grid.npoints - 1:
+        raise ValueError(f"t={t} outside the path range")
+    return path.values[path.grid.zero_index : path.grid.zero_index + k]
+
+
 def limit_conditional_std(path: FbmPath, f: WeightFunction, sigma, t: float) -> float:
     """Conditional std of the simulated limit given the path:
     sigma * sqrt(sum_j f(X_j)^2 2^-n)."""
     s = getattr(sigma, "value", sigma)
-    n = path.grid.level
-    k = math.floor(t * 2**n)
-    x = path.values[path.grid.zero_index : path.grid.zero_index + k]
-    return float(s) * math.sqrt(float(np.sum(f(x).astype(np.longdouble) ** 2)) * 2.0**-n)
+    x = _left_values(path, t)
+    return float(s) * math.sqrt(float(np.sum(f(x).astype(np.longdouble) ** 2)) * path.grid.spacing)
 
 
 def simulate_limit(path: FbmPath, f: WeightFunction, sigma, t: float, seed: SeedSpec) -> float:
     """One draw from the limiting mixture law, conditionally on the path:
     sigma * sum_j f(X_j) dW_j with fresh independent dW_j ~ N(0, 2^-n)."""
     s = getattr(sigma, "value", sigma)
-    n = path.grid.level
-    k = math.floor(t * 2**n)
-    if k < 0 or path.grid.zero_index + k > path.grid.npoints - 1:
-        raise ValueError(f"t={t} outside the path range")
-    x = path.values[path.grid.zero_index : path.grid.zero_index + k]
-    dw = 2.0 ** (-n / 2.0) * seed.rng().standard_normal(k)
+    x = _left_values(path, t)
+    dw = 2.0 ** (-path.grid.level / 2.0) * seed.rng().standard_normal(len(x))
     return float(s) * float(np.sum((f(x) * dw).astype(np.longdouble)))

@@ -2,8 +2,7 @@
 
 Rate measurements must not be polluted by numerical differentiation, so
 every registry entry carries closed-form derivatives of all orders it
-declares.  A finite-difference cross-check utility validates user-supplied
-entries.
+declares.
 """
 
 from __future__ import annotations
@@ -94,20 +93,3 @@ def get_weight(name: str) -> WeightFunction:
     except KeyError:
         raise ValueError(f"unknown weight '{name}'; known: {sorted(REGISTRY)}") from None
 
-
-def check_derivatives(f: WeightFunction, xs, k_max: int, tol: float = 1e-6) -> float:
-    """Validate eval(k+1, .) against a central difference of eval(k, .).
-
-    Returns the worst relative discrepancy; raises if it exceeds `tol`.
-    """
-    xs = np.asarray(xs, dtype=float)
-    worst = 0.0
-    for k in range(k_max):
-        step = (np.finfo(float).eps ** (1.0 / 3.0)) * (1.0 + np.abs(xs))
-        fd = (f.eval(k, xs + step) - f.eval(k, xs - step)) / (2.0 * step)
-        exact = f.eval(k + 1, xs)
-        err = np.max(np.abs(fd - exact) / (1.0 + np.abs(exact)))
-        worst = max(worst, float(err))
-    if worst > tol:
-        raise ValueError(f"derivatives of '{f.name}' disagree with finite differences: {worst:.2e}")
-    return worst

@@ -15,8 +15,8 @@ project notes and summarized here:
 * A9 variance/KS clauses: at walk level n=10 only 2^(n/2)=32 spatial sites
   contribute and the window variance density converges like m^(2H-1), so
   Var(2^(-n/4) V_n(1)) is ~6.0 against the asymptotic 4.545 (an 11-SE gap
-  at 5000 replicates; confirmed to shrink to +5% by n=18).  The Donsker
-  clause passes.
+  at 5000 replicates).  The exact finite-level variance is +28.9% over the
+  target at n=10 and still +7.2% at n=18.  The Donsker clause passes.
 
 These tests are strict xfails: they run the criteria exactly as stated
 and will flag loudly if the measurements ever change.
@@ -96,7 +96,7 @@ def test_a8_overlap_identity_and_boundedness():
     strict=True,
     reason="variance/KS clauses unattainable at walk level n=10: only 32 "
     "spatial sites, window variance density converges like m^(2H-1); "
-    "measured +34% over the asymptotic target, shrinking to +5% at n=18. "
+    "the exact variance is +28.9% over the asymptotic target, still +7.2% at n=18. "
     "The Donsker clause passes.",
 )
 def test_a9_brownian_time_limit():

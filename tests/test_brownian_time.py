@@ -14,7 +14,6 @@ from fbmvar import (
     crossing_power_variation,
     get_weight,
     identity_residuals,
-    make_path,
     sample_fbm,
     sample_fbmbt,
     sample_walk,
@@ -23,6 +22,7 @@ from fbmvar import (
     walk_power_variation,
 )
 from fbmvar.variations import odd_power
+from helpers import make_path
 
 F_ONE = get_weight("one")
 F_GAUSS = get_weight("gauss")

@@ -49,6 +49,8 @@ def test_sigma_verbose_lists_terms(capsys):
         ("simulate", "fbmbt", "--n", "8", "--tol", "nan"),  # would switch the gate off
         ("simulate", "fbm", "--seed", "-1"),
         ("simulate", "fbmbt", "--seed", "-1"),
+        ("verify", "A8", "--threads", "0"),  # would run serially
+        ("verify", "A8", "--threads", "1000000"),  # would start a thread per replicate
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -60,6 +62,16 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("simulate", "fbm", "--n", "4", "--verbose"), ("verify", "A8", "--verbose")]
+)
+def test_verbose_is_a_sigma_flag_only(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --verbose" in capsys.readouterr().err
 
 
 def test_sigma_rejects_out_of_range(capsys):

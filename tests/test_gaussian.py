@@ -1,6 +1,7 @@
 """Exact-kernel tests: Hermite algebra, moments, correlations, sigma."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from fbmvar import (
     sample_fgn_circulant,
     SeedSpec,
 )
+from fbmvar import gaussian
 
 
 def test_hermite_eval_examples():
@@ -237,6 +239,29 @@ def test_sigma_limit_at_half():
     # as H -> 1/2 every rho_H(j) -> 0, so sigma^2 -> mu_{4r-2} - c_r^2
     assert limit_sigma(2, 0.4999).value ** 2 == pytest.approx(15 - 3**2, abs=1e-6)
     assert limit_sigma(3, 0.4999).value ** 2 == pytest.approx(945 - 15**2, abs=1e-6)
+
+
+def test_sigma_blocks_cover_every_term(monkeypatch):
+    # J = 45 and 297 terms in blocks of 5 put block edges at small j, where
+    # one term lost or repeated moves sigma by far more than 1e-13
+    whole = [limit_sigma(3, h, 1e-8) for h in (0.1, 0.3)]
+    monkeypatch.setattr(gaussian, "_SIGMA_BLOCK", 5)
+    for h, ref in zip((0.1, 0.3), whole):
+        blocked = limit_sigma(3, h, 1e-8)
+        assert blocked.terms_used == ref.terms_used > 5
+        assert blocked.value == pytest.approx(ref.value, rel=1e-13)
+
+
+def test_sigma_memory_does_not_grow_with_terms():
+    tracemalloc.start()
+    try:
+        s = limit_sigma(4, 0.466, 1e-14)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s.terms_used == 4_101_081
+    assert s.tail_bound <= 1e-14
+    assert peak < 32 * 2**20
 
 
 def test_sigma_strict_mode_rejects_large_h():

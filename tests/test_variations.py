@@ -9,20 +9,20 @@ from fbmvar import (
     GridSpec,
     SeedSpec,
     WeightFunction,
-    check_derivatives,
     get_weight,
     ks_one_sample,
     limit_conditional_std,
     limit_quadrature,
     limit_sigma,
-    make_path,
     sample_fbm,
     simulate_limit,
+    step_summands,
     taylor_remainder_split,
     variation,
 )
 from fbmvar.variations import RULES, odd_power
 from fbmvar.weights import REGISTRY
+from helpers import check_derivatives, make_path
 from scipy import stats as sps
 
 F_ONE = get_weight("one")
@@ -114,7 +114,7 @@ def test_summands_recover_per_step_terms():
     expected = 2.0 ** (-n / 2) * 0.5 * (np.sin(x[:-1]) + np.sin(x[1:])) * xi * xi * xi
     # differencing recovers summands up to an ulp of the running sum
     atol = 1e-15 * (1.0 + np.max(np.abs(series.values)))
-    assert np.allclose(series.summands(), expected, rtol=1e-12, atol=atol)
+    assert np.allclose(series.scale * np.diff(series.raw), expected, rtol=1e-12, atol=atol)
 
 
 # --- exact algebraic identities -------------------------------------------
@@ -294,6 +294,36 @@ def test_simulate_limit_conditional_variance():
     se = target_sd**2 * math.sqrt(2.0 / (len(draws) - 1))
     assert abs(var - target_sd**2) < 4 * se
     assert abs(draws.mean()) < 4 * target_sd / math.sqrt(len(draws))
+
+
+def test_limit_conditional_std_rejects_t_outside_the_path():
+    path = _path(level=6)
+    for t in (4.0, -1.0):
+        with pytest.raises(ValueError, match="outside the path range"):
+            limit_conditional_std(path, F_GAUSS, 2.0, t)
+
+
+@pytest.mark.parametrize("weight", [None, "gauss", "sin"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_step_summands_pinned_to_per_step_reference(weight, r):
+    path = _path(level=9, h=0.3, seed=17, t_min=-0.5)
+    x = path.values
+    lo, hi = x[:-1], x[1:]  # the two ends of every step of the whole grid
+    power = odd_power(2.0 ** (9 * 0.3) * (hi - lo), r)
+    f = None if weight is None else get_weight(weight)
+    if f is None:
+        expected = dict.fromkeys(RULES, power)
+    else:
+        expected = {
+            "midpoint": f(0.5 * (lo + hi)) * power,
+            "trapezoid": 0.5 * (f(lo) + f(hi)) * power,
+            "left": f(lo) * power,
+            "right": f(hi) * power,
+        }
+    for rule, summands in expected.items():
+        got = step_summands(path, f, r, rule)
+        assert len(got) == path.grid.npoints - 1 == 768
+        assert np.array_equal(got, summands)
 
 
 def _old_raw(summands):
