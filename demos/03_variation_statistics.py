@@ -9,10 +9,10 @@ from fbmvar import (
     SeedSpec,
     get_weight,
     ks_two_sample,
+    limit_conditional_std,
     limit_quadrature,
     limit_sigma,
     sample_fbm,
-    simulate_limit,
     taylor_remainder_split,
     variation,
 )
@@ -64,7 +64,9 @@ for i in range(REPS):
     p1 = sample_fbm(H, GRID, seed.substream(0))
     stat_draws.append(variation(p1, f, R).value_at(1.0))
     p2 = sample_fbm(H, GRID, seed.substream(1))
-    lim_draws.append(simulate_limit(p2, f, sigma, 1.0, seed.substream(2)))
+    # given the path the limit is normal: its conditional std times one normal
+    z = seed.substream(2).rng().standard_normal()
+    lim_draws.append(limit_conditional_std(p2, f, sigma, 1.0) * z)
 stat_draws, lim_draws = np.array(stat_draws), np.array(lim_draws)
 ks, p = ks_two_sample(stat_draws, lim_draws)
 print(f"  sigma = {sigma.value:.4f}")

@@ -54,7 +54,6 @@ from .variations import (
     VariationSeries,
     limit_conditional_std,
     limit_quadrature,
-    simulate_limit,
     step_summands,
     taylor_remainder_split,
     variation,

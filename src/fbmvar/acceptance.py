@@ -6,8 +6,12 @@ majority vote (distributional limits cannot be asserted pathwise, and a
 fixed-seed contract keeps CI deterministic).  Exact-identity checks (A5,
 A8) are seed-robust and run once.
 
-Every threshold lives in the check's config dict and is embedded in the
-returned report.
+A report's config is exactly the arguments of the check that made it,
+less `master_seed` (a field of the report) and `threads` (the result does
+not depend on it); `_report` builds it from the check's `locals()`, so
+`check(master_seed=report.master_seed, **report.config)` reproduces the
+canonical bytes.  Every threshold is an argument, or is recorded in
+`tests` next to the value it bounds.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .gaussian import (
     midpoint_increment_overlap_closed,
 )
 from .harness import McReport, describe, ks_one_sample, ks_two_sample, replicate_map
-from .variations import limit_quadrature, simulate_limit, variation
+from .variations import limit_conditional_std, limit_quadrature, variation
 from .weights import get_weight
 
 #: shipped default seeds; the first is the primary, the other two are the
@@ -49,6 +53,17 @@ DEFAULT_MASTER_SEEDS = (20260809, 1115741, 902245)
 DEGENERATE_GAP = 4
 DEGENERATE_RATIO = 0.7
 
+#: A7 samples its replicates in batches of this many rows, batch i from
+#: stream i; the batching fixes the draws, so it is not an argument
+A7_CHUNK = 20_000
+
+
+def _report(kind: str, args: dict) -> McReport:
+    """The empty report of check `kind`, called with `args` (its locals()
+    on entry): the config is the arguments less master_seed and threads."""
+    config = {k: v for k, v in args.items() if k not in ("master_seed", "threads")}
+    return McReport(kind=kind, config=config, master_seed=args["master_seed"])
+
 
 def _unweighted_draws(h, r, level, t, replicates, master_seed, threads):
     grid = GridSpec(level=level, t_min=0.0, t_max=t)
@@ -59,26 +74,25 @@ def _unweighted_draws(h, r, level, t, replicates, master_seed, threads):
     return replicate_map(one, replicates, master_seed, threads)
 
 
-def _mixture_law(kind, statistic, master_seed, threads, replicates, level, h, r, f,
-                 alpha, corr_slack) -> McReport:
-    """Distributional check of the statistic at t=1 against the mixture law.
+def _mixture_law(report, rule, threads, replicates, level, h, r, f, alpha,
+                 corr_slack) -> McReport:
+    """Distributional check of the statistic at t=1 against the mixture law,
+    recorded on `report`.
 
-    The statistic is `variation` under the node rule `statistic`.  Its draws
-    are compared (two-sample KS) with independent draws of
-    sigma * sum f(X) dW; the mean must vanish within 3 standard errors,
+    The statistic is `variation` under the node rule `rule`.  Its draws are
+    compared (two-sample KS) with independent draws of the limit
+    sigma * sum f(X) dW, which given the path X is exactly normal with std
+    `limit_conditional_std`; the mean must vanish within 3 standard errors,
     and the correlation with the terminal path value must be below
     3/sqrt(R) + corr_slack.  For r = 1 the limit is degenerate and the
     check becomes variance decay: Var at `level` must be below
     DEGENERATE_RATIO times its value at level - DEGENERATE_GAP.
     """
+    master_seed = report.master_seed
     weight = get_weight(f)
     sigma = limit_sigma(r, h, 1e-10)
-    cfg = dict(h=h, r=r, f=f, n=level, replicates=replicates, alpha=alpha,
-               corr_slack=corr_slack, statistic=statistic, sigma=sigma.value,
-               degenerate_gap=DEGENERATE_GAP, degenerate_ratio=DEGENERATE_RATIO,
-               threads=threads)
     start = time.perf_counter()
-    report = McReport(kind=kind, config=cfg, master_seed=master_seed)
+    report.estimates["sigma"] = sigma.value
 
     if sigma.value == 0.0:
         variances = {}
@@ -87,12 +101,14 @@ def _mixture_law(kind, statistic, master_seed, threads, replicates, level, h, r,
 
             def one(seed: SeedSpec, grid=grid) -> float:
                 path = sample_fbm(h, grid, seed)
-                return variation(path, weight, r, statistic).value_at(1.0)
+                return variation(path, weight, r, rule).value_at(1.0)
 
             variances[str(n)] = describe(replicate_map(one, replicates, master_seed, threads))
         v_lo = variances[str(level - DEGENERATE_GAP)]["variance"]
         v_hi = variances[str(level)]["variance"]
-        if not v_hi < DEGENERATE_RATIO * v_lo:
+        ratio = v_hi / v_lo if v_lo > 0 else math.inf
+        report.tests["variance_decay"] = {"ratio": ratio, "bound": DEGENERATE_RATIO}
+        if not ratio < DEGENERATE_RATIO:
             report.failures.append(f"degenerate variance did not decay: {v_lo:.4g} -> {v_hi:.4g}")
         report.estimates["variances"] = variances
     else:
@@ -100,13 +116,14 @@ def _mixture_law(kind, statistic, master_seed, threads, replicates, level, h, r,
 
         def stat_and_terminal(seed: SeedSpec) -> np.ndarray:
             path = sample_fbm(h, grid, seed.substream(0))
-            val = variation(path, weight, r, statistic).value_at(1.0)
+            val = variation(path, weight, r, rule).value_at(1.0)
             return np.array([val, path.value_at(1.0)])
 
         def limit_draw(seed: SeedSpec) -> np.ndarray:
             path = sample_fbm(h, grid, seed.substream(1))
-            val = simulate_limit(path, weight, sigma, 1.0, seed.substream(2))
-            return np.array([val, path.value_at(1.0)])
+            z = seed.substream(2).rng().standard_normal()
+            return np.array([limit_conditional_std(path, weight, sigma, 1.0) * z,
+                             path.value_at(1.0)])
 
         pairs = replicate_map(stat_and_terminal, replicates, master_seed, threads)
         phi, x1 = pairs[:, 0], pairs[:, 1]
@@ -146,14 +163,13 @@ def check_a1(
     sigma_tol: float = 1e-8,
 ) -> McReport:
     """A1: MC variance of the unweighted statistic matches sigma^2."""
-    cfg = dict(replicates=replicates, level=level, h=h, r=r, se_mult=se_mult, sigma_tol=sigma_tol)
+    report = _report("A1", locals())
     start = time.perf_counter()
     sigma = limit_sigma(r, h, sigma_tol)
     draws = _unweighted_draws(h, r, level, 1.0, replicates, master_seed, threads)
     desc = describe(draws)
     gap = abs(desc["variance"] - sigma.value**2)
     ok = gap <= se_mult * desc["se_variance"]
-    report = McReport(kind="A1", config=cfg, master_seed=master_seed)
     report.estimates = {"draws": desc, "sigma": sigma.value, "sigma_sq": sigma.value**2}
     report.tests["variance_vs_sigma_sq"] = {
         "gap": gap,
@@ -179,12 +195,11 @@ def check_a2(
     sigma_tol: float = 1e-8,
 ) -> McReport:
     """A2: unweighted statistic / sigma is standard normal (KS)."""
-    cfg = dict(replicates=replicates, level=level, h=h, r=r, alpha=alpha, sigma_tol=sigma_tol)
+    report = _report("A2", locals())
     start = time.perf_counter()
     sigma = limit_sigma(r, h, sigma_tol)
     draws = _unweighted_draws(h, r, level, 1.0, replicates, master_seed, threads)
     stat, p = ks_one_sample(draws / sigma.value, sps.norm.cdf)
-    report = McReport(kind="A2", config=cfg, master_seed=master_seed)
     report.tests["ks_vs_standard_normal"] = {"statistic": stat, "p_value": p}
     if not p > alpha:
         report.failures.append(f"KS p-value {p:.4g} <= {alpha}")
@@ -204,9 +219,8 @@ def check_a3(
     corr_slack: float = 0.02,
 ) -> McReport:
     """A3: weighted mixture law for the midpoint statistic."""
-    return _mixture_law(
-        "A3", "midpoint", master_seed, threads, replicates, level, h, r, f, alpha, corr_slack
-    )
+    report = _report("A3", locals())
+    return _mixture_law(report, "midpoint", threads, replicates, level, h, r, f, alpha, corr_slack)
 
 
 def check_a4(
@@ -225,14 +239,9 @@ def check_a4(
 ) -> McReport:
     """A4: the trapezoid statistic has the same mixture law, and the
     trapezoid-midpoint gap decays in L2 between the two decay levels."""
+    report = _report("A4", locals())
     start = time.perf_counter()
-    report = _mixture_law(
-        "A4", "trapezoid", master_seed, threads, replicates, level, h, r, f, alpha, corr_slack
-    )
-    report.config.update(
-        {"decay_levels": list(decay_levels), "decay_replicates": decay_replicates,
-         "decay_ratio": decay_ratio}
-    )
+    _mixture_law(report, "trapezoid", threads, replicates, level, h, r, f, alpha, corr_slack)
     weight = get_weight(f)
     l2 = {}
     for n in decay_levels:
@@ -270,25 +279,21 @@ def check_a5(
 ) -> McReport:
     """A5: exact identities — direct vs crossing form, and composition
     through the walk's terminal site."""
-    cfg = dict(samples=samples, levels=list(levels), h=h, r=r, f=f, residual_tol=residual_tol)
+    report = _report("A5", locals())
     start = time.perf_counter()
     weight = get_weight(f)
     per_level = [samples // len(levels)] * len(levels)
     per_level[-1] += samples - sum(per_level)
-    worst = {"crossing": 0.0, "composition": 0.0}
-
-    idx = 0
-    for n, count in zip(levels, per_level):
+    blocks = []
+    for idx, (n, count) in enumerate(zip(levels, per_level)):
         def one(seed: SeedSpec, n=n) -> np.ndarray:
             sample = sample_fbmbt(h, n, 1.0, seed)
             res = identity_residuals(sample, weight, r, 1.0)
             return np.array([res["residual_crossing"], res["residual_composition"]])
 
-        res = replicate_map(one, count, master_seed + idx, threads)
-        worst["crossing"] = max(worst["crossing"], float(res[:, 0].max()))
-        worst["composition"] = max(worst["composition"], float(res[:, 1].max()))
-        idx += 1
-    report = McReport(kind="A5", config=cfg, master_seed=master_seed)
+        blocks.append(replicate_map(one, count, master_seed + idx, threads))
+    # numpy's max propagates NaN, so a residual lost to overflow fails the gate
+    worst = dict(zip(("crossing", "composition"), np.concatenate(blocks).max(axis=0).tolist()))
     report.estimates["max_residual"] = worst
     for name, value in worst.items():
         if not value <= residual_tol:
@@ -320,14 +325,13 @@ def check_a6(
     bias terms are visible; at fine levels all three statistics share the
     same dominant fluctuation and the comparison carries no information.
     """
+    report = _report("A6", locals())
     if r < 2:
         raise ValueError("the endpoint limits require r >= 2")
     weight = get_weight(f)
     if weight.order < 1:
         raise ValueError("weight must provide a first derivative")
     mu = gaussian_moment(2 * r)
-    cfg = dict(h=h, r=r, f=f, n_list=list(n_list), t=t, replicates=replicates,
-               rms_threshold=rms_threshold, threads=threads)
     start = time.perf_counter()
     rms = {}
     for n in n_list:
@@ -347,8 +351,7 @@ def check_a6(
             "right": math.sqrt(sq[1]),
             "trapezoid": math.sqrt(sq[2]),
         }
-    report = McReport(kind="A6", config=cfg, master_seed=master_seed,
-                      estimates={"rms": rms, "mu_2r_half": 0.5 * mu})
+    report.estimates.update(rms=rms, mu_2r_half=0.5 * mu)
     first, last = str(n_list[0]), str(n_list[-1])
     for side in ("left", "right"):
         if not rms[last][side] < rms[first][side]:
@@ -376,18 +379,15 @@ def check_a7(
     hs: tuple[float, ...] = (0.2, 0.25, 0.4),
     se_mult: float = 4.0,
     alpha: float = 0.01,
-    chunk: int = 20_000,
 ) -> McReport:
     """A7: circulant generator against the Cholesky oracle on a two-sided
     grid — entrywise covariance against C_H, terminal-value KS."""
+    report = _report("A7", locals())
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
-    cfg = dict(replicates=replicates, level=level, t_min=t_min, t_max=t_max,
-               hs=list(hs), se_mult=se_mult, alpha=alpha)
     start = time.perf_counter()
     grid = GridSpec(level=level, t_min=t_min, t_max=t_max)
     pts = grid.times()
-    report = McReport(kind="A7", config=cfg, master_seed=master_seed)
     for h in hs:
         cov = fbm_covariance(h, pts[:, None], pts[None, :])
         var = np.diag(cov)
@@ -401,7 +401,7 @@ def check_a7(
             done = 0
             stream = 0
             while done < replicates:
-                rows = min(chunk, replicates - done)
+                rows = min(A7_CHUNK, replicates - done)
                 blocks.append(sampler(h, grid, SeedSpec(master_seed, stream), size=rows))
                 done += rows
                 stream += 1
@@ -433,8 +433,7 @@ def check_a8(
 ) -> McReport:
     """A8: overlap-sum identity (direct vs telescoped closed form) on random
     inputs, and boundedness of the coarse overlap sum against 2^(m(1-2H))."""
-    cfg = dict(trials=trials, identity_tol=identity_tol, band_factor=band_factor,
-               band_ms=list(band_ms), band_n=band_n, band_hs=list(band_hs))
+    report = _report("A8", locals())
     start = time.perf_counter()
     rng = SeedSpec(master_seed, 0).rng()
     worst = 0.0
@@ -448,7 +447,6 @@ def check_a8(
         direct = midpoint_increment_overlap(h, n, s, t)
         closed = midpoint_increment_overlap_closed(h, n, s, t)
         worst = max(worst, abs(direct - closed) / max(1.0, abs(closed)))
-    report = McReport(kind="A8", config=cfg, master_seed=master_seed)
     report.estimates["max_identity_residual"] = worst
     if not worst <= identity_tol:
         report.failures.append(f"overlap identity residual {worst:.3e} > {identity_tol:g}")
@@ -488,9 +486,7 @@ def check_a9(
     normals Y, N; the embedded walk's terminal value must be standard
     normal at the Donsker level.
     """
-    cfg = dict(replicates=replicates, level=level, h=h, r=r, f=f, se_mult=se_mult,
-               alpha=alpha, donsker_level=donsker_level,
-               donsker_replicates=donsker_replicates, sigma_tol=sigma_tol)
+    report = _report("A9", locals())
     start = time.perf_counter()
     sigma = limit_sigma(r, h, sigma_tol)
     weight = get_weight(f)
@@ -504,7 +500,6 @@ def check_a9(
     desc = describe(draws)
     target = sigma.value**2 * math.sqrt(2.0 / math.pi)
     gap = abs(desc["variance"] - target)
-    report = McReport(kind="A9", config=cfg, master_seed=master_seed)
     report.estimates["draws"] = desc
     report.estimates["variance_target"] = target
     report.tests["variance_vs_mixture"] = {"gap": gap, "allowed": se_mult * desc["se_variance"]}
@@ -566,12 +561,10 @@ def check_a10(
     e.g. constant weights kill the d^(pH) part.)  `slope_log2` is the
     fitted exponent of d: the moment behaves like d^slope_log2.
     """
+    report = _report("A10", locals())
     if p not in (4, 6):
         raise ValueError("p must be 4 or 6")
-    cfg = dict(replicates=replicates, level=level, hs=list(hs), r=r, f=f, p=p,
-               base=base, widths=list(widths), band_factor=band_factor)
     start = time.perf_counter()
-    report = McReport(kind="A10", config=cfg, master_seed=master_seed)
     weight = get_weight(f)
     grid = GridSpec(level=level, t_min=0.0, t_max=1.0)
     pairs = [(base, base + w) for w in widths]

@@ -4,9 +4,11 @@ the report every acceptance check returns.
 `replicate_map`'s seed stream is the replicate index, so an aggregate is
 a deterministic function of the master seed regardless of the worker
 count (the reduction is ordered by replicate index).  Reports are
-self-describing: every threshold an assertion uses is part of the
-embedded config, and serialization has a canonical form (timing
-excluded) on which byte-reproducibility is defined.
+self-describing: the embedded config is exactly the arguments of the
+check that made the report, less the master seed (a field of its own)
+and the thread count (which the result does not depend on), so the
+config and the seed replay the report.  Serialization has a canonical
+form (timing excluded) on which byte-reproducibility is defined.
 """
 
 from __future__ import annotations

@@ -20,8 +20,8 @@ trapezoid table of the spatial path.
 Partial sums are accumulated in extended precision so that differencing
 recovers the per-step summands and window increments are one subtraction.
 The remaining functions give the Taylor split of the trapezoid-midpoint gap
-and the path functionals of the limits (quadrature, conditional std, a
-draw from the mixture law).
+and the path functionals of the limits (quadrature, and the conditional
+std of the mixture law given the path).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fbm import FbmPath, SeedSpec
+from .fbm import FbmPath
 from .weights import WeightFunction
 
 
@@ -179,26 +179,15 @@ def limit_quadrature(path: FbmPath, f: WeightFunction, which: str, t: float) -> 
     return float(np.sum(steps.astype(np.longdouble)) * np.longdouble(2.0**-n))
 
 
-def _left_values(path: FbmPath, t: float) -> np.ndarray:
-    """X_j for the floor(2^n t) grid steps of [0, t], read at their left ends."""
+def limit_conditional_std(path: FbmPath, f: WeightFunction, sigma, t: float) -> float:
+    """Conditional std of the mixture-law limit at t given the path:
+    sigma * sqrt(sum_j f(X_j)^2 2^-n) over the floor(2^n t) steps of [0, t],
+    the weight read at each step's left end.  Given the path, the limit is
+    exactly normal with this std, so one draw is this std times a standard
+    normal."""
     k = math.floor(t * 2**path.grid.level)
     if k < 0 or path.grid.zero_index + k > path.grid.npoints - 1:
         raise ValueError(f"t={t} outside the path range")
-    return path.values[path.grid.zero_index : path.grid.zero_index + k]
-
-
-def limit_conditional_std(path: FbmPath, f: WeightFunction, sigma, t: float) -> float:
-    """Conditional std of the simulated limit given the path:
-    sigma * sqrt(sum_j f(X_j)^2 2^-n)."""
+    x = path.values[path.grid.zero_index : path.grid.zero_index + k]
     s = getattr(sigma, "value", sigma)
-    x = _left_values(path, t)
     return float(s) * math.sqrt(float(np.sum(f(x).astype(np.longdouble) ** 2)) * path.grid.spacing)
-
-
-def simulate_limit(path: FbmPath, f: WeightFunction, sigma, t: float, seed: SeedSpec) -> float:
-    """One draw from the limiting mixture law, conditionally on the path:
-    sigma * sum_j f(X_j) dW_j with fresh independent dW_j ~ N(0, 2^-n)."""
-    s = getattr(sigma, "value", sigma)
-    x = _left_values(path, t)
-    dw = 2.0 ** (-path.grid.level / 2.0) * seed.rng().standard_normal(len(x))
-    return float(s) * float(np.sum((f(x) * dw).astype(np.longdouble)))

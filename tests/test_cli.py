@@ -1,6 +1,7 @@
 """CLI tests: exit codes, artifact echo, dump stability, config file."""
 
 import json
+import math
 import re
 import time
 from pathlib import Path
@@ -51,6 +52,8 @@ def test_sigma_verbose_lists_terms(capsys):
         ("simulate", "fbmbt", "--seed", "-1"),
         ("verify", "A8", "--threads", "0"),  # would run serially
         ("verify", "A8", "--threads", "1000000"),  # would start a thread per replicate
+        ("verify", "A1", "--n", "40"),  # would allocate 8 TiB
+        ("verify", "A3", "--n", "22"),  # one level above the simulate cap
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -149,6 +152,15 @@ def test_simulate_fbmbt_reports_residuals(tmp_path, capsys):
     lines = (tmp_path / "walk.csv").read_text().splitlines()
     assert lines[0] == "k,S_k,Z_k"
     assert lines[1].startswith("0,0,0.0")
+
+
+def test_simulate_fbmbt_gate_fails_on_nan_residuals(capsys):
+    # at r = 2000 the odd power overflows, and the residuals are NaN
+    with pytest.warns(RuntimeWarning):
+        code, out, err = run_cli(capsys, "simulate", "fbmbt", "--n", "8", "--r", "2000")
+    assert code == 1
+    assert math.isnan(json.loads(out)["results"]["residual_crossing"])
+    assert err.startswith("identity residual nan exceeds")
 
 
 def test_simulate_fbmbt_rejects_odd_level(capsys):

@@ -17,7 +17,7 @@ from fbmvar import (
     sample_fbm,
     variation,
 )
-from fbmvar.acceptance import check_a3, check_a6, check_a10
+from fbmvar.acceptance import check_a3, check_a5, check_a6, check_a10
 from fbmvar.harness import describe, replicate_map
 
 
@@ -114,6 +114,14 @@ def test_passed_is_derived_from_failures():
     assert "wall_time_s" not in report.to_dict()
 
 
+def test_exact_identity_gate_fails_on_nan_residuals():
+    # at r = 2000 the odd power overflows, and every residual is NaN
+    with pytest.warns(RuntimeWarning):
+        report = check_a5(samples=30, r=2000)
+    assert all(math.isnan(v) for v in report.estimates["max_residual"].values())
+    assert not report.passed
+
+
 # --- moment scaling (A10) ----------------------------------------------------
 
 def test_moment_scaling_zero_width_pair():
@@ -176,7 +184,13 @@ def test_mixture_law_unit_weight_reduces_to_gaussian():
 def test_mixture_law_degenerate_r1():
     report = check_a3(master_seed=29, replicates=400, level=10, r=1, f="one")
     assert report.passed
+    assert report.estimates["sigma"] == 0.0
     v = report.estimates["variances"]
+    decay = report.tests["variance_decay"]
+    assert decay == {"ratio": v["10"]["variance"] / v["6"]["variance"], "bound": 0.7}
+    # a zero weight has no variance to decay: a failure, not a ZeroDivisionError
+    zero = check_a3(master_seed=29, replicates=60, level=6, r=1, f="zero")
+    assert zero.tests["variance_decay"]["ratio"] == math.inf and not zero.passed
     # Var at level n is 2^(n(2H-1)) for f=1, r=1: each 4 levels divide it by 4
     ratio = v["10"]["variance"] / v["6"]["variance"]
     assert ratio == pytest.approx(2.0 ** (4 * (2 * 0.25 - 1)), rel=0.25)

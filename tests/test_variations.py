@@ -10,12 +10,10 @@ from fbmvar import (
     SeedSpec,
     WeightFunction,
     get_weight,
-    ks_one_sample,
     limit_conditional_std,
     limit_quadrature,
     limit_sigma,
     sample_fbm,
-    simulate_limit,
     step_summands,
     taylor_remainder_split,
     variation,
@@ -23,7 +21,6 @@ from fbmvar import (
 from fbmvar.variations import RULES, odd_power
 from fbmvar.weights import REGISTRY
 from helpers import check_derivatives, make_path
-from scipy import stats as sps
 
 F_ONE = get_weight("one")
 F_ZERO = get_weight("zero")
@@ -268,32 +265,18 @@ def test_quadrature_refinement_is_cauchy():
     assert np.mean(diffs[2]) < np.mean(diffs[1])
 
 
-def test_simulate_limit_zero_weight():
+def test_limit_conditional_std_zero_weight():
     path = _path(level=8)
-    assert simulate_limit(path, F_ZERO, 2.0, 1.0, SeedSpec(1, 1)) == 0.0
+    assert limit_conditional_std(path, F_ZERO, 2.0, 1.0) == 0.0
 
 
-def test_simulate_limit_unit_weight_law():
+def test_limit_conditional_std_unit_weight_law():
+    # f = 1: given any path the limit at t is N(0, sigma^2 floor(2^n t) 2^-n)
     sigma = limit_sigma(2, 0.25, 1e-8)
     path = _path(level=8, seed=20)
-    draws = np.array(
-        [simulate_limit(path, F_ONE, sigma, 1.0, SeedSpec(50, i)) for i in range(10_000)]
-    )
-    _, p = ks_one_sample(draws / sigma.value, sps.norm.cdf)
-    assert p > 0.01
-
-
-def test_simulate_limit_conditional_variance():
-    sigma = limit_sigma(2, 0.25, 1e-8)
-    path = _path(level=8, seed=21)
-    target_sd = limit_conditional_std(path, F_GAUSS, sigma, 1.0)
-    draws = np.array(
-        [simulate_limit(path, F_GAUSS, sigma, 1.0, SeedSpec(51, i)) for i in range(3000)]
-    )
-    var = draws.var(ddof=1)
-    se = target_sd**2 * math.sqrt(2.0 / (len(draws) - 1))
-    assert abs(var - target_sd**2) < 4 * se
-    assert abs(draws.mean()) < 4 * target_sd / math.sqrt(len(draws))
+    for t, steps in ((1.0, 256), (0.3, 76)):
+        expected = sigma.value * math.sqrt(steps / 256)
+        assert limit_conditional_std(path, F_ONE, sigma, t) == pytest.approx(expected, rel=1e-14)
 
 
 def test_limit_conditional_std_rejects_t_outside_the_path():
