@@ -4,7 +4,8 @@ Subcommands: `sigma`, `simulate {fbm|fbmbt}`, `verify <check|all>`.
 Configuration may come from a flat key=value file (--config); explicit
 flags override file values.  Every emitted artifact embeds the effective
 config, the master seed, and the package version, and is byte-reproducible
-from that embedded config.
+from that embedded config on the same environment, whose Python, numpy and
+scipy versions it records (the FFT backend can move output bits).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
@@ -16,11 +17,13 @@ import inspect
 import json
 import math
 import os
+import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .acceptance import ACCEPTANCE, DEFAULT_MASTER_SEEDS, run_check
 from .brownian_time import identity_residuals, sample_fbmbt
@@ -114,6 +117,15 @@ def merge_config(args: argparse.Namespace, command: str) -> dict:
     return merged
 
 
+def _artifact(command: str, cfg: dict, master_seed, **body) -> dict:
+    """An artifact: its command, version, config, seed and environment,
+    then `body`; the environment stays outside the canonical reports."""
+    environment = {"python": platform.python_version(), "numpy": np.__version__,
+                   "scipy": scipy.__version__}
+    return {"command": command, "version": VERSION, "config": cfg, "master_seed": master_seed,
+            "environment": environment, **body}
+
+
 def _emit(document: dict, out: str | None) -> None:
     text = json.dumps(document, sort_keys=True, indent=1) + "\n"
     if out:
@@ -160,20 +172,10 @@ def cmd_sigma(args) -> int:
             running += term
             print(f"{j:>3} {rho:>15.8g} {term:>22.10g} {running:>18.10g}")
         print(f"  ... ({sigma.terms_used} truncated-series terms used in total)")
-    document = {
-        "command": "sigma",
-        "version": VERSION,
-        "config": cfg,
-        "master_seed": None,
-        "results": {
-            "sigma": sigma.value,
-            "sigma_sq": sigma.value**2,
-            "tail_bound": sigma.tail_bound,
-            "terms_used": sigma.terms_used,
-        },
-    }
     if cfg["out"]:
-        _emit(document, cfg["out"])
+        results = {"sigma": sigma.value, "sigma_sq": sigma.value**2,
+                   "tail_bound": sigma.tail_bound, "terms_used": sigma.terms_used}
+        _emit(_artifact("sigma", cfg, None, results=results), cfg["out"])
     return 0
 
 
@@ -225,8 +227,7 @@ def cmd_simulate_fbm(args) -> int:
             [series[0].times] + [s.values for s in series],
         )
         results["series_csv"] = str(directory / "series.csv")
-    _emit({"command": "simulate fbm", "version": VERSION, "config": cfg,
-           "master_seed": cfg["seed"], "results": results}, cfg["out"])
+    _emit(_artifact("simulate fbm", cfg, cfg["seed"], results=results), cfg["out"])
     return 0
 
 
@@ -264,8 +265,7 @@ def cmd_simulate_fbmbt(args) -> int:
         _write_csv(directory / "walk.csv", "k,S_k,Z_k",
                    (k, sample.walk.s, sample.z_values()))
         results["walk_csv"] = str(directory / "walk.csv")
-    _emit({"command": "simulate fbmbt", "version": VERSION, "config": cfg,
-           "master_seed": cfg["seed"], "results": results}, cfg["out"])
+    _emit(_artifact("simulate fbmbt", cfg, cfg["seed"], results=results), cfg["out"])
     # numpy's max propagates NaN, so a residual lost to overflow fails the gate
     worst = float(np.max([res["residual_crossing"], res["residual_composition"]]))
     if not worst <= cfg["tol"]:
@@ -318,9 +318,7 @@ def cmd_verify(args) -> int:
                 print(f"    [{rep.master_seed}] {msg}")
         checks[name] = [json.loads(rep.canonical_json()) for rep in reports]
     if cfg["out"]:
-        _emit({"command": "verify", "version": VERSION, "config": cfg,
-               "master_seed": seeds[0], "passed": all_passed, "checks": checks},
-              cfg["out"])
+        _emit(_artifact("verify", cfg, seeds[0], passed=all_passed, checks=checks), cfg["out"])
     return 0 if all_passed else 1
 
 

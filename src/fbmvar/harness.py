@@ -2,13 +2,13 @@
 the report every acceptance check returns.
 
 `replicate_map`'s seed stream is the replicate index, so an aggregate is
-a deterministic function of the master seed regardless of the worker
-count (the reduction is ordered by replicate index).  Reports are
-self-describing: the embedded config is exactly the arguments of the
-check that made the report, less the master seed (a field of its own)
-and the thread count (which the result does not depend on), so the
-config and the seed replay the report.  Serialization has a canonical
-form (timing excluded) on which byte-reproducibility is defined.
+a deterministic function of the master seed whatever the worker count.
+A report's config is exactly its check's arguments less the master seed
+(a field) and the thread count, so config and seed replay the report;
+the gates are fixed constants of `acceptance`, recorded in `tests` next
+to the values they bound (A5's `residual_tol` alone stays an argument:
+the benchmark's validator reads it from the config).  Serialization has
+a canonical form (timing excluded) on which byte-reproducibility rests.
 """
 
 from __future__ import annotations

@@ -64,7 +64,7 @@ class VariationSeries:
 
     def value_at(self, t: float) -> float:
         """Right-continuous step evaluation: the sum over j < floor(2^n t)."""
-        return float(self.values[self.index_at(t)])
+        return float(self.scale * self.raw[self.index_at(t)])
 
 
 def odd_power(x: np.ndarray, r: int):

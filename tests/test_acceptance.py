@@ -148,3 +148,25 @@ def test_report_config_is_the_check_arguments(name):
     # the embedded config replays the report, at any thread count
     assert fn(master_seed=5, **config).canonical_json() == canonical
     assert fn(master_seed=5, threads=2, **SMALL[name]).canonical_json() == canonical
+
+
+#: the argument names a statistical threshold would take
+GATE_PARAMETERS = {"alpha", "se_mult", "sigma_tol", "corr_slack", "decay_ratio",
+                   "rms_threshold", "identity_tol", "band_factor"}
+
+
+def test_gates_are_not_arguments():
+    # a gate is a module constant of `acceptance`, so no caller can loosen it
+    params = {name: set(inspect.signature(spec.fn).parameters) for name, spec in ACCEPTANCE.items()}
+    assert {name: p & GATE_PARAMETERS for name, p in params.items() if p & GATE_PARAMETERS} == {}
+    assert sum(len(p) for p in params.values()) == 76
+
+
+@pytest.mark.parametrize("name", [name for name in ACCEPTANCE if name != "A5"])
+def test_every_gate_is_recorded_in_tests(name):
+    # each entry of `tests` carries its threshold beside the value it bounds
+    # (A5's one threshold, residual_tol, is an argument and so in its config)
+    report = ACCEPTANCE[name].fn(master_seed=5, **SMALL[name])
+    entries = {key: e for key, e in report.tests.items() if key != "corr_limit_side"}
+    assert entries
+    assert all({"alpha", "bound", "allowed"} & set(e) for e in entries.values())

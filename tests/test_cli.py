@@ -2,11 +2,14 @@
 
 import json
 import math
+import platform
 import re
 import time
 from pathlib import Path
 
+import numpy
 import pytest
+import scipy
 
 from fbmvar import McReport, cli
 from fbmvar.cli import main
@@ -54,6 +57,8 @@ def test_sigma_verbose_lists_terms(capsys):
         ("verify", "A8", "--threads", "1000000"),  # would start a thread per replicate
         ("verify", "A1", "--n", "40"),  # would allocate 8 TiB
         ("verify", "A3", "--n", "22"),  # one level above the simulate cap
+        ("verify", "A7", "--n", "14"),  # an 8.6 GB covariance above the Cholesky cap
+        ("verify", "A10", "--n", "3"),  # one live window: no band would be tested
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -255,6 +260,28 @@ def test_verify_artifact_reproducible(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "verify", "A8", "--seed", "3", "--out", str(f1))
     assert code == 0
     assert f1.read_bytes() == first
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "A8", "--seed", "3"),
+        ("sigma", "--h", "0.3"),
+        ("simulate", "fbm", "--n", "4"),
+        ("simulate", "fbmbt", "--n", "4"),
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_artifact_records_its_environment(tmp_path, capsys, argv):
+    out = tmp_path / "artifact.json"
+    code, _, _ = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["environment"] == {"python": platform.python_version(),
+                                  "numpy": numpy.__version__, "scipy": scipy.__version__}
+    # the canonical reports stay free of it
+    assert all("environment" not in rep for reps in doc.get("checks", {}).values()
+               for rep in reps)
 
 
 def test_config_file_and_flag_override(tmp_path, capsys):

@@ -17,6 +17,7 @@ from fbmvar import (
     sample_fbm,
     variation,
 )
+from fbmvar import acceptance
 from fbmvar.acceptance import check_a3, check_a5, check_a6, check_a10
 from fbmvar.harness import describe, replicate_map
 
@@ -105,8 +106,11 @@ def test_experiment_determinism_and_thread_independence():
     assert (d1["estimates"], d1["tests"]) == (d4["estimates"], d4["tests"])
 
 
-def test_passed_is_derived_from_failures():
-    report = check_a10(master_seed=7, replicates=60, level=8, hs=(0.25,), band_factor=0.1)
+def test_passed_is_derived_from_failures(monkeypatch):
+    # a band below 1 fails every window narrower than the fitted one
+    monkeypatch.setattr(acceptance, "A10_BAND_FACTOR", 0.1)
+    report = check_a10(master_seed=7, replicates=60, level=8, hs=(0.25,))
+    assert report.tests["band h=0.25"]["bound"] == 0.1
     assert report.failures and report.passed is False
     assert report.to_dict()["passed"] is False
     report.failures.clear()
@@ -125,11 +129,21 @@ def test_exact_identity_gate_fails_on_nan_residuals():
 # --- moment scaling (A10) ----------------------------------------------------
 
 def test_moment_scaling_zero_width_pair():
-    report = check_a10(master_seed=7, replicates=120, level=8, hs=(0.25,), widths=(0.25, 0.0))
+    report = check_a10(master_seed=7, replicates=120, level=8, hs=(0.25,),
+                       widths=(0.25, 0.125, 0.0))
     assert report.passed
     ratios = report.estimates["h=0.25"]["ratios"]
     assert ratios[0] == pytest.approx(1.0, rel=1e-12)  # the widest window fits the constant
-    assert math.isnan(ratios[1])
+    assert 0.0 < ratios[1] <= acceptance.A10_BAND_FACTOR
+    assert math.isnan(ratios[2])
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_moment_scaling_needs_two_live_windows(level):
+    # at level 2 every default window is empty, at level 3 only the widest
+    # is not, so no ratio would be tested against the band
+    with pytest.raises(ValueError, match="positive width"):
+        check_a10(replicates=100, level=level)
 
 
 def test_moment_scaling_band_and_slope():
@@ -148,11 +162,13 @@ def test_moment_scaling_rejects_bad_p():
 
 # --- endpoint limits (A6) ----------------------------------------------------
 
-def test_l2_endpoint_constant_weight_converges_to_zero():
-    # f' = 0: the limit is 0 and the statistic itself must shrink
-    report = check_a6(master_seed=13, replicates=150, f="one", n_list=(6, 10), t=1.0,
-                      rms_threshold=0.8)
+def test_l2_endpoint_constant_weight_converges_to_zero(monkeypatch):
+    # f' = 0: the limit is 0 and the statistic itself must shrink; at n = 10
+    # it is still above the shipped threshold, so the test sets its own
+    monkeypatch.setattr(acceptance, "RMS_THRESHOLD", 0.8)
+    report = check_a6(master_seed=13, replicates=150, f="one", n_list=(6, 10), t=1.0)
     assert report.passed
+    assert report.tests["rms_at_last_level"]["bound"] == 0.8
     assert report.estimates["rms"]["10"]["left"] < report.estimates["rms"]["6"]["left"]
 
 
@@ -162,7 +178,7 @@ def test_l2_endpoint_requires_r_at_least_two():
 
 
 def test_l2_endpoint_mu_factor():
-    report = check_a6(master_seed=17, replicates=100, n_list=(6, 8), t=0.5, rms_threshold=10.0)
+    report = check_a6(master_seed=17, replicates=100, n_list=(6, 8), t=0.5)
     assert report.estimates["mu_2r_half"] == 1.5  # mu_4 / 2
 
 
