@@ -9,13 +9,11 @@ import numpy as np
 from fbmvar import (
     SeedSpec,
     crossing_counts,
-    crossing_power_variation,
     get_weight,
+    identity_residuals,
     limit_sigma,
     sample_fbmbt,
     sample_walk,
-    spatial_power_variation,
-    terminal_site,
     walk_power_variation,
 )
 
@@ -26,10 +24,9 @@ print("One composite sample at walk level n=8")
 print("--------------------------------------")
 sample = sample_fbmbt(H, 8, 1.0, SeedSpec(11, 0))
 walk = sample.walk
-cc = crossing_counts(walk, 1.0)
-j_star = terminal_site(walk, 1.0)
+cc = crossing_counts(walk, 1.0)  # also verifies the net profile below
 print(f"  walk: {len(walk.steps)} steps, range [{walk.s.min()}, {walk.s.max()}],"
-      f" terminal site {j_star}")
+      f" terminal site {cc.terminal}")
 print(f"  crossing conservation: sum(U+D) = {cc.total()} = step count")
 net = dict(zip(cc.sites().tolist(), cc.net().tolist()))
 nonzero = {j: v for j, v in net.items() if v}
@@ -39,12 +36,10 @@ print()
 
 print("The three equivalent forms of the trapezoid-weighted odd-power sum")
 print("------------------------------------------------------------------")
-direct = walk_power_variation(sample, f, R, 1.0)
-crossing = crossing_power_variation(sample, f, R, 1.0)
-composed = spatial_power_variation(sample.spatial, f, R, j_star * sample.spatial.grid.spacing)
-print(f"  over walk steps:        {direct:+.12f}")
-print(f"  crossing-weighted:      {crossing:+.12f}")
-print(f"  spatial, at terminal:   {composed:+.12f}")
+res = identity_residuals(sample, f, R, 1.0)
+print(f"  over walk steps:        {res['direct']:+.12f}")
+print(f"  crossing-weighted:      {res['crossing']:+.12f}")
+print(f"  spatial, at terminal:   {res['composed']:+.12f}")
 print()
 
 print("Walk terminal value is asymptotically standard normal (Donsker):")

@@ -11,12 +11,10 @@ from .brownian_time import (
     EmbeddedWalk,
     FbmbtSample,
     crossing_counts,
-    crossing_power_variation,
     identity_residuals,
     sample_fbmbt,
     sample_walk,
     spatial_power_variation,
-    terminal_site,
     walk_power_variation,
 )
 from .fbm import (

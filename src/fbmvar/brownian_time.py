@@ -7,13 +7,14 @@ independent outer fBm X evaluated on that lattice, so the hitting times
 themselves are never simulated: the walk's law is exactly Rademacher and
 the composite observations are Z_k = X(2^(-n/2) S_k).
 
-Two equivalent forms of the trapezoid-weighted odd-power variation are
-provided: the direct sum over walk steps, and the spatial sum weighted by
-net crossing counts.  Their agreement is an exact algebraic identity and
-is used as an acceptance check, as is the composition rule
-(direct sum at time t) = (spatial statistic at the walk's terminal site).
-All three sums read one table, the spatial path's trapezoid
-`variations.step_summands`, and evaluate no weight or power of their own.
+Three forms of the trapezoid-weighted odd-power variation are one
+statistic: the direct sum over walk steps (`walk_power_variation`), the
+spatial sum weighted by net crossing counts, and the spatial sum up to the
+walk's terminal site (`spatial_power_variation`), i.e. the composition
+rule.  Their agreement is an exact algebraic identity, certified on every
+sample by `identity_residuals`, which reads all three from one trapezoid
+table of the spatial path (`variations.step_summands`) and one crossing
+pass; no form evaluates a weight or power of its own.
 """
 
 from __future__ import annotations
@@ -50,6 +51,11 @@ class EmbeddedWalk:
             raise ValueError(f"horizon floor(2^{self.level} * {t}) exceeds walk length")
         return k
 
+    def crossed(self, k: int) -> np.ndarray:
+        """Lower site min(S_i, S_{i+1}) of the lattice interval that each of
+        the first k steps crosses."""
+        return np.minimum(self.s[:k], self.s[1 : k + 1])
+
 
 def sample_walk(n: int, t: float, seed: SeedSpec) -> EmbeddedWalk:
     """Rademacher walk with floor(2^n t) steps."""
@@ -69,6 +75,7 @@ class CrossingCounts:
 
     level: int
     horizon: int
+    terminal: int  # walk site S_horizon
     j_lo: int  # site index of up[0] / down[0]
     up: np.ndarray
     down: np.ndarray
@@ -84,43 +91,31 @@ class CrossingCounts:
 
 
 def crossing_counts(walk: EmbeddedWalk, t: float) -> CrossingCounts:
-    """Single pass over the first floor(2^n t) steps.
+    """Single pass over the first K = floor(2^n t) steps.
 
-    An up step from S_k = j crosses interval j upward; a down step from
-    S_k = j+1 crosses interval j downward.
-    """
-    k = walk.horizon(t)
-    if k == 0:
-        return CrossingCounts(walk.level, 0, 0, np.zeros(0, np.int64), np.zeros(0, np.int64))
-    s = walk.s[: k + 1]
-    st = walk.steps[:k]
-    j_lo = int(s.min())
-    width = int(s.max()) - j_lo  # number of visited intervals
-    up = np.bincount(s[:-1][st > 0] - j_lo, minlength=width)
-    down = np.bincount(s[1:][st < 0] - j_lo, minlength=width)
-    return CrossingCounts(walk.level, k, j_lo, up.astype(np.int64), down.astype(np.int64))
-
-
-def terminal_site(walk: EmbeddedWalk, t: float) -> int:
-    """Terminal walk position S_{floor(2^n t)}.
-
-    The net-crossing profile is verified against the indicator form it
-    must take: net(j) = 1 for 0 <= j < S_K when S_K > 0, -1 for
+    An up step from S_k = j and a down step from S_k = j+1 both cross
+    interval j.  The net-crossing profile is verified against the indicator
+    form it must take: net(j) = 1 for 0 <= j < S_K when S_K > 0, -1 for
     S_K <= j < 0 when S_K < 0, and identically 0 when S_K = 0.
     """
     k = walk.horizon(t)
-    j_star = int(walk.s[k])
-    counts = crossing_counts(walk, t)
-    net = counts.net()
-    expected = np.zeros_like(net)
+    s = walk.s[: k + 1]
+    st = walk.steps[:k]
+    lower = walk.crossed(k)
+    j_lo, j_star = int(s.min()), int(s[-1])
+    width = int(s.max()) - j_lo  # number of visited intervals
+    up = np.bincount(lower[st > 0] - j_lo, minlength=width).astype(np.int64)
+    down = np.bincount(lower[st < 0] - j_lo, minlength=width).astype(np.int64)
+    counts = CrossingCounts(walk.level, k, j_star, j_lo, up, down)
     sites = counts.sites()
+    expected = np.zeros_like(up)
     if j_star > 0:
         expected[(sites >= 0) & (sites < j_star)] = 1
     elif j_star < 0:
         expected[(sites >= j_star) & (sites < 0)] = -1
-    if not np.array_equal(net, expected):
+    if not np.array_equal(counts.net(), expected):
         raise AssertionError("net crossing profile disagrees with the terminal site")
-    return j_star
+    return counts
 
 
 @dataclass(frozen=True)
@@ -173,6 +168,22 @@ def _lsum(terms: np.ndarray) -> float:
     return float(np.sum(terms.astype(np.longdouble)))
 
 
+def _walk_sum(table: np.ndarray, zero: int, walk: EmbeddedWalk, k: int) -> float:
+    """Sum over the first k walk steps of the table entry of the interval
+    each step crosses, times the step's sign."""
+    return _lsum(walk.steps[:k] * table[zero + walk.crossed(k)])
+
+
+def _spatial_sum(table: np.ndarray, zero: int, m: int) -> float:
+    """Sum along the lattice from the origin to site m; for m < 0 the walk
+    is leftward, so each summand is the negated entry of the step crossed."""
+    if not 0 <= zero + m <= len(table):
+        raise ValueError("spatial range insufficient for the requested t")
+    if m >= 0:
+        return _lsum(table[zero : zero + m])
+    return _lsum(-table[zero + m : zero][::-1])
+
+
 def walk_power_variation(sample: FbmbtSample, f: WeightFunction, r: int, t: float) -> float:
     """Direct trapezoid-weighted odd-power sum over walk steps:
 
@@ -180,7 +191,7 @@ def walk_power_variation(sample: FbmbtSample, f: WeightFunction, r: int, t: floa
 
     Every step moves between the two ends of one lattice interval, so the
     summand is the spatial path's trapezoid `step_summands` entry at the
-    interval's lower site min(S_k, S_{k+1}), times the step's sign; the
+    interval's lower site (`EmbeddedWalk.crossed`), times the step's sign; the
     walk scale 2^(nH/2) is the spatial level's 2^(LH), L = n/2.  This is
     bit-identical to evaluating each step: the weight sum commutes
     exactly, the reversed increment is the exact negation, and odd_power is
@@ -188,57 +199,41 @@ def walk_power_variation(sample: FbmbtSample, f: WeightFunction, r: int, t: floa
     of the table entry.
     """
     table = step_summands(sample.spatial, f, r, "trapezoid")
-    k = sample.walk.horizon(t)
-    s = sample.walk.s
-    lower = sample.spatial.grid.zero_index + np.minimum(s[:k], s[1 : k + 1])
-    return _lsum(sample.walk.steps[:k] * table[lower])
-
-
-def crossing_power_variation(sample: FbmbtSample, f: WeightFunction, r: int, t: float) -> float:
-    """The same statistic as a spatial sum weighted by net crossing counts."""
-    table = step_summands(sample.spatial, f, r, "trapezoid")
-    counts = crossing_counts(sample.walk, t)
-    return _lsum(table[sample.spatial.grid.zero_index + counts.sites()] * counts.net())
+    return _walk_sum(table, sample.spatial.grid.zero_index, sample.walk, sample.walk.horizon(t))
 
 
 def spatial_power_variation(path: FbmPath, f: WeightFunction, r: int, t: float) -> float:
     """Trapezoid-weighted odd-power sum along the spatial lattice up to a
-    signed time t; the negative branch walks leftward from the origin, so
-    each of its summands is the negated table entry of the step it
-    crosses.
+    signed time t; the negative branch walks leftward from the origin.
 
     Composition rule: the direct walk statistic at time t equals this
     statistic at u = 2^(-n/2) * (terminal site).
     """
     table = step_summands(path, f, r, "trapezoid")
     m = math.floor(abs(t) * 2**path.grid.level)
-    zero = path.grid.zero_index
-    if t >= 0:
-        if zero + m > len(table):
-            raise ValueError("spatial range insufficient for the requested t")
-        return _lsum(table[zero : zero + m])
-    if zero - m < 0:
-        raise ValueError("spatial range insufficient for the requested t")
-    return _lsum(-table[zero - m : zero][::-1])
+    return _spatial_sum(table, path.grid.zero_index, m if t >= 0 else -m)
 
 
 def identity_residuals(sample: FbmbtSample, f: WeightFunction, r: int, t: float) -> dict:
-    """Relative residuals of the two exact identities on one sample.
+    """The three forms of the statistic on one sample, from one trapezoid
+    table and one crossing pass, and the relative residuals of the two
+    exact identities between them.
 
     Residuals are |a - b| / max(1, |a|, |b|); both must vanish to rounding.
     """
-    direct = walk_power_variation(sample, f, r, t)
-    crossing = crossing_power_variation(sample, f, r, t)
-    j_star = terminal_site(sample.walk, t)
-    u = j_star * sample.spatial.grid.spacing
-    composed = spatial_power_variation(sample.spatial, f, r, u)
+    table = step_summands(sample.spatial, f, r, "trapezoid")
+    zero = sample.spatial.grid.zero_index
+    counts = crossing_counts(sample.walk, t)
+    direct = _walk_sum(table, zero, sample.walk, counts.horizon)
+    crossing = _lsum(table[zero + counts.sites()] * counts.net())
+    composed = _spatial_sum(table, zero, counts.terminal)
     res_crossing = abs(direct - crossing) / max(1.0, abs(direct), abs(crossing))
     res_composed = abs(direct - composed) / max(1.0, abs(direct), abs(composed))
     return {
         "direct": direct,
         "crossing": crossing,
         "composed": composed,
-        "terminal_site": j_star,
+        "terminal_site": counts.terminal,
         "residual_crossing": res_crossing,
         "residual_composition": res_composed,
     }

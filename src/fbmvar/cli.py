@@ -210,23 +210,23 @@ def cmd_simulate_fbm(args) -> int:
     path = sample_fbm(cfg["h"], grid, seed)
     results = {"terminal_value": path.value_at(cfg["t"]),
                "points": grid.npoints}
+    if cfg["dump_series"]:  # before --dump-paths: an overflow writes no file
+        f = get_weight(cfg["f"])
+        with np.errstate(over="ignore", invalid="ignore"):
+            series = [variation(path, f, cfg["r"], rule) for rule in RULES]
+            series.append(variation(path, None, cfg["r"]))
+            columns = [series[0].times] + [s.values for s in series]
+        if not all(np.isfinite(c).all() for c in columns):
+            raise UsageError(f"--r {cfg['r']} overflows the variation series; lower --r")
+        directory = Path(cfg["dump_series"])
+        directory.mkdir(parents=True, exist_ok=True)
+        _write_csv(directory / "series.csv", "t,phi,psi,left,right,unweighted", columns)
+        results["series_csv"] = str(directory / "series.csv")
     if cfg["dump_paths"]:
         directory = Path(cfg["dump_paths"])
         directory.mkdir(parents=True, exist_ok=True)
         _write_csv(directory / "fbm_path.csv", "t,value", (grid.times(), path.values))
         results["path_csv"] = str(directory / "fbm_path.csv")
-    if cfg["dump_series"]:
-        f = get_weight(cfg["f"])
-        series = [variation(path, f, cfg["r"], rule) for rule in RULES]
-        series.append(variation(path, None, cfg["r"]))
-        directory = Path(cfg["dump_series"])
-        directory.mkdir(parents=True, exist_ok=True)
-        _write_csv(
-            directory / "series.csv",
-            "t,phi,psi,left,right,unweighted",
-            [series[0].times] + [s.values for s in series],
-        )
-        results["series_csv"] = str(directory / "series.csv")
     _emit(_artifact("simulate fbm", cfg, cfg["seed"], results=results), cfg["out"])
     return 0
 
@@ -287,6 +287,9 @@ def cmd_verify(args) -> int:
     for name in names:
         if name not in ACCEPTANCE:
             raise UsageError(f"unknown check '{name}'; known: {', '.join(ACCEPTANCE)} or 'all'")
+    if cfg["n"] is not None and cfg["n"] % 2 and "A9" in names:
+        raise UsageError(f"--n must be even for A9, whose spatial lattice has level n/2, "
+                         f"got {cfg['n']}")
     seeds = DEFAULT_MASTER_SEEDS if cfg["seed"] is None else (
         (cfg["seed"],) + tuple(s for s in DEFAULT_MASTER_SEEDS if s != cfg["seed"])[:2]
     )

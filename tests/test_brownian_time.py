@@ -11,16 +11,16 @@ from fbmvar import (
     GridSpec,
     SeedSpec,
     crossing_counts,
-    crossing_power_variation,
     get_weight,
     identity_residuals,
     sample_fbm,
     sample_fbmbt,
     sample_walk,
     spatial_power_variation,
-    terminal_site,
+    step_summands,
     walk_power_variation,
 )
+from fbmvar import brownian_time
 from fbmvar.variations import odd_power
 from helpers import make_path
 
@@ -60,18 +60,103 @@ def test_crossing_conservation_random():
 
 def test_terminal_site_matches_indicator_profile():
     walk = _walk([1, 1, -1, 1])
-    assert terminal_site(walk, 1.0) == 2
+    assert crossing_counts(walk, 1.0).terminal == 2
     down = _walk([-1, -1, -1], level=2)
-    assert terminal_site(down, 0.76) == -3
     cc = crossing_counts(down, 0.76)
+    assert cc.terminal == -3
     assert np.array_equal(cc.net(), [-1, -1, -1])
     flat = _walk([1, -1])
-    assert terminal_site(flat, 0.5) == 0
+    assert crossing_counts(flat, 0.5).terminal == 0
     # the profile check runs on every random walk
     rng = np.random.default_rng(78)
     for _ in range(25):
         walk = sample_walk(int(rng.integers(3, 10)), 1.0, SeedSpec(int(rng.integers(1 << 30)), 0))
-        terminal_site(walk, 1.0)
+        assert crossing_counts(walk, 1.0).terminal == walk.s[-1]
+
+
+def test_profile_check_rejects_steps_that_disagree_with_sites():
+    # the steps say up, down, up (terminal 1); the sites climb to 3
+    walk = EmbeddedWalk(level=2, steps=np.array([1, -1, 1]), s=np.array([0, 1, 2, 3]))
+    with pytest.raises(AssertionError, match="net crossing profile"):
+        crossing_counts(walk, 0.75)
+
+
+def _crossing_counts_per_step(walk, t):
+    """Reference: up/down counts, lowest site and terminal site, one step at a time."""
+    k = math.floor(t * 2**walk.level)
+    s = [int(v) for v in walk.s[: k + 1]]
+    j_lo = min(s)
+    up = [0] * (max(s) - j_lo)
+    down = [0] * (max(s) - j_lo)
+    for i in range(k):
+        if walk.steps[i] > 0:
+            up[s[i] - j_lo] += 1  # up from j crosses [j, j+1]
+        else:
+            down[s[i + 1] - j_lo] += 1  # down to j crosses [j, j+1]
+    return up, down, j_lo, s[k]
+
+
+def test_crossing_counts_equal_per_step_loop():
+    walks = [(_walk([-1, -1, 1, -1]), 1.0), (_walk([1, -1, 1, -1]), 2.0**-4)]
+    rng = np.random.default_rng(79)
+    for _ in range(40):
+        n = int(rng.integers(2, 9))
+        walk = sample_walk(n, 1.0, SeedSpec(int(rng.integers(1 << 30)), 0))
+        walks.append((walk, rng.uniform(0.0, 1.0)))
+    terminals = set()
+    for walk, t in walks:
+        cc = crossing_counts(walk, t)
+        up, down, j_lo, terminal = _crossing_counts_per_step(walk, t)
+        assert cc.up.tolist() == up and cc.down.tolist() == down
+        assert cc.j_lo == j_lo and cc.terminal == terminal
+        assert cc.up.dtype == cc.down.dtype == np.int64
+        terminals.add(int(np.sign(terminal)))
+    assert terminals == {-1, 0, 1}
+    assert crossing_counts(*walks[1]).horizon == 0
+
+
+def test_identity_residuals_builds_one_table_and_one_crossing_pass(monkeypatch):
+    calls = {"step_summands": 0, "crossing_counts": 0}
+
+    def counted(name):
+        fn = getattr(brownian_time, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(brownian_time, name, counted(name))
+    sample = sample_fbmbt(0.25, 8, 1.0, SeedSpec(5, 0))
+    identity_residuals(sample, F_GAUSS, 2, 1.0)
+    assert calls == {"step_summands": 1, "crossing_counts": 1}
+
+
+@pytest.mark.parametrize("weight", ["one", "gauss", "sin"])
+def test_identity_forms_equal_sums_over_a_direct_table(weight):
+    f = get_weight(weight)
+    for i in range(6):
+        n = (4, 8, 12)[i % 3]
+        sample = sample_fbmbt(0.3, n, 1.0, SeedSpec(70 + n, i))
+        for r in (1, 2, 3):
+            for t in (0.4, 1.0):
+                res = identity_residuals(sample, f, r, t)
+                table = step_summands(sample.spatial, f, r, "trapezoid")
+                zero = sample.spatial.grid.zero_index
+                up, down, j_lo, j_star = _crossing_counts_per_step(sample.walk, t)
+                sites = zero + np.arange(j_lo, j_lo + len(up))
+                net = np.array(up, dtype=np.int64) - np.array(down, dtype=np.int64)
+                crossing = float(np.sum((table[sites] * net).astype(np.longdouble)))
+                if j_star >= 0:
+                    composed_terms = table[zero : zero + j_star]
+                else:
+                    composed_terms = -table[zero + j_star : zero][::-1]
+                composed = float(np.sum(composed_terms.astype(np.longdouble)))
+                assert res["crossing"] == crossing
+                assert res["composed"] == composed
+                assert res["terminal_site"] == j_star
 
 
 def test_sample_walk_contracts():
@@ -123,7 +208,7 @@ def test_walk_returning_to_origin_gives_zero():
     grid = GridSpec(level=1, t_min=-1.0, t_max=1.0)
     spatial = sample_fbm(0.25, grid, SeedSpec(11, 0))
     sample = FbmbtSample(walk=walk, spatial=spatial)
-    assert crossing_power_variation(sample, F_GAUSS, 2, 1.0) == 0.0
+    assert identity_residuals(sample, F_GAUSS, 2, 1.0)["crossing"] == 0.0
     assert walk_power_variation(sample, F_GAUSS, 2, 1.0) == 0.0
     assert spatial_power_variation(spatial, F_GAUSS, 2, 0.0) == 0.0
 

@@ -59,6 +59,7 @@ def test_sigma_verbose_lists_terms(capsys):
         ("verify", "A3", "--n", "22"),  # one level above the simulate cap
         ("verify", "A7", "--n", "14"),  # an 8.6 GB covariance above the Cholesky cap
         ("verify", "A10", "--n", "3"),  # one live window: no band would be tested
+        ("verify", "all", "--n", "5", "--replicates", "200"),  # odd: refused before A1 runs
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -121,6 +122,17 @@ def test_simulate_fbm_series_dump(tmp_path, capsys):
     assert len(lines) == 34  # header + 33 grid instants
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and all(float(v) == 0.0 for v in first[1:])
+
+
+def test_simulate_fbm_series_overflow_exits_2_without_csv(tmp_path, capsys):
+    # at r = 2000 the odd power overflows; no warning may escape either
+    code, out, err = run_cli(capsys, "simulate", "fbm", "--n", "6", "--r", "2000",
+                             "--dump-series", str(tmp_path / "dump"),
+                             "--dump-paths", str(tmp_path / "dump"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --r 2000 ") and err.count("\n") == 1
+    assert not (tmp_path / "dump").exists()
 
 
 def test_simulate_fbm_rejects_bad_grid(capsys):
@@ -228,7 +240,7 @@ def test_verify_all_names_ignored_overrides(capsys, monkeypatch):
         return True, [McReport(kind=name, config={}, master_seed=master_seeds[0])]
 
     monkeypatch.setattr(cli, "run_check", fake_run)
-    code, out, _ = run_cli(capsys, "verify", "all", "--n", "7", "--replicates", "100")
+    code, out, _ = run_cli(capsys, "verify", "all", "--n", "8", "--replicates", "100")
     assert code == 0
     lines = {line.split(":")[0]: line for line in out.splitlines()}
     # each status line gives the check's seconds before its summary
@@ -236,7 +248,7 @@ def test_verify_all_names_ignored_overrides(capsys, monkeypatch):
     assert lines["A5"].endswith("(ignored: --replicates, --n)")
     assert lines["A6"].endswith("(ignored: --n)")
     assert "ignored" not in lines["A1"]
-    assert taken["A1"] == {"replicates": 100, "level": 7}
+    assert taken["A1"] == {"replicates": 100, "level": 8}
     assert taken["A6"] == {"replicates": 100}
     assert taken["A8"] == {}
 
