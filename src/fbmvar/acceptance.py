@@ -13,7 +13,10 @@ not depend on it); `_report` builds it from the check's `locals()`, so
 canonical bytes.  The arguments are what a caller chooses; the gates
 are fixed module constants, each recorded in `tests` next to the value it
 bounds.  A5's `residual_tol` stays an argument: it bounds float rounding,
-not a statistic, and the benchmark's validator reads it from the config.
+not a statistic, and the benchmark's validator reads it from the config;
+its default is `brownian_time.RESIDUAL_TOL`.  A1, A2 and A9 compare with
+sigma(r, H), which is 0 at r = 1, so they refuse r < 2; A3/A4 test the
+decay of the degenerate variance there instead.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import numpy as np
 from scipy import stats as sps
 
 from .brownian_time import (
+    RESIDUAL_TOL,
     identity_residuals,
     sample_fbmbt,
     sample_walk,
@@ -34,6 +38,7 @@ from .brownian_time import (
 )
 from .fbm import CHOLESKY_CAP, GridSpec, SeedSpec, sample_fbm, sample_fbm_cholesky
 from .gaussian import (
+    LimitSigma,
     coarse_increment_overlap,
     fbm_covariance,
     gaussian_moment,
@@ -76,6 +81,14 @@ def _report(kind: str, args: dict) -> McReport:
     on entry): the config is the arguments less master_seed and threads."""
     config = {k: v for k, v in args.items() if k not in ("master_seed", "threads")}
     return McReport(kind=kind, config=config, master_seed=args["master_seed"])
+
+
+def _positive_sigma(r: int, h) -> LimitSigma:
+    """sigma(r, h) for a check that compares its draws with it; sigma(1, h)
+    is exactly 0, so r < 2 is refused before anything is sampled."""
+    if r < 2:
+        raise ValueError(f"r must be >= 2, got {r}: sigma(1, H) = 0 leaves no limit law")
+    return limit_sigma(r, h)
 
 
 def _unweighted_draws(h, r, level, t, replicates, master_seed, threads):
@@ -175,7 +188,7 @@ def check_a1(
     """A1: MC variance of the unweighted statistic matches sigma^2."""
     report = _report("A1", locals())
     start = time.perf_counter()
-    sigma = limit_sigma(r, h)
+    sigma = _positive_sigma(r, h)
     draws = _unweighted_draws(h, r, level, 1.0, replicates, master_seed, threads)
     desc = describe(draws)
     gap = abs(desc["variance"] - sigma.value**2)
@@ -202,7 +215,7 @@ def check_a2(
     """A2: unweighted statistic / sigma is standard normal (KS)."""
     report = _report("A2", locals())
     start = time.perf_counter()
-    sigma = limit_sigma(r, h)
+    sigma = _positive_sigma(r, h)
     draws = _unweighted_draws(h, r, level, 1.0, replicates, master_seed, threads)
     stat, p = ks_one_sample(draws / sigma.value, sps.norm.cdf)
     report.tests["ks_vs_standard_normal"] = {"statistic": stat, "p_value": p, "alpha": ALPHA}
@@ -277,7 +290,7 @@ def check_a5(
     h: float = 0.25,
     r: int = 2,
     f: str = "gauss",
-    residual_tol: float = 1e-9,
+    residual_tol: float = RESIDUAL_TOL,
 ) -> McReport:
     """A5: exact identities — direct vs crossing form, and composition
     through the walk's terminal site."""
@@ -482,7 +495,7 @@ def check_a9(
     """
     report = _report("A9", locals())
     start = time.perf_counter()
-    sigma = limit_sigma(r, h)
+    sigma = _positive_sigma(r, h)
     weight = get_weight(f)
     norm = 2.0 ** (-level / 4.0)
 

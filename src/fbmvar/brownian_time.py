@@ -14,13 +14,17 @@ walk's terminal site (`spatial_power_variation`), i.e. the composition
 rule.  Their agreement is an exact algebraic identity, certified on every
 sample by `identity_residuals`, which reads all three from one trapezoid
 table of the spatial path (`variations.step_summands`) and one crossing
-pass; no form evaluates a weight or power of its own.
+pass; no form evaluates a weight or power of its own.  `RESIDUAL_TOL` is
+the one bound on its residuals, used by check A5 and `simulate fbmbt`.
+
+A walk (`EmbeddedWalk`) is built from its +-1 steps alone; its sites S_k
+are their partial sums, so the two cannot disagree.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,15 +38,26 @@ _SITE_PAD = 8
 
 @dataclass(frozen=True)
 class EmbeddedWalk:
-    """Simple symmetric random walk S_k = 2^(n/2) Y at hitting times."""
+    """Simple symmetric random walk S_k = 2^(n/2) Y at hitting times.
+
+    A walk is its steps, a 1-D integer array of +-1 (anything else raises
+    ValueError); the sites S_0 = 0, S_{k+1} = S_k + steps[k] are derived
+    from them, never given.
+    """
 
     level: int
     steps: np.ndarray  # +-1 per step
-    s: np.ndarray  # partial sums, S_0 = 0
+    s: np.ndarray = field(init=False)  # partial sums, S_0 = 0
 
     def __post_init__(self):
-        if self.s[0] != 0 or len(self.s) != len(self.steps) + 1:
-            raise ValueError("walk partial sums must start at 0 and match steps")
+        steps = np.asarray(self.steps)
+        if steps.ndim != 1 or steps.dtype.kind != "i" or not np.all(np.abs(steps) == 1):
+            raise ValueError("walk steps must be a 1-D array of integers +-1")
+        s = np.empty(len(steps) + 1, dtype=np.int64)
+        s[0] = 0
+        np.cumsum(steps, out=s[1:])
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "s", s)
 
     def horizon(self, t: float) -> int:
         """Number of steps up to time t, i.e. floor(2^n t)."""
@@ -64,16 +79,13 @@ def sample_walk(n: int, t: float, seed: SeedSpec) -> EmbeddedWalk:
     k = math.floor(t * 2**n)
     if k < 1:
         raise ValueError("need floor(2^n t) >= 1")
-    steps = (seed.rng().integers(0, 2, size=k, dtype=np.int64) * 2 - 1).astype(np.int64)
-    s = np.concatenate([[0], np.cumsum(steps)])
-    return EmbeddedWalk(level=n, steps=steps, s=s)
+    return EmbeddedWalk(level=n, steps=seed.rng().integers(0, 2, size=k, dtype=np.int64) * 2 - 1)
 
 
 @dataclass(frozen=True)
 class CrossingCounts:
     """Up/down crossing counts of the lattice intervals [j, j+1] per site j."""
 
-    level: int
     horizon: int
     terminal: int  # walk site S_horizon
     j_lo: int  # site index of up[0] / down[0]
@@ -96,7 +108,8 @@ def crossing_counts(walk: EmbeddedWalk, t: float) -> CrossingCounts:
     An up step from S_k = j and a down step from S_k = j+1 both cross
     interval j.  The net-crossing profile is verified against the indicator
     form it must take: net(j) = 1 for 0 <= j < S_K when S_K > 0, -1 for
-    S_K <= j < 0 when S_K < 0, and identically 0 when S_K = 0.
+    S_K <= j < 0 when S_K < 0, and identically 0 when S_K = 0; only sites
+    changed in place after the walk was built can fail it.
     """
     k = walk.horizon(t)
     s = walk.s[: k + 1]
@@ -106,7 +119,7 @@ def crossing_counts(walk: EmbeddedWalk, t: float) -> CrossingCounts:
     width = int(s.max()) - j_lo  # number of visited intervals
     up = np.bincount(lower[st > 0] - j_lo, minlength=width).astype(np.int64)
     down = np.bincount(lower[st < 0] - j_lo, minlength=width).astype(np.int64)
-    counts = CrossingCounts(walk.level, k, j_star, j_lo, up, down)
+    counts = CrossingCounts(k, j_star, j_lo, up, down)
     sites = counts.sites()
     expected = np.zeros_like(up)
     if j_star > 0:
@@ -214,12 +227,18 @@ def spatial_power_variation(path: FbmPath, f: WeightFunction, r: int, t: float) 
     return _spatial_sum(table, path.grid.zero_index, m if t >= 0 else -m)
 
 
+#: bound on both relative residuals of `identity_residuals`: the identities
+#: are exact, so only float rounding of the longdouble sums may remain
+RESIDUAL_TOL = 1e-9
+
+
 def identity_residuals(sample: FbmbtSample, f: WeightFunction, r: int, t: float) -> dict:
     """The three forms of the statistic on one sample, from one trapezoid
     table and one crossing pass, and the relative residuals of the two
     exact identities between them.
 
-    Residuals are |a - b| / max(1, |a|, |b|); both must vanish to rounding.
+    Residuals are |a - b| / max(1, |a|, |b|); both must vanish to rounding,
+    i.e. lie within RESIDUAL_TOL.
     """
     table = step_summands(sample.spatial, f, r, "trapezoid")
     zero = sample.spatial.grid.zero_index

@@ -26,6 +26,10 @@ class ConvergenceError(RuntimeError):
     """A certified series truncation could not reach the requested tolerance."""
 
 
+#: `limit_sigma`'s default bound on its certified tail; the checks and the
+#: `sigma` command evaluate sigma at it
+SIGMA_TOL = 1e-10
+
 #: most correlation-series terms `limit_sigma` sums before refusing
 SIGMA_MAX_TERMS = 5_000_000
 
@@ -235,7 +239,7 @@ class LimitSigma:
             raise ValueError("sigma is a standard deviation; must be >= 0")
 
 
-def limit_sigma(r: int, h, tol: float = 1e-10) -> LimitSigma:
+def limit_sigma(r: int, h, tol: float = SIGMA_TOL) -> LimitSigma:
     """Evaluate the variance-series constant sigma for power 2r-1 at Hurst h < 1/2.
 
     sigma^2 = mu_{4r-2} + 2 sum_{j>=1} bivariate_odd_moment(r, rho_H(j)).

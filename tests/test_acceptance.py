@@ -25,6 +25,7 @@ and will flag loudly if the measurements ever change.
 import inspect
 import json
 import time
+import warnings
 
 import pytest
 
@@ -170,3 +171,16 @@ def test_every_gate_is_recorded_in_tests(name):
     entries = {key: e for key, e in report.tests.items() if key != "corr_limit_side"}
     assert entries
     assert all({"alpha", "bound", "allowed"} & set(e) for e in entries.values())
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A9"])
+def test_checks_against_sigma_refuse_r_1_before_sampling(name, monkeypatch):
+    # sigma(1, H) = 0 leaves nothing to compare the draws with
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled at r = 1")
+
+    monkeypatch.setattr(acceptance, "replicate_map", no_sampling)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="r must be >= 2, got 1"):
+            ACCEPTANCE[name].fn(master_seed=5, r=1, **SMALL[name])

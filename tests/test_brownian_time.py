@@ -21,6 +21,7 @@ from fbmvar import (
     walk_power_variation,
 )
 from fbmvar import brownian_time
+from fbmvar.brownian_time import RESIDUAL_TOL
 from fbmvar.variations import odd_power
 from helpers import make_path
 
@@ -29,8 +30,36 @@ F_GAUSS = get_weight("gauss")
 
 
 def _walk(steps, level=2):
-    steps = np.asarray(steps, dtype=np.int64)
-    return EmbeddedWalk(level=level, steps=steps, s=np.concatenate([[0], np.cumsum(steps)]))
+    return EmbeddedWalk(level=level, steps=steps)
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [[1, 0, -1], [1, 2], np.array([1.0, -1.0]), [[1, -1]], np.diff([0, 2, 3, 2, 3])],
+    ids=["step 0", "step 2", "float steps", "2-D steps", "steps of sites 0,2,3,2,3"],
+)
+def test_walk_refuses_steps_other_than_integer_plus_minus_one(steps):
+    with pytest.raises(ValueError, match="integers"):
+        EmbeddedWalk(level=2, steps=steps)
+
+
+def test_walk_sites_are_derived_from_the_steps():
+    # sites that disagree with the steps cannot be written down
+    with pytest.raises(TypeError):
+        EmbeddedWalk(level=2, steps=np.array([1, 1, -1, 1]), s=np.array([0, 2, 3, 2, 3]))
+    walk = _walk([1, 1, -1, 1])
+    assert walk.s.tolist() == [0, 1, 2, 1, 2] and walk.s.dtype == np.int64
+
+
+def test_sample_walk_sites_equal_the_cumsum_of_its_draw():
+    for n in (1, 4, 9):
+        for index in range(4):
+            seed = SeedSpec(300 + n, index)
+            draw = seed.rng().integers(0, 2, size=2**n, dtype=np.int64) * 2 - 1
+            expected = np.concatenate([[0], np.cumsum(draw)])
+            walk = sample_walk(n, 1.0, seed)
+            assert walk.s.dtype == expected.dtype and walk.s.tobytes() == expected.tobytes()
+            assert walk.steps.tobytes() == draw.tobytes()
 
 
 def test_crossing_counts_hand_example():
@@ -75,8 +104,10 @@ def test_terminal_site_matches_indicator_profile():
 
 
 def test_profile_check_rejects_steps_that_disagree_with_sites():
-    # the steps say up, down, up (terminal 1); the sites climb to 3
-    walk = EmbeddedWalk(level=2, steps=np.array([1, -1, 1]), s=np.array([0, 1, 2, 3]))
+    # the steps say up, down, up (terminal 1); the sites, corrupted in
+    # place after construction, climb to 3
+    walk = _walk([1, -1, 1])
+    walk.s[:] = [0, 1, 2, 3]
     with pytest.raises(AssertionError, match="net crossing profile"):
         crossing_counts(walk, 0.75)
 
@@ -203,8 +234,7 @@ def test_variation_trivial_cases():
 
 
 def test_walk_returning_to_origin_gives_zero():
-    steps = np.array([1, -1, 1, -1], dtype=np.int64)
-    walk = EmbeddedWalk(level=2, steps=steps, s=np.concatenate([[0], np.cumsum(steps)]))
+    walk = _walk([1, -1, 1, -1])
     grid = GridSpec(level=1, t_min=-1.0, t_max=1.0)
     spatial = sample_fbm(0.25, grid, SeedSpec(11, 0))
     sample = FbmbtSample(walk=walk, spatial=spatial)
@@ -214,8 +244,7 @@ def test_walk_returning_to_origin_gives_zero():
 
 
 def test_single_step_reduces_to_one_trapezoid_term():
-    steps = np.array([1], dtype=np.int64)
-    walk = EmbeddedWalk(level=2, steps=steps, s=np.array([0, 1]))
+    walk = _walk([1])
     grid = GridSpec(level=1, t_min=-0.5, t_max=1.0)
     spatial = sample_fbm(0.3, grid, SeedSpec(12, 0))
     sample = FbmbtSample(walk=walk, spatial=spatial)
@@ -231,16 +260,16 @@ def test_identities_on_random_samples(n):
     for i in range(40):
         sample = sample_fbmbt(0.25, n, 1.0, SeedSpec(1000 + n, i))
         res = identity_residuals(sample, F_GAUSS, 2, 1.0)
-        assert res["residual_crossing"] <= 1e-9
-        assert res["residual_composition"] <= 1e-9
+        assert res["residual_crossing"] <= RESIDUAL_TOL
+        assert res["residual_composition"] <= RESIDUAL_TOL
 
 
 def test_identities_at_partial_horizons():
     sample = sample_fbmbt(0.3, 10, 1.0, SeedSpec(2020, 0))
     for t in (0.25, 0.5, 0.75, 1.0):
         res = identity_residuals(sample, F_GAUSS, 2, t)
-        assert res["residual_crossing"] <= 1e-9
-        assert res["residual_composition"] <= 1e-9
+        assert res["residual_crossing"] <= RESIDUAL_TOL
+        assert res["residual_composition"] <= RESIDUAL_TOL
 
 
 def test_spatial_variation_edges():

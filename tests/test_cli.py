@@ -12,6 +12,8 @@ import pytest
 import scipy
 
 from fbmvar import McReport, cli
+from fbmvar.acceptance import check_a1
+from fbmvar.brownian_time import RESIDUAL_TOL
 from fbmvar.cli import main
 
 
@@ -34,6 +36,14 @@ def test_sigma_known_value(capsys):
     assert "2.38681223" in out
 
 
+def test_sigma_prints_the_sigma_the_checks_use(tmp_path, capsys):
+    out = tmp_path / "sigma.json"
+    code, _, _ = run_cli(capsys, "sigma", "--r", "2", "--h", "0.25", "--out", str(out))
+    assert code == 0
+    written = json.loads(out.read_text())["results"]["sigma"]
+    assert written == check_a1(replicates=20, level=4, r=2, h=0.25).estimates["sigma"]
+
+
 def test_sigma_verbose_lists_terms(capsys):
     code, out, _ = run_cli(capsys, "sigma", "--r", "2", "--h", "0.25", "--verbose")
     assert code == 0
@@ -50,7 +60,6 @@ def test_sigma_verbose_lists_terms(capsys):
         ("sigma", "--r", "1000000", "--h", "0.3"),  # refused before any factorial
         ("sigma", "--h", "0.3", "--tol", "nan"),
         ("simulate", "fbm", "--t", "inf"),
-        ("simulate", "fbmbt", "--n", "8", "--tol", "nan"),  # would switch the gate off
         ("simulate", "fbm", "--seed", "-1"),
         ("simulate", "fbmbt", "--seed", "-1"),
         ("verify", "A8", "--threads", "0"),  # would run serially
@@ -163,8 +172,9 @@ def test_simulate_fbmbt_reports_residuals(tmp_path, capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["results"]["residual_crossing"] <= 1e-9
-    assert doc["results"]["residual_composition"] <= 1e-9
+    assert doc["results"]["residual_tol"] == RESIDUAL_TOL
+    assert doc["results"]["residual_crossing"] <= RESIDUAL_TOL
+    assert doc["results"]["residual_composition"] <= RESIDUAL_TOL
     assert "terminal_site" in doc["results"]
     lines = (tmp_path / "walk.csv").read_text().splitlines()
     assert lines[0] == "k,S_k,Z_k"
@@ -178,6 +188,24 @@ def test_simulate_fbmbt_gate_fails_on_nan_residuals(capsys):
     assert code == 1
     assert math.isnan(json.loads(out)["results"]["residual_crossing"])
     assert err.startswith("identity residual nan exceeds")
+
+
+@pytest.mark.parametrize("value", ["1", "nan"])
+def test_simulate_fbmbt_has_no_tol_flag(capsys, value):
+    # the residual gate is brownian_time.RESIDUAL_TOL, which no caller can loosen
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "fbmbt", "--n", "8", "--tol", value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+def test_simulate_fbmbt_refuses_a_tol_config_key(tmp_path, capsys):
+    cfg = tmp_path / "fbmbt.cfg"
+    cfg.write_text("n = 8\ntol = 1\n")
+    code, out, err = run_cli(capsys, "simulate", "fbmbt", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: config key 'tol'") and err.count("\n") == 1
 
 
 def test_simulate_fbmbt_rejects_odd_level(capsys):
