@@ -17,6 +17,11 @@ not a statistic, and the benchmark's validator reads it from the config;
 its default is `brownian_time.RESIDUAL_TOL`.  A1, A2 and A9 compare with
 sigma(r, H), which is 0 at r = 1, so they refuse r < 2; A3/A4 test the
 decay of the degenerate variance there instead.
+
+Importing this module loads no scipy module.  A2 and A9's Donsker clause take
+their normal CDF from `scipy.special.ndtr`, imported by `_normal_cdf` on
+its first call; the summaries and KS tests load `scipy.stats` through
+`harness`, on their first call.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import stats as sps
 
 from .brownian_time import (
     RESIDUAL_TOL,
@@ -89,6 +93,14 @@ def _positive_sigma(r: int, h) -> LimitSigma:
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}: sigma(1, H) = 0 leaves no limit law")
     return limit_sigma(r, h)
+
+
+def _normal_cdf(x):
+    """Standard normal CDF: `scipy.special.ndtr`, which `scipy.stats.norm.cdf`
+    wraps, so the values are the same bits without loading `scipy.stats`."""
+    from scipy.special import ndtr
+
+    return ndtr(x)
 
 
 def _unweighted_draws(h, r, level, t, replicates, master_seed, threads):
@@ -217,7 +229,7 @@ def check_a2(
     start = time.perf_counter()
     sigma = _positive_sigma(r, h)
     draws = _unweighted_draws(h, r, level, 1.0, replicates, master_seed, threads)
-    stat, p = ks_one_sample(draws / sigma.value, sps.norm.cdf)
+    stat, p = ks_one_sample(draws / sigma.value, _normal_cdf)
     report.tests["ks_vs_standard_normal"] = {"statistic": stat, "p_value": p, "alpha": ALPHA}
     if not p > ALPHA:
         report.failures.append(f"KS p-value {p:.4g} <= {ALPHA}")
@@ -295,6 +307,8 @@ def check_a5(
     """A5: exact identities — direct vs crossing form, and composition
     through the walk's terminal site."""
     report = _report("A5", locals())
+    if not levels:
+        raise ValueError("levels is empty: A5 would check no identity")
     start = time.perf_counter()
     weight = get_weight(f)
     per_level = [samples // len(levels)] * len(levels)
@@ -395,6 +409,8 @@ def check_a7(
     report = _report("A7", locals())
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
+    if not hs:
+        raise ValueError("hs is empty: A7 would compare no generator")
     grid = GridSpec(level=level, t_min=t_min, t_max=t_max)
     if grid.npoints > CHOLESKY_CAP:  # before any (points x points) array is built
         raise ValueError(f"grid has {grid.npoints} points, above the Cholesky cap {CHOLESKY_CAP}")
@@ -442,6 +458,10 @@ def check_a8(
     """A8: overlap-sum identity (direct vs telescoped closed form) on random
     inputs, and boundedness of the coarse overlap sum against 2^(m(1-2H))."""
     report = _report("A8", locals())
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not band_hs or not band_ms:
+        raise ValueError("band_hs and band_ms must be non-empty: A8 would bound no overlap sum")
     start = time.perf_counter()
     rng = SeedSpec(master_seed, 0).rng()
     worst = 0.0
@@ -491,9 +511,13 @@ def check_a9(
     Var(2^(-n/4) V_n(1)) must match sigma^2 E|Y_1| = sigma^2 sqrt(2/pi);
     the law is checked against sigma sqrt(|Y|) N with independent standard
     normals Y, N; the embedded walk's terminal value must be standard
-    normal at the Donsker level.
+    normal at the Donsker level.  Both targets hold for f = 1 only, so
+    any other weight is refused.
     """
     report = _report("A9", locals())
+    if f != "one":
+        raise ValueError(f"f must be 'one', got {f!r}: A9's variance target and "
+                         "KS reference assume a constant weight")
     start = time.perf_counter()
     sigma = _positive_sigma(r, h)
     weight = get_weight(f)
@@ -529,7 +553,7 @@ def check_a9(
 
     ys = replicate_map(terminal, donsker_replicates, master_seed + 1, threads)
     ydesc = describe(ys)
-    dstat, dp = ks_one_sample(ys, sps.norm.cdf)
+    dstat, dp = ks_one_sample(ys, _normal_cdf)
     report.estimates["donsker"] = ydesc
     report.tests["donsker_ks"] = {"statistic": dstat, "p_value": dp, "alpha": ALPHA}
     mean_gap, var_gap = abs(ydesc["mean"]), abs(ydesc["variance"] - 1.0)
@@ -575,6 +599,8 @@ def check_a10(
     report = _report("A10", locals())
     if p not in (4, 6):
         raise ValueError("p must be 4 or 6")
+    if not hs:
+        raise ValueError("hs is empty: A10 would bound no moment")
     start = time.perf_counter()
     weight = get_weight(f)
     grid = GridSpec(level=level, t_min=0.0, t_max=1.0)

@@ -13,6 +13,9 @@ Both are deterministic functions of a SeedSpec.  Increments of two-sided
 fBm form a single stationary fGn stream across the origin, so a two-sided
 path is one circulant draw, cumulatively summed and re-anchored so that
 the value at t = 0 is exactly zero.
+
+`scipy.linalg` is imported by the oracle's factorization on its first
+call; the circulant path needs numpy alone.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .gaussian import HurstParam, as_hurst, fbm_covariance, fgn_correlation
 
@@ -204,6 +206,8 @@ def sample_fgn_circulant(h, count: int, spacing: float, seed: SeedSpec, size: in
 @functools.lru_cache(maxsize=32)
 def _cholesky_factor(h: float, grid: GridSpec) -> np.ndarray:
     """Lower Cholesky factor of C_H on the grid points with t=0 removed."""
+    import scipy.linalg
+
     pts = grid.times()
     pts = np.delete(pts, grid.zero_index)
     cov = fbm_covariance(HurstParam(h), pts[:, None], pts[None, :])

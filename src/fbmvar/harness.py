@@ -9,6 +9,10 @@ the gates are fixed constants of `acceptance`, recorded in `tests` next
 to the values they bound (A5's `residual_tol` alone stays an argument:
 the benchmark's validator reads it from the config).  Serialization has
 a canonical form (timing excluded) on which byte-reproducibility rests.
+
+`scipy.stats` is imported by `describe`, `ks_one_sample` and
+`ks_two_sample` on their first call, not with the module: a process that
+only evaluates constants or samples paths never pays for it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
 
 from .fbm import SeedSpec
 from .version import VERSION
@@ -104,6 +107,8 @@ def replicate_map(fn, replicates: int, master_seed: int, threads: int = 1) -> np
 
 def describe(x: np.ndarray) -> dict:
     """Summary estimates with standard errors for mean and variance."""
+    from scipy import stats as sps
+
     x = np.asarray(x, dtype=float)
     n = len(x)
     mean = float(np.mean(x))
@@ -124,6 +129,8 @@ def describe(x: np.ndarray) -> dict:
 
 def ks_one_sample(samples, cdf) -> tuple[float, float]:
     """Two-sided one-sample Kolmogorov-Smirnov test with asymptotic p-value."""
+    from scipy import stats as sps
+
     samples = np.asarray(samples, dtype=float)
     if len(samples) < KS_MIN_SAMPLES:
         raise ValueError(f"need >= {KS_MIN_SAMPLES} samples, got {len(samples)}")
@@ -133,6 +140,8 @@ def ks_one_sample(samples, cdf) -> tuple[float, float]:
 
 def ks_two_sample(a, b) -> tuple[float, float]:
     """Two-sided two-sample Kolmogorov-Smirnov test with asymptotic p-value."""
+    from scipy import stats as sps
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if len(a) < KS_MIN_SAMPLES or len(b) < KS_MIN_SAMPLES:

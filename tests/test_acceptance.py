@@ -27,7 +27,9 @@ import json
 import time
 import warnings
 
+import numpy as np
 import pytest
+from scipy import stats as sps
 
 import fbmvar.acceptance as acceptance
 from fbmvar.acceptance import ACCEPTANCE, run_check
@@ -184,3 +186,45 @@ def test_checks_against_sigma_refuse_r_1_before_sampling(name, monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="r must be >= 2, got 1"):
             ACCEPTANCE[name].fn(master_seed=5, r=1, **SMALL[name])
+
+
+def test_normal_cdf_is_scipy_norm_cdf_bit_for_bit():
+    x = np.linspace(-40, 40, 200001)
+    ours, theirs = acceptance._normal_cdf(x), sps.norm.cdf(x)
+    assert ours.dtype == theirs.dtype
+    assert ours.tobytes() == theirs.tobytes()
+
+
+@pytest.mark.parametrize("name", ["A2", "A9"])
+def test_normal_cdf_leaves_reports_unchanged(name, monkeypatch):
+    fn = ACCEPTANCE[name].fn
+    ours = fn(master_seed=5, **SMALL[name]).canonical_json()
+    monkeypatch.setattr(acceptance, "_normal_cdf", sps.norm.cdf)
+    assert fn(master_seed=5, **SMALL[name]).canonical_json() == ours
+
+
+@pytest.mark.parametrize("name,overrides,match", [
+    ("A5", {"levels": ()}, "levels is empty"),
+    ("A7", {"hs": ()}, "hs is empty"),
+    ("A8", {"trials": 0, "band_hs": ()}, "trials must be >= 1"),
+    ("A8", {"trials": 0}, "trials must be >= 1"),
+    ("A8", {"band_hs": ()}, "must be non-empty"),
+    ("A8", {"band_ms": ()}, "must be non-empty"),
+    ("A9", {"f": "gauss"}, "f must be 'one'"),
+    ("A9", {"f": "sin"}, "f must be 'one'"),
+    ("A9", {"f": "zero"}, "f must be 'one'"),
+    ("A10", {"hs": ()}, "hs is empty"),
+], ids=["A5-levels", "A7-hs", "A8-both", "A8-trials", "A8-band_hs", "A8-band_ms",
+        "A9-gauss", "A9-sin", "A9-zero", "A10-hs"])
+def test_checks_refuse_work_they_cannot_check(name, overrides, match, monkeypatch):
+    # empty work used to pass with nothing checked (A5 divided by zero), and
+    # A9's targets sigma^2 sqrt(2/pi) and sigma sqrt(|Y|) N hold for f = 1 only
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    # every draw of A5, A9 and A10 goes through replicate_map, and every
+    # stream of A7 and A8 starts from a SeedSpec
+    monkeypatch.setattr(acceptance, "replicate_map", no_sampling)
+    monkeypatch.setattr(acceptance, "SeedSpec", no_sampling)
+    with pytest.raises(ValueError, match=match):
+        ACCEPTANCE[name].fn(master_seed=5, **{**SMALL[name], **overrides})

@@ -1,0 +1,46 @@
+"""Import cost: `import fbmvar` loads numpy alone (`fbmvar.cli` adds the
+bare scipy package), and scipy's stats, special and linalg load only when
+a call needs them.
+
+Each case runs in a fresh interpreter, since this test process has long
+since loaded all three.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEFERRED = ("scipy.stats", "scipy.special", "scipy.linalg")
+
+
+def _loaded_after(code: str) -> list[str]:
+    """The deferred scipy modules in sys.modules once `code` has run."""
+    report = f"import json, sys; print(json.dumps([m for m in {DEFERRED!r} if m in sys.modules]))"
+    src = str(ROOT / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{code}\n{report}"], cwd=ROOT, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("code", [
+    "import fbmvar; assert 'scipy' not in sys.modules",
+    "import fbmvar.cli",
+    "import fbmvar.cli; assert fbmvar.cli.main(['sigma', '--r', '2', '--h', '0.25']) == 0",
+], ids=["import", "import-cli", "cli-sigma"])
+def test_scipy_submodules_not_loaded(code):
+    assert _loaded_after(code) == []
+
+
+def test_scipy_stats_loads_on_first_ks_test():
+    # the import is deferred, not dropped: A2's KS test still uses scipy.stats
+    code = "from fbmvar.acceptance import check_a2; check_a2(replicates=60, level=6)"
+    assert "scipy.stats" in _loaded_after(code)
