@@ -14,7 +14,6 @@ from .brownian_time import (
     identity_residuals,
     sample_fbmbt,
     sample_walk,
-    spatial_power_variation,
     walk_power_variation,
 )
 from .fbm import (

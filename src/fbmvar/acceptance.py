@@ -33,16 +33,11 @@ from typing import Callable
 
 import numpy as np
 
-from .brownian_time import (
-    RESIDUAL_TOL,
-    identity_residuals,
-    sample_fbmbt,
-    sample_walk,
-    walk_power_variation,
-)
-from .fbm import CHOLESKY_CAP, GridSpec, SeedSpec, sample_fbm, sample_fbm_cholesky
+from .brownian_time import RESIDUAL_TOL, identity_residuals, sample_fbmbt, sample_walk
+from .fbm import CHOLESKY_CAP, FbmPath, GridSpec, SeedSpec, sample_fbm, sample_fbm_cholesky
 from .gaussian import (
     LimitSigma,
+    as_hurst,
     coarse_increment_overlap,
     fbm_covariance,
     gaussian_moment,
@@ -103,13 +98,28 @@ def _normal_cdf(x):
     return ndtr(x)
 
 
+def _paths(h, grid: GridSpec, seeds) -> FbmPath:
+    """A chunk's paths on `grid`, drawn as one batch: row i is the path of
+    seeds[i] alone, bit for bit."""
+    return FbmPath(grid=grid, h=as_hurst(h), values=sample_fbm(h, grid, seeds))
+
+
+def _limit_draw(path: FbmPath, weight, sigma, t: float, seeds) -> np.ndarray:
+    """Draws of the mixture-law limit sigma * int_0^t f(X_s) dW_s, with W
+    independent of X, given each path row: exactly normal with std
+    `limit_conditional_std`, so that std times one standard normal per row,
+    row i's from seeds[i]."""
+    z = np.array([seed.rng().standard_normal() for seed in seeds])
+    return limit_conditional_std(path, weight, sigma, t) * z
+
+
 def _unweighted_draws(h, r, level, t, replicates, master_seed, threads):
     grid = GridSpec(level=level, t_min=0.0, t_max=t)
 
-    def one(seed: SeedSpec) -> float:
-        return variation(sample_fbm(h, grid, seed), None, r).value_at(t)
+    def chunk(seeds) -> np.ndarray:
+        return variation(_paths(h, grid, seeds), None, r).value_at(t)
 
-    return replicate_map(one, replicates, master_seed, threads)
+    return replicate_map(chunk, replicates, master_seed, threads, steps=grid.npoints - 1)
 
 
 def _mixture_law(report, rule, threads, replicates, level, h, r, f) -> McReport:
@@ -136,11 +146,11 @@ def _mixture_law(report, rule, threads, replicates, level, h, r, f) -> McReport:
         for n in (level - DEGENERATE_GAP, level):
             grid = GridSpec(level=n, t_min=0.0, t_max=1.0)
 
-            def one(seed: SeedSpec, grid=grid) -> float:
-                path = sample_fbm(h, grid, seed)
-                return variation(path, weight, r, rule).value_at(1.0)
+            def chunk(seeds, grid=grid) -> np.ndarray:
+                return variation(_paths(h, grid, seeds), weight, r, rule).value_at(1.0)
 
-            variances[str(n)] = describe(replicate_map(one, replicates, master_seed, threads))
+            draws = replicate_map(chunk, replicates, master_seed, threads, steps=grid.npoints - 1)
+            variances[str(n)] = describe(draws)
         v_lo = variances[str(level - DEGENERATE_GAP)]["variance"]
         v_hi = variances[str(level)]["variance"]
         ratio = v_hi / v_lo if v_lo > 0 else math.inf
@@ -151,20 +161,20 @@ def _mixture_law(report, rule, threads, replicates, level, h, r, f) -> McReport:
     else:
         grid = GridSpec(level=level, t_min=0.0, t_max=1.0)
 
-        def stat_and_terminal(seed: SeedSpec) -> np.ndarray:
-            path = sample_fbm(h, grid, seed.substream(0))
-            val = variation(path, weight, r, rule).value_at(1.0)
-            return np.array([val, path.value_at(1.0)])
+        def stat_and_terminal(seeds) -> np.ndarray:
+            paths = _paths(h, grid, [seed.substream(0) for seed in seeds])
+            return np.stack([variation(paths, weight, r, rule).value_at(1.0),
+                             paths.value_at(1.0)], axis=1)
 
-        def limit_draw(seed: SeedSpec) -> np.ndarray:
-            path = sample_fbm(h, grid, seed.substream(1))
-            z = seed.substream(2).rng().standard_normal()
-            return np.array([limit_conditional_std(path, weight, sigma, 1.0) * z,
-                             path.value_at(1.0)])
+        def limit_and_terminal(seeds) -> np.ndarray:
+            paths = _paths(h, grid, [seed.substream(1) for seed in seeds])
+            lim = _limit_draw(paths, weight, sigma, 1.0, [seed.substream(2) for seed in seeds])
+            return np.stack([lim, paths.value_at(1.0)], axis=1)
 
-        pairs = replicate_map(stat_and_terminal, replicates, master_seed, threads)
+        steps = grid.npoints - 1
+        pairs = replicate_map(stat_and_terminal, replicates, master_seed, threads, steps=steps)
         phi, x1 = pairs[:, 0], pairs[:, 1]
-        lim_pairs = replicate_map(limit_draw, replicates, master_seed, threads)
+        lim_pairs = replicate_map(limit_and_terminal, replicates, master_seed, threads, steps=steps)
         lim = lim_pairs[:, 0]
         ks_stat, p_val = ks_two_sample(phi, lim)
         desc = describe(phi)
@@ -263,8 +273,12 @@ def check_a4(
     decay_replicates: int = 600,
 ) -> McReport:
     """A4: the trapezoid statistic has the same mixture law, and the
-    trapezoid-midpoint gap decays in L2 between the two decay levels."""
+    trapezoid-midpoint gap decays in L2 between the two decay levels, which
+    must be two strictly increasing levels."""
     report = _report("A4", locals())
+    if len(decay_levels) != 2 or not decay_levels[0] < decay_levels[1]:
+        raise ValueError(f"decay_levels must be two strictly increasing levels, "
+                         f"got {decay_levels!r}")
     start = time.perf_counter()
     _mixture_law(report, "trapezoid", threads, replicates, level, h, r, f)
     weight = get_weight(f)
@@ -272,15 +286,15 @@ def check_a4(
     for n in decay_levels:
         grid = GridSpec(level=n, t_min=0.0, t_max=1.0)
 
-        def one(seed: SeedSpec, grid=grid) -> float:
-            path = sample_fbm(h, grid, seed)
-            gap = (
-                variation(path, weight, r, "trapezoid").value_at(1.0)
-                - variation(path, weight, r).value_at(1.0)
-            )
+        def chunk(seeds, grid=grid) -> np.ndarray:
+            paths = _paths(h, grid, seeds)
+            gap = (variation(paths, weight, r, "trapezoid").value_at(1.0)
+                   - variation(paths, weight, r).value_at(1.0))
             return gap * gap
 
-        l2[str(n)] = math.sqrt(replicate_map(one, decay_replicates, master_seed, threads).mean())
+        steps = grid.npoints - 1
+        l2[str(n)] = math.sqrt(
+            replicate_map(chunk, decay_replicates, master_seed, threads, steps=steps).mean())
     report.estimates["gap_l2"] = l2
     lo, hi = str(decay_levels[0]), str(decay_levels[1])
     ratio = l2[hi] / l2[lo] if l2[lo] > 0 else math.inf
@@ -315,12 +329,12 @@ def check_a5(
     per_level[-1] += samples - sum(per_level)
     blocks = []
     for idx, (n, count) in enumerate(zip(levels, per_level)):
-        def one(seed: SeedSpec, n=n) -> np.ndarray:
-            sample = sample_fbmbt(h, n, 1.0, seed)
-            res = identity_residuals(sample, weight, r, 1.0)
-            return np.array([res["residual_crossing"], res["residual_composition"]])
+        def chunk(seeds, n=n) -> np.ndarray:
+            res = [identity_residuals(sample_fbmbt(h, n, 1.0, seed), weight, r, 1.0)
+                   for seed in seeds]
+            return np.array([[x["residual_crossing"], x["residual_composition"]] for x in res])
 
-        blocks.append(replicate_map(one, count, master_seed + idx, threads))
+        blocks.append(replicate_map(chunk, count, master_seed + idx, threads))
     # numpy's max propagates NaN, so a residual lost to overflow fails the gate
     worst = dict(zip(("crossing", "composition"), np.concatenate(blocks).max(axis=0).tolist()))
     report.estimates["max_residual"] = worst
@@ -352,10 +366,14 @@ def check_a6(
     values at the first level -- the coarse level is where the endpoint
     bias terms are visible; at fine levels all three statistics share the
     same dominant fluctuation and the comparison carries no information.
+    `n_list` must hold at least two strictly increasing levels.
     """
     report = _report("A6", locals())
     if r < 2:
         raise ValueError("the endpoint limits require r >= 2")
+    if len(n_list) < 2 or any(a >= b for a, b in zip(n_list, n_list[1:])):
+        raise ValueError(f"n_list must hold at least two strictly increasing levels, "
+                         f"got {n_list!r}")
     weight = get_weight(f)
     if weight.order < 1:
         raise ValueError("weight must provide a first derivative")
@@ -365,15 +383,17 @@ def check_a6(
     for n in n_list:
         grid = GridSpec(level=n, t_min=0.0, t_max=t)
 
-        def one(seed: SeedSpec, grid=grid) -> np.ndarray:
-            path = sample_fbm(h, grid, seed)
-            target = 0.5 * mu * limit_quadrature(path, weight, "f_prime", t)
-            left = variation(path, weight, r, "left").value_at(t)
-            right = variation(path, weight, r, "right").value_at(t)
-            trap = 0.5 * (left + right)
-            return np.array([(left + target) ** 2, (right - target) ** 2, trap**2])
+        def chunk(seeds, grid=grid) -> np.ndarray:
+            paths = _paths(h, grid, seeds)
+            target = 0.5 * mu * limit_quadrature(paths, weight, "f_prime", t)
+            left = variation(paths, weight, r, "left").value_at(t)
+            right = variation(paths, weight, r, "right").value_at(t)
+            # float arithmetic row by row: Python's x ** 2 is libm's pow, not x * x
+            return np.array([[(a + c) ** 2, (b - c) ** 2, (0.5 * (a + b)) ** 2]
+                             for a, b, c in zip(left.tolist(), right.tolist(), target.tolist())])
 
-        sq = replicate_map(one, replicates, master_seed, threads).mean(axis=0)
+        sq = replicate_map(chunk, replicates, master_seed, threads, steps=grid.npoints - 1)
+        sq = sq.mean(axis=0)
         rms[str(n)] = dict(zip(("left", "right", "trapezoid"), np.sqrt(sq).tolist()))
     report.estimates.update(rms=rms, mu_2r_half=0.5 * mu)
     first, last = str(n_list[0]), str(n_list[-1])
@@ -495,11 +515,21 @@ def check_a8(
     return report
 
 
+def _brownian_time_path(h, level: int, sites: int, seed: SeedSpec) -> FbmPath:
+    """An fBm path from `seed` at the spatial level L = n/2 of walk level n,
+    covering `sites` lattice sites right of 0: on [0, pad 2^(-L)], with pad
+    the least power of two >= max(sites, 8), so that few grid sizes (and
+    cached spectra) occur."""
+    pad = max(8, 1 << (sites - 1).bit_length())
+    spacing = 2.0 ** -(level // 2)
+    return sample_fbm(h, GridSpec(level=level // 2, t_min=0.0, t_max=pad * spacing), seed)
+
+
 def check_a9(
     master_seed: int = DEFAULT_MASTER_SEEDS[0],
     threads: int = 1,
     replicates: int = 5000,
-    level: int = 10,
+    level: int = 24,
     h: float = 0.25,
     r: int = 2,
     f: str = "one",
@@ -508,50 +538,68 @@ def check_a9(
 ) -> McReport:
     """A9: Brownian-time variance and mixture law, plus the walk's CLT.
 
-    Var(2^(-n/4) V_n(1)) must match sigma^2 E|Y_1| = sigma^2 sqrt(2/pi);
-    the law is checked against sigma sqrt(|Y|) N with independent standard
-    normals Y, N; the embedded walk's terminal value must be standard
-    normal at the Donsker level.  Both targets hold for f = 1 only, so
-    any other weight is refused.
+    The statistic is 2^(-n/4) V_n(1), the trapezoid-weighted walk sum at
+    walk level n (even).  It is drawn by composition: check A5 certifies
+    that it equals the spatial trapezoid sum of X at level L = n/2 up to
+    the walk's terminal site S_K, K = 2^n, whose law is that of
+    2 Binomial(K, 1/2) - K, independent of X; X(-u) is again an fBm, so
+    the sign folds away and the statistic is, in law,
+    `variation(X, f, r, "trapezoid").value_at(tau)` at the horizon
+    tau = |S_K| 2^(-L).  Its variance must match sigma^2 E|Y_1| =
+    sigma^2 sqrt(2/pi).  Its law is compared (two-sample KS) with draws
+    of the limit sigma * int_0^{tau'} f(X'_s) dW_s on an independent
+    horizon tau' of the same lattice law and an independent path X',
+    drawn like A3/A4's limit side.  The embedded walk's terminal value
+    must be standard normal at the Donsker level.  The variance target
+    holds for f = 1 only, so any other weight is refused.
     """
     report = _report("A9", locals())
     if f != "one":
-        raise ValueError(f"f must be 'one', got {f!r}: A9's variance target and "
-                         "KS reference assume a constant weight")
+        raise ValueError(f"f must be 'one', got {f!r}: A9's variance target "
+                         "assumes a constant weight")
+    if level < 2 or level % 2:
+        raise ValueError(f"level must be a positive even integer, got {level}: "
+                         "the spatial lattice has level n/2")
     start = time.perf_counter()
     sigma = _positive_sigma(r, h)
     weight = get_weight(f)
-    norm = 2.0 ** (-level / 4.0)
+    k, spacing = 2**level, 2.0 ** -(level // 2)
 
-    def one(seed: SeedSpec) -> float:
-        sample = sample_fbmbt(h, level, 1.0, seed)
-        return norm * walk_power_variation(sample, weight, r, 1.0)
+    def chunk(seeds) -> np.ndarray:
+        rows = []
+        for seed in seeds:
+            # |S_K| for the statistic's horizon and for the limit side's
+            sites = np.abs(2 * seed.substream(0).rng().binomial(k, 0.5, size=2) - k).tolist()
+            path = _brownian_time_path(h, level, sites[0], seed.substream(1))
+            stat = variation(path, weight, r, "trapezoid").value_at(sites[0] * spacing)
+            path = _brownian_time_path(h, level, sites[1], seed.substream(2))
+            lim = _limit_draw(path, weight, sigma, sites[1] * spacing, [seed.substream(3)])
+            rows.append((stat, lim[0]))
+        return np.array(rows)
 
-    draws = replicate_map(one, replicates, master_seed, threads)
+    pairs = replicate_map(chunk, replicates, master_seed, threads)
+    draws, lim = pairs[:, 0], pairs[:, 1]
     desc = describe(draws)
     target = sigma.value**2 * math.sqrt(2.0 / math.pi)
     gap = abs(desc["variance"] - target)
     report.estimates["draws"] = desc
+    report.estimates["limit"] = describe(lim)
     report.estimates["variance_target"] = target
     report.tests["variance_vs_mixture"] = {"gap": gap, "allowed": SE_WIDE * desc["se_variance"]}
     if not gap <= SE_WIDE * desc["se_variance"]:
         report.failures.append(
             f"variance {desc['variance']:.4g} vs target {target:.4g}: gap beyond {SE_WIDE} SE"
         )
-    ref_rng = SeedSpec(master_seed, 0).substream(9).rng()
-    y = ref_rng.standard_normal(replicates)
-    z = ref_rng.standard_normal(replicates)
-    reference = sigma.value * np.sqrt(np.abs(y)) * z
-    stat, p = ks_two_sample(draws, reference)
+    stat, p = ks_two_sample(draws, lim)
     report.tests["ks_vs_mixture"] = {"statistic": stat, "p_value": p, "alpha": ALPHA}
     if not p > ALPHA:
         report.failures.append(f"mixture KS p-value {p:.4g} <= {ALPHA}")
 
-    def terminal(seed: SeedSpec) -> float:
-        walk = sample_walk(donsker_level, 1.0, seed)
-        return 2.0 ** (-donsker_level / 2.0) * walk.s[-1]
+    def terminals(seeds) -> list:
+        return [2.0 ** (-donsker_level / 2.0) * sample_walk(donsker_level, 1.0, seed).s[-1]
+                for seed in seeds]
 
-    ys = replicate_map(terminal, donsker_replicates, master_seed + 1, threads)
+    ys = replicate_map(terminals, donsker_replicates, master_seed + 1, threads)
     ydesc = describe(ys)
     dstat, dp = ks_one_sample(ys, _normal_cdf)
     report.estimates["donsker"] = ydesc
@@ -616,11 +664,13 @@ def check_a10(
     if live.sum() < 2:
         raise ValueError(f"{live.sum()} window(s) of positive width at level {level}; need 2")
     for h in hs:
-        def one(seed: SeedSpec, h=h) -> np.ndarray:
-            vals = variation(sample_fbm(h, grid, seed), weight, r).values
-            return np.array([abs(vals[kt] - vals[ks]) ** p for ks, kt in spans])
+        def chunk(seeds, h=h) -> np.ndarray:
+            vals = variation(_paths(h, grid, seeds), weight, r).values
+            # scalar powers row by row: numpy's vectorised power rounds differently
+            return np.array([[abs(row[kt] - row[ks]) ** p for ks, kt in spans] for row in vals])
 
-        moments = replicate_map(one, replicates, master_seed, threads).mean(axis=0)
+        moments = replicate_map(chunk, replicates, master_seed, threads, steps=grid.npoints - 1)
+        moments = moments.mean(axis=0)
         bound = d ** (p / 2.0) + d ** (p * h)
         for i in np.flatnonzero(~live):
             if moments[i] != 0.0:

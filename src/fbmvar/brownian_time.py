@@ -10,12 +10,13 @@ the composite observations are Z_k = X(2^(-n/2) S_k).
 Three forms of the trapezoid-weighted odd-power variation are one
 statistic: the direct sum over walk steps (`walk_power_variation`), the
 spatial sum weighted by net crossing counts, and the spatial sum up to the
-walk's terminal site (`spatial_power_variation`), i.e. the composition
-rule.  Their agreement is an exact algebraic identity, certified on every
-sample by `identity_residuals`, which reads all three from one trapezoid
-table of the spatial path (`variations.step_summands`) and one crossing
-pass; no form evaluates a weight or power of its own.  `RESIDUAL_TOL` is
-the one bound on its residuals, used by check A5 and `simulate fbmbt`.
+walk's terminal site, i.e. the composition rule, through which check A9
+draws the statistic.  Their agreement is an exact algebraic identity,
+certified on every sample by `identity_residuals`, which reads all three
+from one trapezoid table of the spatial path (`variations.step_summands`)
+and one crossing pass; no form evaluates a weight or power of its own.
+`RESIDUAL_TOL` is the one bound on its residuals, used by check A5 and
+`simulate fbmbt`.
 
 A walk (`EmbeddedWalk`) is built from its +-1 steps alone; its sites S_k
 are their partial sums, so the two cannot disagree.
@@ -213,18 +214,6 @@ def walk_power_variation(sample: FbmbtSample, f: WeightFunction, r: int, t: floa
     """
     table = step_summands(sample.spatial, f, r, "trapezoid")
     return _walk_sum(table, sample.spatial.grid.zero_index, sample.walk, sample.walk.horizon(t))
-
-
-def spatial_power_variation(path: FbmPath, f: WeightFunction, r: int, t: float) -> float:
-    """Trapezoid-weighted odd-power sum along the spatial lattice up to a
-    signed time t; the negative branch walks leftward from the origin.
-
-    Composition rule: the direct walk statistic at time t equals this
-    statistic at u = 2^(-n/2) * (terminal site).
-    """
-    table = step_summands(path, f, r, "trapezoid")
-    m = math.floor(abs(t) * 2**path.grid.level)
-    return _spatial_sum(table, path.grid.zero_index, m if t >= 0 else -m)
 
 
 #: bound on both relative residuals of `identity_residuals`: the identities

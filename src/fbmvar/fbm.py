@@ -12,7 +12,9 @@ Two generators with one law:
 Both are deterministic functions of a SeedSpec.  Increments of two-sided
 fBm form a single stationary fGn stream across the origin, so a two-sided
 path is one circulant draw, cumulatively summed and re-anchored so that
-the value at t = 0 is exactly zero.
+the value at t = 0 is exactly zero.  The circulant sampler also draws a
+batch, one row per SeedSpec, through one spectrum scaling, one FFT and
+one cumulative sum; each row is bit-identical to its seed's single path.
 
 `scipy.linalg` is imported by the oracle's factorization on its first
 call; the circulant path needs numpy alone.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,20 +129,27 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class FbmPath:
-    """fBm values on a dyadic grid, anchored so the value at t = 0 is 0."""
+    """fBm values on a dyadic grid, anchored so the value at t = 0 is 0.
+
+    `values` is one path, of shape (npoints,), or a batch of paths on the
+    same grid, of shape (rows, npoints); grid positions run along the last
+    axis, so every path functional reads a batch row by row.
+    """
 
     grid: GridSpec
     h: HurstParam
     values: np.ndarray
 
     def __post_init__(self):
-        if len(self.values) != self.grid.npoints:
+        if self.values.shape[-1] != self.grid.npoints:
             raise ValueError("values length does not match grid point count")
-        if self.values[self.grid.zero_index] != 0.0:
+        if (self.values[..., self.grid.zero_index] != 0.0).any():
             raise ValueError("path must be anchored: value at t=0 must be exactly 0")
 
-    def value_at(self, t: float) -> float:
-        return float(self.values[self.grid.index_of(t)])
+    def value_at(self, t: float):
+        """X_t: a float for one path, one value per row for a batch."""
+        value = self.values[..., self.grid.index_of(t)]
+        return float(value) if value.ndim == 0 else value
 
 
 @functools.lru_cache(maxsize=64)
@@ -169,7 +179,23 @@ def _circulant_spectrum(h: float, count: int) -> np.ndarray:
     return amp
 
 
-def sample_fgn_circulant(h, count: int, spacing: float, seed: SeedSpec, size: int | None = None):
+def _normals(seed: SeedSpec | Sequence[SeedSpec], size: int | None, width: int) -> np.ndarray:
+    """The (rows, width) standard normals of a draw: `size` (or 1)
+    consecutive rows of one SeedSpec's stream, or, for a sequence of
+    SeedSpecs, row i from the stream of seed[i] alone."""
+    if isinstance(seed, SeedSpec):
+        return seed.rng().standard_normal((1 if size is None else int(size), width))
+    if size is not None:
+        raise ValueError("size applies to one SeedSpec; a batch has one row per seed")
+    normals = np.empty((len(seed), width))
+    for spec, row in zip(seed, normals):
+        spec.rng().standard_normal(out=row)
+    return normals
+
+
+def sample_fgn_circulant(
+    h, count: int, spacing: float, seed: SeedSpec | Sequence[SeedSpec], size: int | None = None
+):
     """Stationary fGn with covariance spacing^2H * rho_H(|i-j|).
 
     Davies-Harte / Wood-Chan circulant embedding, inverted over the
@@ -180,9 +206,12 @@ def sample_fgn_circulant(h, count: int, spacing: float, seed: SeedSpec, size: in
     and the real inverse FFT of length 2*count gives the path; its first
     `count` entries are the fGn.
 
-    Returns a vector of length `count`, or a (size, count) array when
-    `size` is given (batch rows are consecutive draws from the same
-    stream).  Fixed seed means bit-identical output.
+    `seed` is one SeedSpec: the result is a vector of length `count`, or
+    a (size, count) array when `size` is given (batch rows are consecutive
+    draws from the same stream).  Or `seed` is a sequence of SeedSpecs:
+    the result is a (len(seed), count) array whose row i is bit-identical
+    to the vector drawn from seed[i] alone.  Fixed seed means bit-identical
+    output.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -190,8 +219,8 @@ def sample_fgn_circulant(h, count: int, spacing: float, seed: SeedSpec, size: in
         raise ValueError("spacing must be positive")
     hp = as_hurst(h)
     amp = _circulant_spectrum(hp.h, count)
-    rows = 1 if size is None else int(size)
-    normals = seed.rng().standard_normal((rows, 2 * count))
+    normals = _normals(seed, size, 2 * count)
+    rows = normals.shape[0]
     half = np.empty((rows, count + 1), dtype=complex)
     half.real[:, 0] = normals[:, 0]
     half.real[:, count] = normals[:, 1]
@@ -200,7 +229,7 @@ def sample_fgn_circulant(h, count: int, spacing: float, seed: SeedSpec, size: in
     half.imag[:, 0] = half.imag[:, count] = 0.0
     half *= amp * spacing**hp.h
     fgn = np.fft.irfft(half, n=2 * count, axis=1)[:, :count]
-    return fgn[0] if size is None else fgn
+    return fgn[0] if size is None and isinstance(seed, SeedSpec) else fgn
 
 
 @functools.lru_cache(maxsize=32)
@@ -240,9 +269,17 @@ def sample_fbm_cholesky(h, grid: GridSpec, seed: SeedSpec, size: int | None = No
     return vals
 
 
-def sample_fbm(h, grid: GridSpec, seed: SeedSpec, size: int | None = None):
+def sample_fbm(h, grid: GridSpec, seed: SeedSpec | Sequence[SeedSpec], size: int | None = None):
     """Two-sided fBm path: one stationary fGn stream over [t_min, t_max],
-    cumulatively summed and re-anchored to 0 at t = 0."""
+    cumulatively summed and re-anchored to 0 at t = 0.
+
+    For one SeedSpec the result is an FbmPath, or a plain (size, npoints)
+    array of consecutive draws from its stream when `size` is given.  For
+    a sequence of SeedSpecs it is a plain (len(seed), npoints) array, drawn
+    as one batch (one spectrum scaling, one FFT, one cumulative sum, one
+    anchoring), whose row i is bit-identical to the values of the path of
+    seed[i] alone.
+    """
     hp = as_hurst(h)
     fgn = sample_fgn_circulant(hp, grid.npoints - 1, grid.spacing, seed, size=size)
     fgn = np.atleast_2d(fgn)
@@ -251,6 +288,6 @@ def sample_fbm(h, grid: GridSpec, seed: SeedSpec, size: int | None = None):
     np.cumsum(fgn, axis=1, out=vals[:, 1:])
     if grid.zero_index:
         vals -= vals[:, grid.zero_index : grid.zero_index + 1]
-    if size is None:
+    if size is None and isinstance(seed, SeedSpec):
         return FbmPath(grid=grid, h=hp, values=vals[0])
     return vals

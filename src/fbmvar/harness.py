@@ -3,6 +3,9 @@ the report every acceptance check returns.
 
 `replicate_map`'s seed stream is the replicate index, so an aggregate is
 a deterministic function of the master seed whatever the worker count.
+It hands its function chunks of consecutive seeds, so a check can draw a
+chunk's paths as one batch; each row it gets back depends on one seed
+alone, so neither the chunk size nor the worker count changes the result.
 A report's config is exactly its check's arguments less the master seed
 (a field) and the thread count, so config and seed replay the report;
 the gates are fixed constants of `acceptance`, recorded in `tests` next
@@ -29,6 +32,16 @@ from .version import VERSION
 
 #: fewest samples per batch the asymptotic KS p-values are computed for
 KS_MIN_SAMPLES = 50
+
+#: most seeds `replicate_map` hands its function at once ...
+CHUNK_ROWS = 16
+#: ... and most grid steps they may sample together (4 rows at 2^12 steps,
+#: 1 at 2^14).  This bounds a batch's buffers: a chunk of 2^16 steps holds
+#: MiB-sized temporaries, which glibc's malloc returns to the system when
+#: they are freed, so every chunk pays page faults on fresh memory (40k
+#: minor faults per 500-replicate A1 at 16 rows of 2^12 steps, none at 4
+#: rows), which cost more than the batching saves.
+CHUNK_STEPS = 2**14
 
 
 def _plain(obj):
@@ -88,21 +101,32 @@ class McReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1)
 
 
-def replicate_map(fn, replicates: int, master_seed: int, threads: int = 1) -> np.ndarray:
-    """Evaluate fn(SeedSpec(master_seed, i)) for i = 0..replicates-1.
+def replicate_map(
+    fn, replicates: int, master_seed: int, threads: int = 1, steps: int = 1
+) -> np.ndarray:
+    """Row i of the result is fn's row for SeedSpec(master_seed, i), for
+    i = 0..replicates-1.
 
-    The reduction is ordered by replicate index, so the result is
-    independent of the worker count.
+    fn takes a chunk, a list of consecutive SeedSpecs, and returns one row
+    per seed, in the chunk's order (an array whose first axis runs over
+    the chunk).  Each row must depend on its own seed alone, never on the
+    chunk it came in.  `steps` is the number of grid steps one row
+    samples: a chunk holds at most CHUNK_ROWS seeds and, beyond one seed,
+    at most CHUNK_STEPS steps.  Chunks are concatenated in replicate
+    order, so the result is independent of the chunk size and the worker
+    count.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     seeds = [SeedSpec(master_seed, i) for i in range(replicates)]
+    size = max(1, min(CHUNK_ROWS, CHUNK_STEPS // max(steps, 1)))
+    chunks = [seeds[i : i + size] for i in range(0, replicates, size)]
     if threads <= 1:
-        rows = [fn(s) for s in seeds]
+        rows = [fn(chunk) for chunk in chunks]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(fn, seeds))
-    return np.asarray(rows)
+            rows = list(pool.map(fn, chunks))
+    return np.concatenate(rows)
 
 
 def describe(x: np.ndarray) -> dict:

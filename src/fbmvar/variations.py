@@ -17,8 +17,12 @@ is the mixture law, and 2^{nH-n} for the endpoint rules, whose limits are
 deterministic.  The Brownian-time sums of `brownian_time` index the
 trapezoid table of the spatial path.
 
-Partial sums are accumulated in extended precision so that differencing
-recovers the per-step summands and window increments are one subtraction.
+Every function reads the path's grid along the last axis of its values,
+so the same code evaluates one path or a batch of paths on one grid
+(`FbmPath` with values of shape (rows, npoints)), row by row: a batch row
+gives the same bits as the path alone.  Partial sums are accumulated in
+extended precision so that differencing recovers the per-step summands and
+window increments are one subtraction.
 The remaining functions give the Taylor split of the trapezoid-midpoint gap
 and the path functionals of the limits (quadrature, and the conditional
 std of the mixture law given the path).
@@ -39,9 +43,10 @@ from .weights import WeightFunction
 class VariationSeries:
     """Partial-sum process on the dyadic time grid.
 
-    `raw` holds the unnormalized running sums (raw[0] = 0); `scale` is the
-    statistic's normalization, so the series value is scale * raw.  Window
-    algebra (exact identities, moment scaling) lives on `raw`.
+    `raw` holds the unnormalized running sums (raw[..., 0] = 0) along its
+    last axis, one series per row for a batch; `scale` is the statistic's
+    normalization, so the series value is scale * raw.  Window algebra
+    (exact identities, moment scaling) lives on `raw`.
     """
 
     level: int
@@ -50,7 +55,7 @@ class VariationSeries:
 
     @property
     def times(self) -> np.ndarray:
-        return np.arange(len(self.raw)) * 2.0**-self.level
+        return np.arange(self.raw.shape[-1]) * 2.0**-self.level
 
     @property
     def values(self) -> np.ndarray:
@@ -58,13 +63,15 @@ class VariationSeries:
 
     def index_at(self, t: float) -> int:
         k = math.floor(t * 2**self.level)
-        if not 0 <= k < len(self.raw):
+        if not 0 <= k < self.raw.shape[-1]:
             raise ValueError(f"t={t} outside the series range")
         return k
 
-    def value_at(self, t: float) -> float:
-        """Right-continuous step evaluation: the sum over j < floor(2^n t)."""
-        return float(self.scale * self.raw[self.index_at(t)])
+    def value_at(self, t: float):
+        """Right-continuous step evaluation: the sum over j < floor(2^n t);
+        a float for one series, one value per row for a batch."""
+        value = self.scale * self.raw[..., self.index_at(t)]
+        return float(value) if value.ndim == 0 else value
 
 
 def odd_power(x: np.ndarray, r: int):
@@ -77,9 +84,14 @@ def odd_power(x: np.ndarray, r: int):
 
 
 def _series(level: int, summands: np.ndarray, scale: float) -> VariationSeries:
-    raw = np.empty(len(summands) + 1)
-    raw[0] = 0.0
-    raw[1:] = np.cumsum(summands, dtype=np.longdouble)
+    # cast, then accumulate in place along the contiguous last axis: the
+    # same bits as cumsum(dtype=longdouble), which on a 2-D array takes
+    # about twice as long
+    sums = summands.astype(np.longdouble)
+    np.cumsum(sums, axis=-1, out=sums)
+    raw = np.empty(summands.shape[:-1] + (summands.shape[-1] + 1,))
+    raw[..., 0] = 0.0
+    raw[..., 1:] = sums
     return VariationSeries(level=level, raw=raw, scale=scale)
 
 
@@ -96,7 +108,8 @@ def step_summands(
     The weight w_j is f((X_j+X_{j+1})/2) for "midpoint",
     (f(X_j)+f(X_{j+1}))/2 for "trapezoid", f(X_j) for "left" and f(X_{j+1})
     for "right"; f=None is the unit weight and evaluates nothing.  Entry i
-    belongs to the step that starts at grid index i.
+    (of the last axis, for a batch) belongs to the step that starts at grid
+    index i.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -107,12 +120,12 @@ def step_summands(
     if f is None:
         return summands
     if rule == "midpoint":
-        w = f(0.5 * (x[:-1] + x[1:]))
+        w = f(0.5 * (x[..., :-1] + x[..., 1:]))
     elif rule == "trapezoid":
         fx = f(x)
-        w = 0.5 * (fx[:-1] + fx[1:])
+        w = 0.5 * (fx[..., :-1] + fx[..., 1:])
     else:
-        w = f(x[:-1] if rule == "left" else x[1:])
+        w = f(x[..., :-1] if rule == "left" else x[..., 1:])
     return w * summands
 
 
@@ -124,7 +137,7 @@ def variation(
     The normalization is 2^(-n/2) for midpoint and trapezoid, 2^(nH-n) for
     the endpoint rules.
     """
-    summands = step_summands(path, f, r, rule)[path.grid.zero_index :]
+    summands = step_summands(path, f, r, rule)[..., path.grid.zero_index :]
     n = path.grid.level
     scale = 2.0 ** (-n / 2.0) if rule in ("midpoint", "trapezoid") else 2.0 ** (n * path.h.h - n)
     return _series(n, summands, scale)
@@ -165,29 +178,33 @@ def taylor_remainder_split(
     return a_series, b_series
 
 
-def limit_quadrature(path: FbmPath, f: WeightFunction, which: str, t: float) -> float:
-    """Trapezoid-rule quadrature of f(X_s) or f'(X_s) over [0, t]."""
+def limit_quadrature(path: FbmPath, f: WeightFunction, which: str, t: float):
+    """Trapezoid-rule quadrature of f(X_s) or f'(X_s) over [0, t]: a float,
+    or one value per row for a batch."""
     if which not in ("f", "f_prime"):
         raise ValueError("which must be 'f' or 'f_prime'")
     n = path.grid.level
     k = path.grid.index_of(t) - path.grid.zero_index
     if k < 0:
         raise ValueError("t must be >= 0")
-    x = path.values[path.grid.zero_index : path.grid.zero_index + k + 1]
+    x = path.values[..., path.grid.zero_index : path.grid.zero_index + k + 1]
     g = f.eval(0 if which == "f" else 1, x)
-    steps = 0.5 * (g[:-1] + g[1:])
-    return float(np.sum(steps.astype(np.longdouble)) * np.longdouble(2.0**-n))
+    steps = 0.5 * (g[..., :-1] + g[..., 1:])
+    value = (np.sum(steps.astype(np.longdouble), axis=-1) * np.longdouble(2.0**-n)).astype(float)
+    return float(value) if value.ndim == 0 else value
 
 
-def limit_conditional_std(path: FbmPath, f: WeightFunction, sigma, t: float) -> float:
+def limit_conditional_std(path: FbmPath, f: WeightFunction, sigma, t: float):
     """Conditional std of the mixture-law limit at t given the path:
     sigma * sqrt(sum_j f(X_j)^2 2^-n) over the floor(2^n t) steps of [0, t],
     the weight read at each step's left end.  Given the path, the limit is
     exactly normal with this std, so one draw is this std times a standard
-    normal."""
+    normal.  A float, or one std per row for a batch."""
     k = math.floor(t * 2**path.grid.level)
     if k < 0 or path.grid.zero_index + k > path.grid.npoints - 1:
         raise ValueError(f"t={t} outside the path range")
-    x = path.values[path.grid.zero_index : path.grid.zero_index + k]
+    x = path.values[..., path.grid.zero_index : path.grid.zero_index + k]
     s = getattr(sigma, "value", sigma)
-    return float(s) * math.sqrt(float(np.sum(f(x).astype(np.longdouble) ** 2)) * path.grid.spacing)
+    sq = np.sum(f(x).astype(np.longdouble) ** 2, axis=-1).astype(float) * path.grid.spacing
+    std = float(s) * np.sqrt(sq)
+    return float(std) if std.ndim == 0 else std

@@ -16,7 +16,6 @@ from fbmvar import (
     sample_fbm,
     sample_fbmbt,
     sample_walk,
-    spatial_power_variation,
     step_summands,
     walk_power_variation,
 )
@@ -238,9 +237,9 @@ def test_walk_returning_to_origin_gives_zero():
     grid = GridSpec(level=1, t_min=-1.0, t_max=1.0)
     spatial = sample_fbm(0.25, grid, SeedSpec(11, 0))
     sample = FbmbtSample(walk=walk, spatial=spatial)
-    assert identity_residuals(sample, F_GAUSS, 2, 1.0)["crossing"] == 0.0
+    res = identity_residuals(sample, F_GAUSS, 2, 1.0)
+    assert res["crossing"] == res["composed"] == 0.0
     assert walk_power_variation(sample, F_GAUSS, 2, 1.0) == 0.0
-    assert spatial_power_variation(spatial, F_GAUSS, 2, 0.0) == 0.0
 
 
 def test_single_step_reduces_to_one_trapezoid_term():
@@ -273,23 +272,28 @@ def test_identities_at_partial_horizons():
 
 
 def test_spatial_variation_edges():
+    # the composed form reads the spatial path up to the terminal site: 0 at
+    # site 0, and a path short of the walk's range (site +-24 on a grid of
+    # sites -16..16) is refused
     grid = GridSpec(level=4, t_min=-1.0, t_max=1.0)
     path = sample_fbm(0.25, grid, SeedSpec(13, 0))
-    assert spatial_power_variation(path, F_GAUSS, 2, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        spatial_power_variation(path, F_GAUSS, 2, 1.5)
-    with pytest.raises(ValueError):
-        spatial_power_variation(path, F_GAUSS, 2, -1.5)
+    home = FbmbtSample(walk=_walk([1, -1, -1, 1], level=8), spatial=path)
+    assert identity_residuals(home, F_GAUSS, 2, 4 / 2**8)["composed"] == 0.0
+    for sign in (1, -1):
+        with pytest.raises(ValueError):
+            FbmbtSample(walk=_walk([sign] * 24, level=8), spatial=path)
 
 
 def test_spatial_variation_telescopes_for_unit_weight():
+    # for f = 1 and r = 1 the composed sum telescopes to 2^(LH) X at the
+    # terminal site, whichever way the walk went
     grid = GridSpec(level=5, t_min=-1.0, t_max=1.0)
     path = sample_fbm(0.3, grid, SeedSpec(14, 0))
-    for t in (0.5, 1.0, -0.75):
-        val = spatial_power_variation(path, F_ONE, 1, t)
-        sites = math.floor(abs(t) * 2**5)
-        target = 2.0 ** (5 * 0.3) * path.values[path.grid.zero_index + int(math.copysign(sites, t))]
-        assert val == pytest.approx(target, rel=1e-12, abs=1e-13)
+    for steps in ([1] * 16, [1] * 32 + [-1] * 8, [-1] * 25 + [1]):
+        sample = FbmbtSample(walk=_walk(steps, level=10), spatial=path)
+        res = identity_residuals(sample, F_ONE, 1, len(steps) / 2**10)
+        target = 2.0 ** (5 * 0.3) * path.values[path.grid.zero_index + sum(steps)]
+        assert res["composed"] == pytest.approx(target, rel=1e-12, abs=1e-13)
 
 
 def test_fbmbt_determinism():

@@ -170,9 +170,9 @@ def test_refinement_consistency():
 def test_deterministic_across_thread_counts():
     from fbmvar.harness import replicate_map
 
-    def draw(seed: SeedSpec) -> float:
+    def draw(seeds) -> np.ndarray:
         grid = GridSpec(level=6, t_min=0.0, t_max=1.0)
-        return sample_fbm(0.25, grid, seed).value_at(1.0)
+        return sample_fbm(0.25, grid, seeds)[:, -1]
 
     serial = replicate_map(draw, 120, 77, threads=1)
     threaded = replicate_map(draw, 120, 77, threads=4)

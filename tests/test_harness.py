@@ -9,16 +9,19 @@ import pytest
 from scipy import stats as sps
 
 from fbmvar import (
+    FbmPath,
     GridSpec,
     SeedSpec,
+    as_hurst,
+    get_weight,
     ks_one_sample,
     ks_two_sample,
     limit_sigma,
     sample_fbm,
     variation,
 )
-from fbmvar import acceptance
-from fbmvar.acceptance import check_a3, check_a5, check_a6, check_a10
+from fbmvar import acceptance, harness
+from fbmvar.acceptance import check_a3, check_a4, check_a5, check_a6, check_a10
 from fbmvar.harness import describe, replicate_map
 
 
@@ -84,9 +87,9 @@ def test_ks_two_sample_requires_enough_samples():
 
 # --- replicate loop and reports ---------------------------------------------
 
-def _unit_weight_draw(seed):
-    path = sample_fbm(0.25, GridSpec(level=8, t_min=0.0, t_max=1.0), seed)
-    return variation(path, None, 2).value_at(1.0)
+def _unit_weight_draw(seeds):
+    paths = [sample_fbm(0.25, GridSpec(level=8, t_min=0.0, t_max=1.0), seed) for seed in seeds]
+    return [variation(path, None, 2).value_at(1.0) for path in paths]
 
 
 def test_se_shrinks_with_replicates():
@@ -94,6 +97,47 @@ def test_se_shrinks_with_replicates():
     large = describe(replicate_map(_unit_weight_draw, 800, 21))
     ratio = large["se_mean"] / small["se_mean"]
     assert abs(ratio - 1 / math.sqrt(2)) < 0.2 / math.sqrt(2)
+
+
+def test_replicate_map_chunks_hold_consecutive_seeds_within_the_caps():
+    seen = []
+
+    def record(seeds):
+        seen.append([seed.stream_id for seed in seeds])
+        return np.zeros(len(seeds))
+
+    # 16 rows at 2^10 steps, 4 at 2^12, and one seed however large its grid
+    for steps, size in ((2**10, 16), (2**12, 4), (2**14, 1), (2**20, 1)):
+        seen.clear()
+        assert len(replicate_map(record, 37, 3, steps=steps)) == 37
+        assert [i for chunk in seen for i in chunk] == list(range(37))
+        assert [len(chunk) for chunk in seen[:-1]] == [size] * (len(seen) - 1)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, 16])
+def test_replicate_map_rows_do_not_depend_on_chunks_or_threads(chunk_rows, monkeypatch):
+    h, weight = 0.3, get_weight("gauss")
+    grid = GridSpec(level=6, t_min=-0.25, t_max=1.0)
+
+    def batch(seeds):
+        paths = FbmPath(grid=grid, h=as_hurst(h), values=sample_fbm(h, grid, seeds))
+        return np.stack([variation(paths, weight, 2).value_at(1.0), paths.value_at(1.0)], axis=1)
+
+    singles = (sample_fbm(h, grid, SeedSpec(77, i)) for i in range(50))
+    want = np.array([[variation(p, weight, 2).value_at(1.0), p.value_at(1.0)] for p in singles])
+    small = dict(master_seed=5, replicates=60, level=6)
+    reports = {
+        "A4": lambda: check_a4(**small, decay_levels=(4, 6), decay_replicates=20),
+        "A6": lambda: check_a6(master_seed=5, replicates=20, n_list=(4, 6)),
+        "A10": lambda: check_a10(master_seed=5, replicates=20, level=8, hs=(0.25,)),
+    }
+    monkeypatch.setattr(harness, "CHUNK_ROWS", 1)
+    one_row = {name: run().canonical_json() for name, run in reports.items()}
+    monkeypatch.setattr(harness, "CHUNK_ROWS", chunk_rows)
+    for threads in (1, 4):
+        got = replicate_map(batch, 50, 77, threads=threads, steps=grid.npoints - 1)
+        assert got.tobytes() == want.tobytes()
+    assert {name: run().canonical_json() for name, run in reports.items()} == one_row
 
 
 def test_experiment_determinism_and_thread_independence():

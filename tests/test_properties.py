@@ -1,5 +1,6 @@
-"""Property tests of the exact identities behind A5 and A8, and of the
-certified tail of `limit_sigma`.
+"""Property tests of the exact identities behind A5 and A8, of the
+certified tail of `limit_sigma`, and of the batched fBm sampler, whose rows
+are the single-seed paths bit for bit.
 
 Examples are derandomized and nothing is stored between runs, so the
 suite draws the same inputs every time.
@@ -7,17 +8,20 @@ suite draws the same inputs every time.
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbmvar import (
     WEIGHTS,
+    GridSpec,
     SeedSpec,
     get_weight,
     identity_residuals,
     limit_sigma,
     midpoint_increment_overlap,
     midpoint_increment_overlap_closed,
+    sample_fbm,
     sample_fbmbt,
 )
 
@@ -73,3 +77,23 @@ def test_sigma_tail_certificate_holds(h, r, log10_tol):
     # rounding adds a few ulps of sigma^2 (1.1e-13 at r = 3, 1.5e-11 at r = 4)
     rounding = 4 * math.ulp(coarse.value**2)
     assert abs(coarse.value**2 - fine.value**2) <= 1.01 * tol + rounding
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    h=st.floats(min_value=0.05, max_value=0.95),
+    level=st.integers(min_value=1, max_value=8),
+    left=st.integers(min_value=0, max_value=40),  # grid sites left of t = 0
+    right=st.integers(min_value=1, max_value=40),  # ... and right of it, so count >= 1
+    seeds=st.lists(
+        st.builds(SeedSpec, st.integers(min_value=0, max_value=2**32 - 1),
+                  st.integers(min_value=0, max_value=10**6),
+                  st.lists(st.integers(min_value=0, max_value=9), max_size=2).map(tuple)),
+        min_size=1, max_size=7),
+)
+def test_batched_sample_fbm_rows_are_the_single_seed_paths(h, level, left, right, seeds):
+    grid = GridSpec(level=level, t_min=-left * 2.0**-level, t_max=right * 2.0**-level)
+    batch = sample_fbm(h, grid, seeds)
+    assert isinstance(batch, np.ndarray) and batch.shape == (len(seeds), grid.npoints)
+    for seed, row in zip(seeds, batch):
+        assert row.tobytes() == sample_fbm(h, grid, seed).values.tobytes()
