@@ -5,13 +5,13 @@ Everything printed here is deterministic -- no sampling involved.
 """
 
 import numpy as np
+from numpy.polynomial import hermite_e
 
 from fbmvar import (
     bivariate_odd_moment,
     fgn_correlation,
     gaussian_moment,
     hermite_coeffs,
-    hermite_eval,
     limit_sigma,
 )
 
@@ -22,8 +22,11 @@ for r in (1, 2, 3, 4):
     terms = " + ".join(f"{c}*H_{w}" for c, w in zip(hc.c, hc.orders))
     print(f"  x^{2 * r - 1} = {terms}")
 x = 1.37
-print(f"  check at x={x}: {hermite_coeffs(3).reconstruct(x):.12f} vs {x**5:.12f}")
-print(f"  H_3(2) = {hermite_eval(3, 2.0)}  (8 - 6)")
+hc = hermite_coeffs(3)
+series = np.zeros(6)  # coefficient of H_w at index w, as hermite_e takes it
+series[list(hc.orders)] = hc.c
+print(f"  check at x={x}: {hermite_e.hermeval(x, series):.12f} vs {x**5:.12f}")
+print(f"  H_3(2) = {hermite_e.hermeval(2.0, [0, 0, 0, 1])}  (8 - 6)")
 print()
 
 print("Gaussian moments mu_p = E[N^p]")

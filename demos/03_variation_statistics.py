@@ -13,7 +13,6 @@ from fbmvar import (
     limit_quadrature,
     limit_sigma,
     sample_fbm,
-    taylor_remainder_split,
     variation,
 )
 
@@ -39,15 +38,11 @@ print()
 print("Exact relations on the raw (unnormalized) running sums:")
 gap = np.max(np.abs(psi.raw - 0.5 * (left.raw + right.raw)))
 print(f"  trapezoid = (left + right)/2:  max |gap| = {gap:.2e}")
-a_part, b_part = taylor_remainder_split(path, f, R, 4)
-gap2 = np.max(np.abs(a_part.raw + b_part.raw - (psi.raw - phi.raw)))
-print(f"  (Psi - Phi) = Taylor + residual:  max |gap| = {gap2:.2e}")
-print(f"  residual magnitude sup_t |B(t)| = {np.max(np.abs(b_part.values)):.2e}")
 print()
 
 print("Deterministic endpoint limits (one path, finer level):")
 fine = sample_fbm(H, GridSpec(level=14, t_min=0.0, t_max=1.0), SeedSpec(99, 1))
-target = 1.5 * limit_quadrature(fine, f, "f_prime", 1.0)  # mu_4 / 2 = 3/2
+target = 1.5 * limit_quadrature(fine, f, 1.0)  # mu_4 / 2 = 3/2
 lv = variation(fine, f, R, "left").value_at(1.0)
 rv = variation(fine, f, R, "right").value_at(1.0)
 print(f"  left(1)  = {lv:+.4f}   vs  -mu_4/2 int f'(X) = {-target:+.4f}")

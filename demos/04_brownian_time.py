@@ -14,7 +14,6 @@ from fbmvar import (
     limit_sigma,
     sample_fbmbt,
     sample_walk,
-    walk_power_variation,
 )
 
 H, R = 0.25, 2
@@ -27,7 +26,7 @@ walk = sample.walk
 cc = crossing_counts(walk, 1.0)  # also verifies the net profile below
 print(f"  walk: {len(walk.steps)} steps, range [{walk.s.min()}, {walk.s.max()}],"
       f" terminal site {cc.terminal}")
-print(f"  crossing conservation: sum(U+D) = {cc.total()} = step count")
+print(f"  crossing conservation: sum(U+D) = {cc.up.sum() + cc.down.sum()} = step count")
 net = dict(zip(cc.sites().tolist(), cc.net().tolist()))
 nonzero = {j: v for j, v in net.items() if v}
 print(f"  net crossings (nonzero): {nonzero}")
@@ -59,7 +58,7 @@ for n, reps in ((8, 1500), (12, 1500), (16, 600)):
     vals = np.array(
         [
             2.0 ** (-n / 4.0)
-            * walk_power_variation(sample_fbmbt(H, n, 1.0, SeedSpec(33 + n, i)), f1, R, 1.0)
+            * identity_residuals(sample_fbmbt(H, n, 1.0, SeedSpec(33 + n, i)), f1, R, 1.0)["direct"]
             for i in range(reps)
         ]
     )

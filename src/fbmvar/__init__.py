@@ -14,7 +14,6 @@ from .brownian_time import (
     identity_residuals,
     sample_fbmbt,
     sample_walk,
-    walk_power_variation,
 )
 from .fbm import (
     CholeskyError,
@@ -39,7 +38,6 @@ from .gaussian import (
     fgn_correlation,
     gaussian_moment,
     hermite_coeffs,
-    hermite_eval,
     limit_sigma,
     midpoint_increment_overlap,
     midpoint_increment_overlap_closed,
@@ -52,7 +50,6 @@ from .variations import (
     limit_conditional_std,
     limit_quadrature,
     step_summands,
-    taylor_remainder_split,
     variation,
 )
 from .version import VERSION as __version__

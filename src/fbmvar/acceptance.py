@@ -385,7 +385,7 @@ def check_a6(
 
         def chunk(seeds, grid=grid) -> np.ndarray:
             paths = _paths(h, grid, seeds)
-            target = 0.5 * mu * limit_quadrature(paths, weight, "f_prime", t)
+            target = 0.5 * mu * limit_quadrature(paths, weight, t)
             left = variation(paths, weight, r, "left").value_at(t)
             right = variation(paths, weight, r, "right").value_at(t)
             # float arithmetic row by row: Python's x ** 2 is libm's pow, not x * x
@@ -557,9 +557,9 @@ def check_a9(
     if f != "one":
         raise ValueError(f"f must be 'one', got {f!r}: A9's variance target "
                          "assumes a constant weight")
-    if level < 2 or level % 2:
-        raise ValueError(f"level must be a positive even integer, got {level}: "
-                         "the spatial lattice has level n/2")
+    if level < 2 or level % 2 or level > 62:
+        raise ValueError(f"level must be a positive even integer <= 62, got {level}: the spatial "
+                         "lattice has level n/2, and the 2^n walk steps are counted in 64 bits")
     start = time.perf_counter()
     sigma = _positive_sigma(r, h)
     weight = get_weight(f)

@@ -8,13 +8,14 @@ themselves are never simulated: the walk's law is exactly Rademacher and
 the composite observations are Z_k = X(2^(-n/2) S_k).
 
 Three forms of the trapezoid-weighted odd-power variation are one
-statistic: the direct sum over walk steps (`walk_power_variation`), the
-spatial sum weighted by net crossing counts, and the spatial sum up to the
-walk's terminal site, i.e. the composition rule, through which check A9
-draws the statistic.  Their agreement is an exact algebraic identity,
-certified on every sample by `identity_residuals`, which reads all three
-from one trapezoid table of the spatial path (`variations.step_summands`)
-and one crossing pass; no form evaluates a weight or power of its own.
+statistic: the direct sum over walk steps, the spatial sum weighted by net
+crossing counts, and the spatial sum up to the walk's terminal site, i.e.
+the composition rule, through which check A9 draws the statistic.
+`identity_residuals` is the one owner of all three: it reads them from one
+trapezoid table of the spatial path (`variations.step_summands`) and one
+crossing pass, no form evaluating a weight or power of its own, and
+returns them with the residuals of the exact algebraic identities between
+them.  Its "direct" entry is the walk statistic wherever one is needed.
 `RESIDUAL_TOL` is the one bound on its residuals, used by check A5 and
 `simulate fbmbt`.
 
@@ -99,9 +100,6 @@ class CrossingCounts:
     def net(self) -> np.ndarray:
         return self.up - self.down
 
-    def total(self) -> int:
-        return int(self.up.sum() + self.down.sum())
-
 
 def crossing_counts(walk: EmbeddedWalk, t: float) -> CrossingCounts:
     """Single pass over the first K = floor(2^n t) steps.
@@ -147,15 +145,9 @@ class FbmbtSample:
         if self.spatial.grid.i_min > lo or self.spatial.grid.i_max < hi:
             raise ValueError("spatial path does not cover the walk's range")
 
-    @property
-    def level(self) -> int:
-        return self.walk.level
-
-    def z_values(self, t: float | None = None) -> np.ndarray:
-        """Z at the walk's visited sites up to time t (whole walk if None)."""
-        k = len(self.walk.steps) if t is None else self.walk.horizon(t)
-        idx = self.spatial.grid.zero_index + self.walk.s[: k + 1]
-        return self.spatial.values[idx]
+    def z_values(self) -> np.ndarray:
+        """Z at every site the walk visits, S_0 to the end."""
+        return self.spatial.values[self.spatial.grid.zero_index + self.walk.s]
 
 
 def sample_fbmbt(h, n: int, t: float, seed: SeedSpec) -> FbmbtSample:
@@ -182,40 +174,6 @@ def _lsum(terms: np.ndarray) -> float:
     return float(np.sum(terms.astype(np.longdouble)))
 
 
-def _walk_sum(table: np.ndarray, zero: int, walk: EmbeddedWalk, k: int) -> float:
-    """Sum over the first k walk steps of the table entry of the interval
-    each step crosses, times the step's sign."""
-    return _lsum(walk.steps[:k] * table[zero + walk.crossed(k)])
-
-
-def _spatial_sum(table: np.ndarray, zero: int, m: int) -> float:
-    """Sum along the lattice from the origin to site m; for m < 0 the walk
-    is leftward, so each summand is the negated entry of the step crossed."""
-    if not 0 <= zero + m <= len(table):
-        raise ValueError("spatial range insufficient for the requested t")
-    if m >= 0:
-        return _lsum(table[zero : zero + m])
-    return _lsum(-table[zero + m : zero][::-1])
-
-
-def walk_power_variation(sample: FbmbtSample, f: WeightFunction, r: int, t: float) -> float:
-    """Direct trapezoid-weighted odd-power sum over walk steps:
-
-    sum_k (f(Z_k)+f(Z_{k+1}))/2 * (2^(nH/2) (Z_{k+1}-Z_k))^(2r-1).
-
-    Every step moves between the two ends of one lattice interval, so the
-    summand is the spatial path's trapezoid `step_summands` entry at the
-    interval's lower site (`EmbeddedWalk.crossed`), times the step's sign; the
-    walk scale 2^(nH/2) is the spatial level's 2^(LH), L = n/2.  This is
-    bit-identical to evaluating each step: the weight sum commutes
-    exactly, the reversed increment is the exact negation, and odd_power is
-    exactly sign-symmetric, so a down step's summand is the exact negation
-    of the table entry.
-    """
-    table = step_summands(sample.spatial, f, r, "trapezoid")
-    return _walk_sum(table, sample.spatial.grid.zero_index, sample.walk, sample.walk.horizon(t))
-
-
 #: bound on both relative residuals of `identity_residuals`: the identities
 #: are exact, so only float rounding of the longdouble sums may remain
 RESIDUAL_TOL = 1e-9
@@ -226,22 +184,42 @@ def identity_residuals(sample: FbmbtSample, f: WeightFunction, r: int, t: float)
     table and one crossing pass, and the relative residuals of the two
     exact identities between them.
 
+    "direct" is the trapezoid-weighted odd-power sum over the first
+    K = floor(2^n t) walk steps,
+
+        sum_k (f(Z_k)+f(Z_{k+1}))/2 * (2^(nH/2) (Z_{k+1}-Z_k))^(2r-1).
+
+    Every step moves between the two ends of one lattice interval, so its
+    summand is the spatial path's trapezoid `step_summands` entry at the
+    interval's lower site (`EmbeddedWalk.crossed`), times the step's sign;
+    the walk scale 2^(nH/2) is the spatial level's 2^(LH), L = n/2.  This
+    is bit-identical to evaluating each step: the weight sum commutes
+    exactly, the reversed increment is the exact negation, and odd_power
+    is exactly sign-symmetric.  "crossing" weights the table by the net
+    crossing counts; "composed" sums it along the lattice from the origin
+    to the terminal site S_K, each summand negated when S_K < 0 (the walk
+    then went leftward), and raises ValueError when the table stops short.
+
     Residuals are |a - b| / max(1, |a|, |b|); both must vanish to rounding,
     i.e. lie within RESIDUAL_TOL.
     """
     table = step_summands(sample.spatial, f, r, "trapezoid")
     zero = sample.spatial.grid.zero_index
-    counts = crossing_counts(sample.walk, t)
-    direct = _walk_sum(table, zero, sample.walk, counts.horizon)
+    walk = sample.walk
+    counts = crossing_counts(walk, t)
+    k, m = counts.horizon, counts.terminal
+    direct = _lsum(walk.steps[:k] * table[zero + walk.crossed(k)])
     crossing = _lsum(table[zero + counts.sites()] * counts.net())
-    composed = _spatial_sum(table, zero, counts.terminal)
+    if not 0 <= zero + m <= len(table):
+        raise ValueError("spatial range insufficient for the requested t")
+    composed = _lsum(table[zero : zero + m]) if m >= 0 else _lsum(-table[zero + m : zero][::-1])
     res_crossing = abs(direct - crossing) / max(1.0, abs(direct), abs(crossing))
     res_composed = abs(direct - composed) / max(1.0, abs(direct), abs(composed))
     return {
         "direct": direct,
         "crossing": crossing,
         "composed": composed,
-        "terminal_site": counts.terminal,
+        "terminal_site": m,
         "residual_crossing": res_crossing,
         "residual_composition": res_composed,
     }

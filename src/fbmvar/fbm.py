@@ -47,6 +47,10 @@ EIGENVALUE_FLOOR = -1e-9
 #: point-count cap for the O(N^3) Cholesky oracle
 CHOLESKY_CAP = 2048
 
+#: point-count cap for `sample_fbm` (level 21 over [0, 1] fits); the
+#: circulant sampler's buffers take about 64 bytes per point
+SAMPLE_FBM_CAP = 1 << 22
+
 
 @dataclass(frozen=True)
 class SeedSpec:
@@ -278,8 +282,10 @@ def sample_fbm(h, grid: GridSpec, seed: SeedSpec | Sequence[SeedSpec], size: int
     a sequence of SeedSpecs it is a plain (len(seed), npoints) array, drawn
     as one batch (one spectrum scaling, one FFT, one cumulative sum, one
     anchoring), whose row i is bit-identical to the values of the path of
-    seed[i] alone.
+    seed[i] alone.  A grid above SAMPLE_FBM_CAP points raises ValueError.
     """
+    if grid.npoints > SAMPLE_FBM_CAP:
+        raise ValueError(f"grid has {grid.npoints} points, above the sampling cap {SAMPLE_FBM_CAP}")
     hp = as_hurst(h)
     fgn = sample_fgn_circulant(hp, grid.npoints - 1, grid.spacing, seed, size=size)
     fgn = np.atleast_2d(fgn)

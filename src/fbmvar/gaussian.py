@@ -1,12 +1,15 @@
 """Exact scalar kernels for fractional Gaussian analysis.
 
-Probabilists' Hermite polynomials, Gaussian moments, the fBm covariance
+The exact integer coefficients of x^(2r-1) in probabilists' Hermite
+polynomials (`hermite_coeffs`; the polynomials themselves are never
+evaluated, only their orthogonality is used), Gaussian moments, the fBm
+covariance
 
     C_H(s, t) = (|s|^2H + |t|^2H - |t-s|^2H) / 2,
 
 the fractional-Gaussian-noise correlation rho_H(j), bivariate odd moments
-via the Hermite expansion of x^(2r-1), and the limiting standard deviation
-of normalized odd-power variations,
+from those coefficients, and the limiting standard deviation of
+normalized odd-power variations,
 
     sigma^2 = mu_{4r-2} + 2 * sum_{j>=1} E[(U (V_{1+j} - V_j))^(2r-1)],
 
@@ -82,24 +85,6 @@ def gaussian_moment(p: int) -> float:
     return float(double_factorial(p))
 
 
-def hermite_eval(p: int, x):
-    """Probabilists' Hermite polynomial H_p(x) by the three-term recurrence.
-
-    H_0 = 1, H_1 = x, H_{p+1} = x*H_p - p*H_{p-1}.  `x` may be a scalar or
-    an ndarray; the return matches.
-    """
-    if p < 0:
-        raise ValueError("Hermite order must be >= 0")
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if p == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = x.copy()
-    for k in range(1, p):
-        h_prev, h = h, x * h - k * h_prev
-    return h if h.ndim else float(h)
-
-
 @dataclass(frozen=True)
 class HermiteCoeffs:
     """Coefficients c[u], u = 1..r, of x^(2r-1) = sum_u c[u] H_{2(r-u)+1}(x).
@@ -114,10 +99,6 @@ class HermiteCoeffs:
     def orders(self) -> tuple[int, ...]:
         """Hermite orders w(u) = 2(r-u)+1 aligned with `c`."""
         return tuple(2 * (self.r - u) + 1 for u in range(1, self.r + 1))
-
-    def reconstruct(self, x):
-        """Evaluate sum_u c[u] H_{w(u)}(x); equals x^(2r-1) pointwise."""
-        return sum(cu * hermite_eval(w, x) for cu, w in zip(self.c, self.orders))
 
 
 def hermite_coeffs(r: int) -> HermiteCoeffs:

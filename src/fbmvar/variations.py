@@ -23,9 +23,11 @@ so the same code evaluates one path or a batch of paths on one grid
 gives the same bits as the path alone.  Partial sums are accumulated in
 extended precision so that differencing recovers the per-step summands and
 window increments are one subtraction.
-The remaining functions give the Taylor split of the trapezoid-midpoint gap
-and the path functionals of the limits (quadrature, and the conditional
-std of the mixture law given the path).
+The remaining functions give the path functionals of the limits: the
+quadrature of f' that the endpoint rules converge to, and the conditional
+std of the mixture law given the path.  The trapezoid-midpoint gap has no
+function of its own; it is the difference of the two rules' series, whose
+decay check A4 gates.
 """
 
 from __future__ import annotations
@@ -143,52 +145,15 @@ def variation(
     return _series(n, summands, scale)
 
 
-def taylor_remainder_split(
-    path: FbmPath, f: WeightFunction, r: int, n_order: int
-) -> tuple[VariationSeries, VariationSeries]:
-    """Split of (trapezoid - midpoint) into the even-derivative Taylor sum
-    and its residual.
-
-    The first component accumulates, per step,
-
-        sum_{k=1}^{floor(N/2)} f^(2k)(b_j) D_j^(2k) / (4^k (2k)!)
-            * (2^nH D_j)^(2r-1),
-
-    with the 2^(-n/2) normalization; the second is the exact residual, so
-    the two always add up to trapezoidal - midpoint.
-    """
-    if n_order < 1:
-        raise ValueError("Taylor order must be >= 1")
-    kmax = n_order // 2
-    if f.order < 2 * kmax:
-        raise ValueError(f"weight '{f.name}' lacks derivatives up to {2 * kmax}")
-    n = path.grid.level
-    x = path.values[path.grid.zero_index :]
-    dx = np.diff(x)
-    beta = 0.5 * (x[:-1] + x[1:])
-    power = step_summands(path, None, r)[path.grid.zero_index :]
-    corr = np.zeros_like(dx)
-    for k in range(1, kmax + 1):
-        corr += f.eval(2 * k, beta) * (dx * dx) ** k / (4.0**k * math.factorial(2 * k))
-    a_series = _series(n, corr * power, 2.0 ** (-n / 2.0))
-    psi = variation(path, f, r, "trapezoid")
-    phi = variation(path, f, r)
-    b_raw = psi.raw - phi.raw - a_series.raw
-    b_series = VariationSeries(level=n, raw=b_raw, scale=a_series.scale)
-    return a_series, b_series
-
-
-def limit_quadrature(path: FbmPath, f: WeightFunction, which: str, t: float):
-    """Trapezoid-rule quadrature of f(X_s) or f'(X_s) over [0, t]: a float,
-    or one value per row for a batch."""
-    if which not in ("f", "f_prime"):
-        raise ValueError("which must be 'f' or 'f_prime'")
+def limit_quadrature(path: FbmPath, f: WeightFunction, t: float):
+    """Trapezoid-rule quadrature of f'(X_s) over [0, t]: a float, or one
+    value per row for a batch."""
     n = path.grid.level
     k = path.grid.index_of(t) - path.grid.zero_index
     if k < 0:
         raise ValueError("t must be >= 0")
     x = path.values[..., path.grid.zero_index : path.grid.zero_index + k + 1]
-    g = f.eval(0 if which == "f" else 1, x)
+    g = f.eval(1, x)
     steps = 0.5 * (g[..., :-1] + g[..., 1:])
     value = (np.sum(steps.astype(np.longdouble), axis=-1) * np.longdouble(2.0**-n)).astype(float)
     return float(value) if value.ndim == 0 else value

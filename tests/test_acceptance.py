@@ -39,7 +39,7 @@ from scipy import stats as sps
 
 import fbmvar.acceptance as acceptance
 from fbmvar import (
-    SeedSpec, get_weight, ks_two_sample, sample_fbmbt, variation, walk_power_variation,
+    SeedSpec, get_weight, identity_residuals, ks_two_sample, sample_fbmbt, variation,
 )
 from fbmvar.acceptance import ACCEPTANCE, run_check
 
@@ -223,15 +223,17 @@ def test_normal_cdf_leaves_reports_unchanged(name, monkeypatch):
     ("A9", {"f": "zero"}, "f must be 'one'"),
     ("A9", {"level": 5}, "level must be a positive even integer"),
     ("A9", {"level": 0}, "level must be a positive even integer"),
+    ("A9", {"level": 64}, "level must be a positive even integer <= 62"),
     ("A10", {"hs": ()}, "hs is empty"),
 ], ids=["A4-one-level", "A4-decreasing", "A4-equal", "A5-levels", "A6-empty", "A6-one-level",
         "A6-repeated", "A7-hs", "A8-both", "A8-trials", "A8-band_hs", "A8-band_ms",
-        "A9-gauss", "A9-sin", "A9-zero", "A9-odd-level", "A9-level-0", "A10-hs"])
+        "A9-gauss", "A9-sin", "A9-zero", "A9-odd-level", "A9-level-0", "A9-level-64",
+        "A10-hs"])
 def test_checks_refuse_work_they_cannot_check(name, overrides, match, monkeypatch):
     # empty work used to pass with nothing checked (A5 divided by zero), A4
     # sampled its whole mixture law before an IndexError or a decay read the
     # wrong way round, and A9's variance target sigma^2 sqrt(2/pi) holds for
-    # f = 1 only
+    # f = 1 only; a walk of 2^64 steps overflowed A9's binomial draw
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled")
 
@@ -250,7 +252,7 @@ def test_a9_composition_draws_have_the_direct_walk_law(weight):
     h, n, r, count = 0.25, 10, 2, 2000
     f = get_weight(weight)
     walks = (sample_fbmbt(h, n, 1.0, SeedSpec(61, i)) for i in range(count))
-    direct = [2.0 ** (-n / 4) * walk_power_variation(sample, f, r, 1.0) for sample in walks]
+    direct = [2.0 ** (-n / 4) * identity_residuals(s, f, r, 1.0)["direct"] for s in walks]
     composed = []
     for i in range(count):
         sites = abs(2 * int(SeedSpec(62, i).rng().binomial(2**n, 0.5)) - 2**n)

@@ -17,7 +17,6 @@ from fbmvar import (
     sample_fbmbt,
     sample_walk,
     step_summands,
-    walk_power_variation,
 )
 from fbmvar import brownian_time
 from fbmvar.brownian_time import RESIDUAL_TOL
@@ -66,13 +65,13 @@ def test_crossing_counts_hand_example():
     cc = crossing_counts(walk, 1.0)
     assert dict(zip(cc.sites().tolist(), cc.up.tolist())) == {0: 1, 1: 2}
     assert dict(zip(cc.sites().tolist(), cc.down.tolist())) == {0: 0, 1: 1}
-    assert cc.total() == 4
+    assert cc.up.sum() + cc.down.sum() == 4
 
 
 def test_crossing_counts_empty_horizon():
     walk = _walk([1, -1, 1, -1])
     cc = crossing_counts(walk, 2.0**-4)
-    assert cc.total() == 0
+    assert cc.up.sum() + cc.down.sum() == 0
     assert len(cc.up) == 0
 
 
@@ -83,7 +82,7 @@ def test_crossing_conservation_random():
         walk = sample_walk(n, 1.0, SeedSpec(int(rng.integers(1 << 30)), 0))
         t = rng.uniform(2.0**-n, 1.0)
         cc = crossing_counts(walk, t)
-        assert cc.total() == math.floor(t * 2**n)
+        assert cc.up.sum() + cc.down.sum() == math.floor(t * 2**n)
 
 
 def test_terminal_site_matches_indicator_profile():
@@ -228,8 +227,8 @@ def test_sample_covers_walk_range():
 
 def test_variation_trivial_cases():
     sample = sample_fbmbt(0.25, 8, 1.0, SeedSpec(10, 0))
-    assert walk_power_variation(sample, get_weight("zero"), 2, 1.0) == 0.0
-    assert walk_power_variation(sample, F_GAUSS, 2, 2.0**-9) == 0.0
+    assert identity_residuals(sample, get_weight("zero"), 2, 1.0)["direct"] == 0.0
+    assert identity_residuals(sample, F_GAUSS, 2, 2.0**-9)["direct"] == 0.0
 
 
 def test_walk_returning_to_origin_gives_zero():
@@ -238,8 +237,7 @@ def test_walk_returning_to_origin_gives_zero():
     spatial = sample_fbm(0.25, grid, SeedSpec(11, 0))
     sample = FbmbtSample(walk=walk, spatial=spatial)
     res = identity_residuals(sample, F_GAUSS, 2, 1.0)
-    assert res["crossing"] == res["composed"] == 0.0
-    assert walk_power_variation(sample, F_GAUSS, 2, 1.0) == 0.0
+    assert res["direct"] == res["crossing"] == res["composed"] == 0.0
 
 
 def test_single_step_reduces_to_one_trapezoid_term():
@@ -251,7 +249,8 @@ def test_single_step_reduces_to_one_trapezoid_term():
     x1 = spatial.value_at(0.5)
     scale = 2.0 ** (2 * 0.3 / 2.0)
     expected = 0.5 * (math.exp(-x0 * x0) + math.exp(-x1 * x1)) * (scale * (x1 - x0)) ** 3
-    assert walk_power_variation(sample, F_GAUSS, 2, 0.25) == pytest.approx(expected, rel=1e-12)
+    direct = identity_residuals(sample, F_GAUSS, 2, 0.25)["direct"]
+    assert direct == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [4, 8, 12])
@@ -308,10 +307,10 @@ def test_fbmbt_determinism():
 
 def _walk_power_variation_per_step(sample, f, r, t):
     """Reference: the weight and power evaluated at every walk step."""
-    z = sample.z_values(t)
+    z = sample.z_values()[: sample.walk.horizon(t) + 1]
     if len(z) < 2:
         return 0.0
-    dz = 2.0 ** (sample.level * sample.spatial.h.h / 2.0) * np.diff(z)
+    dz = 2.0 ** (sample.walk.level * sample.spatial.h.h / 2.0) * np.diff(z)
     w = 0.5 * (f(z[:-1]) + f(z[1:]))
     return float(np.sum((w * odd_power(dz, r)).astype(np.longdouble)))
 
@@ -324,6 +323,6 @@ def test_walk_variation_table_equals_per_step_formula(n, weight):
         sample = sample_fbmbt(0.25, n, 1.0, SeedSpec(60 + n, i))
         for r in (1, 2, 3):
             for t in (0.7, 1.0):
-                got = walk_power_variation(sample, f, r, t)
+                got = identity_residuals(sample, f, r, t)["direct"]
                 assert got == _walk_power_variation_per_step(sample, f, r, t)
-            assert walk_power_variation(sample, f, r, 0.5 / 2**n) == 0.0
+            assert identity_residuals(sample, f, r, 0.5 / 2**n)["direct"] == 0.0

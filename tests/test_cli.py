@@ -11,7 +11,7 @@ import numpy
 import pytest
 import scipy
 
-from fbmvar import McReport, cli
+from fbmvar import McReport, SeedSpec, cli, fbm
 from fbmvar.acceptance import check_a1
 from fbmvar.brownian_time import RESIDUAL_TOL
 from fbmvar.cli import main
@@ -65,7 +65,11 @@ def test_sigma_verbose_lists_terms(capsys):
         ("verify", "A8", "--threads", "0"),  # would run serially
         ("verify", "A8", "--threads", "1000000"),  # would start a thread per replicate
         ("verify", "A1", "--n", "40"),  # would allocate 8 TiB
-        ("verify", "A3", "--n", "22"),  # one level above the simulate cap
+        ("verify", "A3", "--n", "22"),  # one level above sample_fbm's cap
+        ("verify", "A4", "--n", "22"),
+        ("verify", "A10", "--n", "22"),
+        ("verify", "all", "--n", "24"),  # A9's default level, but A1's grid
+        ("verify", "A9", "--n", "64"),  # a walk too long for a 64-bit step count
         ("verify", "A7", "--n", "14"),  # an 8.6 GB covariance above the Cholesky cap
         ("verify", "A10", "--n", "3"),  # one live window: no band would be tested
         ("verify", "all", "--n", "5", "--replicates", "200"),  # odd: refused before A1 runs
@@ -157,12 +161,13 @@ def test_simulate_fbm_refuses_oversized_grid_before_sampling(capsys, monkeypatch
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled an oversized grid")
 
-    monkeypatch.setattr(cli, "sample_fbm", no_sampling)
+    monkeypatch.setattr(SeedSpec, "rng", no_sampling)
+    monkeypatch.setattr(fbm, "_circulant_spectrum", no_sampling)
     code, out, err = run_cli(capsys, "simulate", "fbm", "--n", "40")
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
-    assert str(cli.SIMULATE_FBM_CAP) in err
+    assert str(fbm.SAMPLE_FBM_CAP) in err
 
 
 def test_simulate_fbmbt_reports_residuals(tmp_path, capsys):
@@ -258,6 +263,20 @@ def test_verify_named_check_refuses_override_it_has_no_parameter_for(capsys, mon
     assert code == 2
     assert out == ""
     assert err.startswith("error: A5") and "--n" in err and err.count("\n") == 1
+
+
+def test_verify_a9_takes_a_walk_level_finer_than_any_fbm_grid(capsys, monkeypatch):
+    # A9's level is a walk level: its spatial grids have level n/2
+    taken = {}
+
+    def fake_run(name, master_seeds, threads, **overrides):
+        taken[name] = overrides
+        return True, [McReport(kind=name, config={}, master_seed=master_seeds[0])]
+
+    monkeypatch.setattr(cli, "run_check", fake_run)
+    code, _, _ = run_cli(capsys, "verify", "A9", "--n", "24")
+    assert code == 0
+    assert taken == {"A9": {"level": 24}}
 
 
 def test_verify_all_names_ignored_overrides(capsys, monkeypatch):

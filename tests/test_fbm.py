@@ -103,6 +103,19 @@ def test_cholesky_pins_zero_and_respects_cap():
         sample_fbm_cholesky(0.3, big, SeedSpec(5, 0))
 
 
+def test_sample_fbm_refuses_oversized_grid_before_drawing(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew for an oversized grid")
+
+    monkeypatch.setattr(SeedSpec, "rng", no_draw)
+    monkeypatch.setattr(fbm_mod, "_circulant_spectrum", no_draw)
+    big = GridSpec(level=22, t_min=0.0, t_max=1.0)
+    assert big.npoints == fbm_mod.SAMPLE_FBM_CAP + 1
+    for seed in (SeedSpec(5, 0), [SeedSpec(5, 0), SeedSpec(5, 1)]):
+        with pytest.raises(ValueError, match=str(fbm_mod.SAMPLE_FBM_CAP)):
+            sample_fbm(0.3, big, seed)
+
+
 def test_cholesky_covariance_example():
     # Cov(X_0.5, X_1) at h=0.3 over many replicates
     h = 0.3

@@ -15,7 +15,6 @@ from fbmvar import (
     limit_sigma,
     sample_fbm,
     step_summands,
-    taylor_remainder_split,
     variation,
 )
 from fbmvar.variations import RULES, odd_power
@@ -183,59 +182,38 @@ def test_endpoint_left_r1_identity_and_limit():
     assert errs[14] < 0.05
 
 
-# --- Taylor split ----------------------------------------------------------
+# --- trapezoid - midpoint gap ----------------------------------------------
+# The gap's Taylor expansion in the step has only even derivatives of f:
+# none for an affine weight, and exactly the order-two term for a square.
 
 def test_taylor_split_affine_vanishes():
     path = _path(level=8, seed=6)
-    a, b = taylor_remainder_split(path, F_ID, 2, 3)
-    assert np.all(a.raw == 0.0)
-    assert np.all(b.raw == 0.0)
+    psi, phi = variation(path, F_ID, 2, "trapezoid"), variation(path, F_ID, 2)
+    assert np.array_equal(psi.raw, phi.raw)
 
 
 def test_taylor_split_square_is_exact_at_order_two():
+    # per step (a^2 + b^2)/2 - ((a + b)/2)^2 = f''/8 D^2 = D^2/4
     path = _path(level=8, seed=8)
-    a, b = taylor_remainder_split(path, F_SQ, 2, 2)
-    scale = np.max(np.abs(a.raw)) + 1.0
-    assert np.max(np.abs(b.raw)) <= 1e-12 * scale
-
-
-def test_taylor_split_partitions_the_gap():
-    path = _path(level=9, seed=9)
-    a, b = taylor_remainder_split(path, F_SIN, 2, 4)
-    delta = variation(path, F_SIN, 2, "trapezoid").raw - variation(path, F_SIN, 2).raw
-    scale = np.max(np.abs(delta)) + 1.0
-    assert np.max(np.abs(a.raw + b.raw - delta)) <= 1e-13 * scale
-
-
-def test_taylor_split_requires_derivatives():
-    path = _path(level=6)
-    poor = WeightFunction("loworder", 1, lambda k, x: np.sin(x))
-    with pytest.raises(ValueError):
-        taylor_remainder_split(path, poor, 2, 2)
-
-
-def test_taylor_residual_sup_shrinks_with_level():
-    h, n_order = 0.3, 2
-    sups = {}
-    for n in (6, 10):
-        vals = []
-        for i in range(150):
-            path = _path(level=n, h=h, seed=5000 + i)
-            _, b = taylor_remainder_split(path, F_SIN, 2, n_order)
-            vals.append(np.max(np.abs(b.values)))
-        sups[n] = np.mean(vals)
-    assert sups[10] < sups[6]
+    gap = variation(path, F_SQ, 2, "trapezoid").raw - variation(path, F_SQ, 2).raw
+    d = np.diff(path.values)
+    term = np.cumsum(d * d / 4 * step_summands(path, None, 2))
+    assert np.max(np.abs(gap[1:] - term)) <= 1e-12 * (np.max(np.abs(term)) + 1.0)
 
 
 # --- quadrature and limit draws -------------------------------------------
 
 def test_quadrature_constant_weight_is_exact():
     path = _path(level=8, seed=10)
-    assert limit_quadrature(path, F_ONE, "f", 1.0) == 1.0
-    assert limit_quadrature(path, F_ONE, "f", 0.625) == 0.625
-    const = WeightFunction("c07", 4, lambda k, x: np.full_like(x, 0.7) if k == 0 else np.zeros_like(x))
-    assert limit_quadrature(path, const, "f", 1.0) == pytest.approx(0.7, rel=1e-12)
-    assert limit_quadrature(path, F_ID, "f_prime", 1.0) == 1.0
+    # the quadrand is f', constant for a linear weight
+    assert limit_quadrature(path, F_ID, 1.0) == 1.0
+    assert limit_quadrature(path, F_ID, 0.625) == 0.625
+
+    def slope_eval(k, x):  # f(x) = 0.7 x
+        return 0.7 * x if k == 0 else np.full_like(x, 0.7 if k == 1 else 0.0)
+
+    slope = WeightFunction("s07", 4, slope_eval)
+    assert limit_quadrature(path, slope, 1.0) == pytest.approx(0.7, rel=1e-12)
 
 
 def _bridge_refine(values, level, h_rng):
@@ -257,9 +235,9 @@ def test_quadrature_refinement_is_cauchy():
         v6 = path6.values
         v8 = _bridge_refine(_bridge_refine(v6, 6, rng), 7, rng)
         v10 = _bridge_refine(_bridge_refine(v8, 8, rng), 9, rng)
-        q6 = limit_quadrature(path6, F_SIN, "f", 1.0)
-        q8 = limit_quadrature(make_path(8, v8, 0.5), F_SIN, "f", 1.0)
-        q10 = limit_quadrature(make_path(10, v10, 0.5), F_SIN, "f", 1.0)
+        q6 = limit_quadrature(path6, F_SIN, 1.0)
+        q8 = limit_quadrature(make_path(8, v8, 0.5), F_SIN, 1.0)
+        q10 = limit_quadrature(make_path(10, v10, 0.5), F_SIN, 1.0)
         diffs[1].append(abs(q8 - q6))
         diffs[2].append(abs(q10 - q8))
     assert np.mean(diffs[2]) < np.mean(diffs[1])
