@@ -16,7 +16,9 @@ bounds.  A5's `residual_tol` stays an argument: it bounds float rounding,
 not a statistic, and the benchmark's validator reads it from the config;
 its default is `brownian_time.RESIDUAL_TOL`.  A1, A2 and A9 compare with
 sigma(r, H), which is 0 at r = 1, so they refuse r < 2; A3/A4 test the
-decay of the degenerate variance there instead.
+decay of the degenerate variance there instead.  A check whose KS test
+needs more samples than it is asked for (`harness.KS_MIN_SAMPLES`) refuses
+before it draws any, like every other refusal.
 
 Importing this module loads no scipy module.  A2 and A9's Donsker clause take
 their normal CDF from `scipy.special.ndtr`, imported by `_normal_cdf` on
@@ -45,8 +47,16 @@ from .gaussian import (
     midpoint_increment_overlap,
     midpoint_increment_overlap_closed,
 )
-from .harness import McReport, describe, ks_one_sample, ks_two_sample, replicate_map
-from .variations import limit_conditional_std, limit_quadrature, variation
+from .harness import (
+    CHUNK_STEPS,
+    KS_MIN_SAMPLES,
+    McReport,
+    describe,
+    ks_one_sample,
+    ks_two_sample,
+    replicate_map,
+)
+from .variations import _rule_variations, limit_conditional_std, limit_quadrature, variation
 from .weights import get_weight
 
 #: shipped default seeds; the first is the primary, the other two are the
@@ -88,6 +98,14 @@ def _positive_sigma(r: int, h) -> LimitSigma:
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}: sigma(1, H) = 0 leaves no limit law")
     return limit_sigma(r, h)
+
+
+def _ks_samples(**counts: int) -> None:
+    """Refuse, before anything is drawn, a sample count too small for the
+    asymptotic KS p-value."""
+    for name, count in counts.items():
+        if count < KS_MIN_SAMPLES:
+            raise ValueError(f"{name} must be >= {KS_MIN_SAMPLES} for a KS test, got {count}")
 
 
 def _normal_cdf(x):
@@ -138,6 +156,8 @@ def _mixture_law(report, rule, threads, replicates, level, h, r, f) -> McReport:
     master_seed = report.master_seed
     weight = get_weight(f)
     sigma = limit_sigma(r, h)
+    if sigma.value != 0.0:
+        _ks_samples(replicates=replicates)
     start = time.perf_counter()
     report.estimates["sigma"] = sigma.value
 
@@ -238,6 +258,7 @@ def check_a2(
     report = _report("A2", locals())
     start = time.perf_counter()
     sigma = _positive_sigma(r, h)
+    _ks_samples(replicates=replicates)
     draws = _unweighted_draws(h, r, level, 1.0, replicates, master_seed, threads)
     stat, p = ks_one_sample(draws / sigma.value, _normal_cdf)
     report.tests["ks_vs_standard_normal"] = {"statistic": stat, "p_value": p, "alpha": ALPHA}
@@ -287,9 +308,8 @@ def check_a4(
         grid = GridSpec(level=n, t_min=0.0, t_max=1.0)
 
         def chunk(seeds, grid=grid) -> np.ndarray:
-            paths = _paths(h, grid, seeds)
-            gap = (variation(paths, weight, r, "trapezoid").value_at(1.0)
-                   - variation(paths, weight, r).value_at(1.0))
+            trap, mid = _rule_variations(_paths(h, grid, seeds), weight, r, ("trapezoid", "midpoint"))
+            gap = trap.value_at(1.0) - mid.value_at(1.0)
             return gap * gap
 
         steps = grid.npoints - 1
@@ -427,8 +447,7 @@ def check_a7(
     """A7: circulant generator against the Cholesky oracle on a two-sided
     grid — entrywise covariance against C_H, terminal-value KS."""
     report = _report("A7", locals())
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
+    _ks_samples(replicates=replicates)
     if not hs:
         raise ValueError("hs is empty: A7 would compare no generator")
     grid = GridSpec(level=level, t_min=t_min, t_max=t_max)
@@ -515,14 +534,26 @@ def check_a8(
     return report
 
 
-def _brownian_time_path(h, level: int, sites: int, seed: SeedSpec) -> FbmPath:
-    """An fBm path from `seed` at the spatial level L = n/2 of walk level n,
-    covering `sites` lattice sites right of 0: on [0, pad 2^(-L)], with pad
-    the least power of two >= max(sites, 8), so that few grid sizes (and
+def _brownian_time_grid(level: int, sites: int) -> GridSpec:
+    """The grid of a path at the spatial level L = n/2 of walk level n that
+    covers `sites` lattice sites right of 0: [0, pad 2^(-L)], with pad the
+    least power of two >= max(sites, 8), so that few grid sizes (and
     cached spectra) occur."""
     pad = max(8, 1 << (sites - 1).bit_length())
-    spacing = 2.0 ** -(level // 2)
-    return sample_fbm(h, GridSpec(level=level // 2, t_min=0.0, t_max=pad * spacing), seed)
+    return GridSpec(level=level // 2, t_min=0.0, t_max=pad * 2.0 ** -(level // 2))
+
+
+def _grid_groups(level: int, sites: np.ndarray):
+    """(rows, grid) groups of the rows of `sites` by `_brownian_time_grid`,
+    in order of first appearance, rows in ascending order, each group at
+    most max(1, CHUNK_STEPS // pad) rows."""
+    groups = {}
+    for i, count in enumerate(sites.tolist()):
+        groups.setdefault(_brownian_time_grid(level, count), []).append(i)
+    for grid, rows in groups.items():
+        cap = max(1, CHUNK_STEPS // (grid.npoints - 1))
+        for lo in range(0, len(rows), cap):
+            yield rows[lo : lo + cap], grid
 
 
 def check_a9(
@@ -552,30 +583,50 @@ def check_a9(
     drawn like A3/A4's limit side.  The embedded walk's terminal value
     must be standard normal at the Donsker level.  The variance target
     holds for f = 1 only, so any other weight is refused.
+
+    A replicate's paths are drawn from its own substreams: its two |S_K|
+    from substream 0, the statistic's path from 1, the limit side's from 2
+    and the limit side's normal from 3.  A chunk draws the paths of each
+    side in groups of rows on one grid (`_grid_groups`), each group one
+    `sample_fbm` batch whose rows equal the single draws bit for bit; a
+    row's statistic is read at its own horizon from the group's trapezoid
+    series, and its conditional std is `limit_conditional_std`'s sum, a
+    longdouble sum over the row's own prefix of one squared-weight table.
+    Walk levels above 30 are refused before anything is drawn: |S_K|
+    reaches 2^(6+n/2) sites at 64 sd, and the path covering them must
+    stay within `fbm.SAMPLE_FBM_CAP` points.
     """
     report = _report("A9", locals())
     if f != "one":
         raise ValueError(f"f must be 'one', got {f!r}: A9's variance target "
                          "assumes a constant weight")
-    if level < 2 or level % 2 or level > 62:
-        raise ValueError(f"level must be a positive even integer <= 62, got {level}: the spatial "
-                         "lattice has level n/2, and the 2^n walk steps are counted in 64 bits")
+    if level < 2 or level % 2 or level > 30:
+        raise ValueError(f"level must be a positive even integer <= 30, got {level}: the spatial "
+                         "lattice has level n/2, and a path covering 2^(6+n/2) sites (|S_K| at "
+                         "64 sd) must stay within the sampling cap")
+    _ks_samples(replicates=replicates, donsker_replicates=donsker_replicates)
     start = time.perf_counter()
     sigma = _positive_sigma(r, h)
     weight = get_weight(f)
+    hp = as_hurst(h)
     k, spacing = 2**level, 2.0 ** -(level // 2)
 
     def chunk(seeds) -> np.ndarray:
-        rows = []
-        for seed in seeds:
-            # |S_K| for the statistic's horizon and for the limit side's
-            sites = np.abs(2 * seed.substream(0).rng().binomial(k, 0.5, size=2) - k).tolist()
-            path = _brownian_time_path(h, level, sites[0], seed.substream(1))
-            stat = variation(path, weight, r, "trapezoid").value_at(sites[0] * spacing)
-            path = _brownian_time_path(h, level, sites[1], seed.substream(2))
-            lim = _limit_draw(path, weight, sigma, sites[1] * spacing, [seed.substream(3)])
-            rows.append((stat, lim[0]))
-        return np.array(rows)
+        # |S_K| for the statistic's horizon (column 0) and the limit side's (column 1)
+        sites = np.abs(2 * np.array([seed.substream(0).rng().binomial(k, 0.5, size=2)
+                                     for seed in seeds]) - k)
+        out = np.empty((len(seeds), 2))
+        for rows, grid in _grid_groups(level, sites[:, 0]):
+            paths = FbmPath(grid, hp, sample_fbm(h, grid, [seeds[i].substream(1) for i in rows]))
+            series = variation(paths, weight, r, "trapezoid")
+            out[rows, 0] = series.scale * series.raw[np.arange(len(rows)), sites[rows, 0]]
+        for rows, grid in _grid_groups(level, sites[:, 1]):
+            values = sample_fbm(h, grid, [seeds[i].substream(2) for i in rows])
+            sq = weight(values).astype(np.longdouble) ** 2
+            for row, i in zip(sq, rows):
+                std = sigma.value * math.sqrt(float(np.sum(row[: sites[i, 1]])) * spacing)
+                out[i, 1] = std * seeds[i].substream(3).rng().standard_normal()
+        return out
 
     pairs = replicate_map(chunk, replicates, master_seed, threads)
     draws, lim = pairs[:, 0], pairs[:, 1]

@@ -20,11 +20,19 @@ them.  Its "direct" entry is the walk statistic wherever one is needed.
 `simulate fbmbt`.
 
 A walk (`EmbeddedWalk`) is built from its +-1 steps alone; its sites S_k
-are their partial sums, so the two cannot disagree.
+are their partial sums, so the two cannot disagree.  What several readers
+of one walk need is computed once, on first use: its extent (lowest and
+highest site), read by `sample_fbmbt`, `FbmbtSample` and `crossing_counts`,
+and the lower site of each step's lattice interval, read by
+`crossing_counts` and `identity_residuals`.  `sample_walk` builds its
+steps in place from the draw, and the walk validates them with
+reductions that allocate nothing, so a walk read for its terminal site
+alone (A9's Donsker clause) costs little beyond its stream.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -53,13 +61,26 @@ class EmbeddedWalk:
 
     def __post_init__(self):
         steps = np.asarray(self.steps)
-        if steps.ndim != 1 or steps.dtype.kind != "i" or not np.all(np.abs(steps) == 1):
+        # every entry is -1, 0 or 1, and none is 0
+        if steps.ndim != 1 or steps.dtype.kind != "i" or (len(steps) and (
+                steps.min() < -1 or steps.max() > 1 or np.count_nonzero(steps) < len(steps))):
             raise ValueError("walk steps must be a 1-D array of integers +-1")
         s = np.empty(len(steps) + 1, dtype=np.int64)
         s[0] = 0
         np.cumsum(steps, out=s[1:])
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "s", s)
+
+    @functools.cached_property
+    def _extent(self) -> tuple[int, int]:
+        """Lowest and highest site the walk visits."""
+        return int(self.s.min()), int(self.s.max())
+
+    @functools.cached_property
+    def _lower(self) -> np.ndarray:
+        lower = np.minimum(self.s[:-1], self.s[1:])
+        lower.flags.writeable = False
+        return lower
 
     def horizon(self, t: float) -> int:
         """Number of steps up to time t, i.e. floor(2^n t)."""
@@ -70,8 +91,8 @@ class EmbeddedWalk:
 
     def crossed(self, k: int) -> np.ndarray:
         """Lower site min(S_i, S_{i+1}) of the lattice interval that each of
-        the first k steps crosses."""
-        return np.minimum(self.s[:k], self.s[1 : k + 1])
+        the first k steps crosses (a read-only view)."""
+        return self._lower[:k]
 
 
 def sample_walk(n: int, t: float, seed: SeedSpec) -> EmbeddedWalk:
@@ -81,7 +102,10 @@ def sample_walk(n: int, t: float, seed: SeedSpec) -> EmbeddedWalk:
     k = math.floor(t * 2**n)
     if k < 1:
         raise ValueError("need floor(2^n t) >= 1")
-    return EmbeddedWalk(level=n, steps=seed.rng().integers(0, 2, size=k, dtype=np.int64) * 2 - 1)
+    steps = seed.rng().integers(0, 2, size=k, dtype=np.int64)
+    steps *= 2
+    steps -= 1
+    return EmbeddedWalk(level=n, steps=steps)
 
 
 @dataclass(frozen=True)
@@ -112,12 +136,12 @@ def crossing_counts(walk: EmbeddedWalk, t: float) -> CrossingCounts:
     """
     k = walk.horizon(t)
     s = walk.s[: k + 1]
-    st = walk.steps[:k]
-    lower = walk.crossed(k)
-    j_lo, j_star = int(s.min()), int(s[-1])
-    width = int(s.max()) - j_lo  # number of visited intervals
-    up = np.bincount(lower[st > 0] - j_lo, minlength=width).astype(np.int64)
-    down = np.bincount(lower[st < 0] - j_lo, minlength=width).astype(np.int64)
+    j_lo, j_hi = walk._extent if k == len(walk.steps) else (int(s.min()), int(s.max()))
+    j_star = int(s[-1])
+    width = j_hi - j_lo  # number of visited intervals
+    offset = walk.crossed(k) - j_lo
+    up = np.bincount(offset[walk.steps[:k] > 0], minlength=width).astype(np.int64, copy=False)
+    down = np.bincount(offset, minlength=width).astype(np.int64, copy=False) - up
     counts = CrossingCounts(k, j_star, j_lo, up, down)
     sites = counts.sites()
     expected = np.zeros_like(up)
@@ -141,7 +165,7 @@ class FbmbtSample:
     def __post_init__(self):
         if self.walk.level != 2 * self.spatial.grid.level:
             raise ValueError("spatial grid level must be half the walk level")
-        lo, hi = int(self.walk.s.min()), int(self.walk.s.max())
+        lo, hi = self.walk._extent
         if self.spatial.grid.i_min > lo or self.spatial.grid.i_max < hi:
             raise ValueError("spatial path does not cover the walk's range")
 
@@ -160,8 +184,8 @@ def sample_fbmbt(h, n: int, t: float, seed: SeedSpec) -> FbmbtSample:
     if n % 2:
         raise ValueError("fBm-in-Brownian-time sampling requires an even level n")
     walk = sample_walk(n, t, seed.substream(0))  # substream 1 drives the path
-    lo = min(int(walk.s.min()), 0)
-    hi = max(int(walk.s.max()), 1)
+    lo, hi = walk._extent
+    lo, hi = min(lo, 0), max(hi, 1)
     lo = -_SITE_PAD * math.ceil(-lo / _SITE_PAD) if lo < 0 else 0
     hi = _SITE_PAD * math.ceil(hi / _SITE_PAD)
     spacing = 2.0 ** (-(n // 2))
@@ -206,7 +230,7 @@ def identity_residuals(sample: FbmbtSample, f: WeightFunction, r: int, t: float)
     table = step_summands(sample.spatial, f, r, "trapezoid")
     zero = sample.spatial.grid.zero_index
     walk = sample.walk
-    counts = crossing_counts(walk, t)
+    counts = crossing_counts(walk, t)  # builds the walk's crossed sites, read again here
     k, m = counts.horizon, counts.terminal
     direct = _lsum(walk.steps[:k] * table[zero + walk.crossed(k)])
     crossing = _lsum(table[zero + counts.sites()] * counts.net())

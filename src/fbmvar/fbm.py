@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,6 +51,13 @@ CHOLESKY_CAP = 2048
 #: point-count cap for `sample_fbm` (level 21 over [0, 1] fits); the
 #: circulant sampler's buffers take about 64 bytes per point
 SAMPLE_FBM_CAP = 1 << 22
+
+#: most (rows, count) shapes whose work buffers one thread keeps, and the
+#: most points (rows * count) of a kept shape: at most 4 MiB per thread
+_SCRATCH_ENTRIES = 4
+_SCRATCH_POINTS = 1 << 15
+
+_scratch = threading.local()
 
 
 @dataclass(frozen=True)
@@ -79,11 +87,18 @@ class SeedSpec:
 @dataclass(frozen=True)
 class GridSpec:
     """Dyadic grid of level n (spacing 2^-n) spanning [t_min, t_max] with
-    t_min <= 0 < t_max, both multiples of 2^-n."""
+    t_min <= 0 < t_max, both multiples of 2^-n.
+
+    Its integer index range (i_min, i_max, npoints, zero_index) is worked
+    out once, when the grid is built."""
 
     level: int
     t_min: float
     t_max: float
+    i_min: int = field(init=False, repr=False, compare=False)
+    i_max: int = field(init=False, repr=False, compare=False)
+    npoints: int = field(init=False, repr=False, compare=False)
+    zero_index: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.level < 1:
@@ -96,26 +111,13 @@ class GridSpec:
             val = getattr(self, name) * 2.0**self.level
             if abs(val - round(val)) > 1e-9:
                 raise ValueError(f"{name} must be a multiple of 2^-level")
+            object.__setattr__(self, "i_" + name[2:], round(val))
+        object.__setattr__(self, "npoints", self.i_max - self.i_min + 1)
+        object.__setattr__(self, "zero_index", -self.i_min)
 
     @property
     def spacing(self) -> float:
         return 2.0**-self.level
-
-    @property
-    def i_min(self) -> int:
-        return round(self.t_min * 2**self.level)
-
-    @property
-    def i_max(self) -> int:
-        return round(self.t_max * 2**self.level)
-
-    @property
-    def npoints(self) -> int:
-        return self.i_max - self.i_min + 1
-
-    @property
-    def zero_index(self) -> int:
-        return -self.i_min
 
     def times(self) -> np.ndarray:
         return np.arange(self.i_min, self.i_max + 1) * self.spacing
@@ -183,18 +185,35 @@ def _circulant_spectrum(h: float, count: int) -> np.ndarray:
     return amp
 
 
-def _normals(seed: SeedSpec | Sequence[SeedSpec], size: int | None, width: int) -> np.ndarray:
-    """The (rows, width) standard normals of a draw: `size` (or 1)
-    consecutive rows of one SeedSpec's stream, or, for a sequence of
+def _buffers(rows: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Work buffers of a (rows, count) draw: (rows, 2*count) floats for the
+    normals and (rows, count+1) complex for the half spectrum.  Shapes of
+    at most _SCRATCH_POINTS points come from this thread's scratch, which
+    keeps the _SCRATCH_ENTRIES most recently used shapes; larger ones are
+    allocated per call."""
+    if rows * count > _SCRATCH_POINTS:
+        return np.empty((rows, 2 * count)), np.empty((rows, count + 1), dtype=complex)
+    kept = getattr(_scratch, "buffers", None)
+    if kept is None:
+        kept = _scratch.buffers = {}
+    bufs = kept.pop((rows, count), None)
+    if bufs is None:
+        if len(kept) >= _SCRATCH_ENTRIES:
+            del kept[next(iter(kept))]  # the least recently used shape
+        bufs = np.empty((rows, 2 * count)), np.empty((rows, count + 1), dtype=complex)
+    kept[rows, count] = bufs
+    return bufs
+
+
+def _fill_normals(seed: SeedSpec | Sequence[SeedSpec], out: np.ndarray) -> None:
+    """The standard normals of a draw, into the (rows, width) `out`: its
+    rows consecutive from one SeedSpec's stream, or, for a sequence of
     SeedSpecs, row i from the stream of seed[i] alone."""
     if isinstance(seed, SeedSpec):
-        return seed.rng().standard_normal((1 if size is None else int(size), width))
-    if size is not None:
-        raise ValueError("size applies to one SeedSpec; a batch has one row per seed")
-    normals = np.empty((len(seed), width))
-    for spec, row in zip(seed, normals):
+        seed.rng().standard_normal(out=out)
+        return
+    for spec, row in zip(seed, out):
         spec.rng().standard_normal(out=row)
-    return normals
 
 
 def sample_fgn_circulant(
@@ -215,17 +234,19 @@ def sample_fgn_circulant(
     draws from the same stream).  Or `seed` is a sequence of SeedSpecs:
     the result is a (len(seed), count) array whose row i is bit-identical
     to the vector drawn from seed[i] alone.  Fixed seed means bit-identical
-    output.
+    output.  The result never shares memory with the sampler's scratch.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if spacing <= 0.0:
         raise ValueError("spacing must be positive")
+    if size is not None and not isinstance(seed, SeedSpec):
+        raise ValueError("size applies to one SeedSpec; a batch has one row per seed")
     hp = as_hurst(h)
     amp = _circulant_spectrum(hp.h, count)
-    normals = _normals(seed, size, 2 * count)
-    rows = normals.shape[0]
-    half = np.empty((rows, count + 1), dtype=complex)
+    rows = (1 if size is None else int(size)) if isinstance(seed, SeedSpec) else len(seed)
+    normals, half = _buffers(rows, count)
+    _fill_normals(seed, normals)
     half.real[:, 0] = normals[:, 0]
     half.real[:, count] = normals[:, 1]
     half.real[:, 1:count] = normals[:, 2 : count + 1]

@@ -22,7 +22,9 @@ so the same code evaluates one path or a batch of paths on one grid
 (`FbmPath` with values of shape (rows, npoints)), row by row: a batch row
 gives the same bits as the path alone.  Partial sums are accumulated in
 extended precision so that differencing recovers the per-step summands and
-window increments are one subtraction.
+window increments are one subtraction.  A series keeps those longdouble
+sums: `value_at` reads them directly, and the float copy `raw` (and
+`values`) is built only when it is read, with the same bits.
 The remaining functions give the path functionals of the limits: the
 quadrature of f' that the endpoint rules converge to, and the conditional
 std of the mixture law given the path.  The trapezoid-midpoint gap has no
@@ -48,16 +50,25 @@ class VariationSeries:
     `raw` holds the unnormalized running sums (raw[..., 0] = 0) along its
     last axis, one series per row for a batch; `scale` is the statistic's
     normalization, so the series value is scale * raw.  Window algebra
-    (exact identities, moment scaling) lives on `raw`.
+    (exact identities, moment scaling) lives on `raw`.  The series keeps
+    the longdouble sums over steps 1.. (`_sums`, one entry fewer than
+    `raw`); `raw` is their float copy, built on each read.
     """
 
     level: int
-    raw: np.ndarray
+    _sums: np.ndarray
     scale: float
 
     @property
+    def raw(self) -> np.ndarray:
+        raw = np.empty(self._sums.shape[:-1] + (self._sums.shape[-1] + 1,))
+        raw[..., 0] = 0.0
+        raw[..., 1:] = self._sums
+        return raw
+
+    @property
     def times(self) -> np.ndarray:
-        return np.arange(self.raw.shape[-1]) * 2.0**-self.level
+        return np.arange(self._sums.shape[-1] + 1) * 2.0**-self.level
 
     @property
     def values(self) -> np.ndarray:
@@ -65,14 +76,17 @@ class VariationSeries:
 
     def index_at(self, t: float) -> int:
         k = math.floor(t * 2**self.level)
-        if not 0 <= k < self.raw.shape[-1]:
+        if not 0 <= k <= self._sums.shape[-1]:
             raise ValueError(f"t={t} outside the series range")
         return k
 
     def value_at(self, t: float):
         """Right-continuous step evaluation: the sum over j < floor(2^n t);
-        a float for one series, one value per row for a batch."""
-        value = self.scale * self.raw[..., self.index_at(t)]
+        a float for one series, one value per row for a batch.  The same
+        bits as scale * raw[..., k], read without building `raw`."""
+        k = self.index_at(t)
+        raw = self._sums[..., k - 1].astype(float) if k else np.zeros(self._sums.shape[:-1])
+        value = self.scale * raw
         return float(value) if value.ndim == 0 else value
 
 
@@ -91,10 +105,7 @@ def _series(level: int, summands: np.ndarray, scale: float) -> VariationSeries:
     # about twice as long
     sums = summands.astype(np.longdouble)
     np.cumsum(sums, axis=-1, out=sums)
-    raw = np.empty(summands.shape[:-1] + (summands.shape[-1] + 1,))
-    raw[..., 0] = 0.0
-    raw[..., 1:] = sums
-    return VariationSeries(level=level, raw=raw, scale=scale)
+    return VariationSeries(level, sums, scale)
 
 
 #: node rules of `variation`: where the weight is read on each step
@@ -113,22 +124,31 @@ def step_summands(
     (of the last axis, for a batch) belongs to the step that starts at grid
     index i.
     """
+    return _rule_summands(path, f, r, (rule,))[0]
+
+
+def _rule_summands(path: FbmPath, f: WeightFunction | None, r: int, rules) -> list:
+    """`step_summands` under each of `rules`, all from one odd-power table."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    if rule not in RULES:
-        raise ValueError(f"unknown rule '{rule}'; known: {', '.join(RULES)}")
+    for rule in rules:
+        if rule not in RULES:
+            raise ValueError(f"unknown rule '{rule}'; known: {', '.join(RULES)}")
     x = path.values
-    summands = odd_power(2.0 ** (path.grid.level * path.h.h) * np.diff(x), r)
+    power = odd_power(2.0 ** (path.grid.level * path.h.h) * np.diff(x), r)
     if f is None:
-        return summands
-    if rule == "midpoint":
-        w = f(0.5 * (x[..., :-1] + x[..., 1:]))
-    elif rule == "trapezoid":
-        fx = f(x)
-        w = 0.5 * (fx[..., :-1] + fx[..., 1:])
-    else:
-        w = f(x[..., :-1] if rule == "left" else x[..., 1:])
-    return w * summands
+        return [power] * len(rules)
+    out = []
+    for rule in rules:
+        if rule == "midpoint":
+            w = f(0.5 * (x[..., :-1] + x[..., 1:]))
+        elif rule == "trapezoid":
+            fx = f(x)
+            w = 0.5 * (fx[..., :-1] + fx[..., 1:])
+        else:
+            w = f(x[..., :-1] if rule == "left" else x[..., 1:])
+        out.append(w * power)
+    return out
 
 
 def variation(
@@ -139,10 +159,17 @@ def variation(
     The normalization is 2^(-n/2) for midpoint and trapezoid, 2^(nH-n) for
     the endpoint rules.
     """
-    summands = step_summands(path, f, r, rule)[..., path.grid.zero_index :]
-    n = path.grid.level
-    scale = 2.0 ** (-n / 2.0) if rule in ("midpoint", "trapezoid") else 2.0 ** (n * path.h.h - n)
-    return _series(n, summands, scale)
+    return _rule_variations(path, f, r, (rule,))[0]
+
+
+def _rule_variations(path: FbmPath, f: WeightFunction | None, r: int, rules) -> list:
+    """`variation` under each of `rules`, all from one odd-power table."""
+    n, zero = path.grid.level, path.grid.zero_index
+    return [
+        _series(n, summands[..., zero:],
+                2.0 ** (-n / 2.0) if rule in ("midpoint", "trapezoid") else 2.0 ** (n * path.h.h - n))
+        for rule, summands in zip(rules, _rule_summands(path, f, r, rules))
+    ]
 
 
 def limit_quadrature(path: FbmPath, f: WeightFunction, t: float):

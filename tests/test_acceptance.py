@@ -39,7 +39,8 @@ from scipy import stats as sps
 
 import fbmvar.acceptance as acceptance
 from fbmvar import (
-    SeedSpec, get_weight, identity_residuals, ks_two_sample, sample_fbmbt, variation,
+    SeedSpec, get_weight, identity_residuals, ks_two_sample, limit_conditional_std, limit_sigma,
+    sample_fbm, sample_fbmbt, variation,
 )
 from fbmvar.acceptance import ACCEPTANCE, run_check
 
@@ -223,17 +224,28 @@ def test_normal_cdf_leaves_reports_unchanged(name, monkeypatch):
     ("A9", {"f": "zero"}, "f must be 'one'"),
     ("A9", {"level": 5}, "level must be a positive even integer"),
     ("A9", {"level": 0}, "level must be a positive even integer"),
-    ("A9", {"level": 64}, "level must be a positive even integer <= 62"),
+    ("A9", {"level": 64}, "level must be a positive even integer <= 30"),
+    ("A9", {"level": 32}, "level must be a positive even integer <= 30"),
     ("A10", {"hs": ()}, "hs is empty"),
+    ("A2", {"replicates": 40}, "replicates must be >= 50 for a KS test, got 40"),
+    ("A3", {"replicates": 40}, "replicates must be >= 50 for a KS test, got 40"),
+    ("A4", {"replicates": 49}, "replicates must be >= 50 for a KS test, got 49"),
+    ("A7", {"replicates": 40}, "replicates must be >= 50 for a KS test, got 40"),
+    ("A9", {"replicates": 40}, "replicates must be >= 50 for a KS test, got 40"),
+    ("A9", {"donsker_replicates": 40}, "donsker_replicates must be >= 50 for a KS test, got 40"),
 ], ids=["A4-one-level", "A4-decreasing", "A4-equal", "A5-levels", "A6-empty", "A6-one-level",
         "A6-repeated", "A7-hs", "A8-both", "A8-trials", "A8-band_hs", "A8-band_ms",
         "A9-gauss", "A9-sin", "A9-zero", "A9-odd-level", "A9-level-0", "A9-level-64",
-        "A10-hs"])
+        "A9-level-32", "A10-hs", "A2-ks-replicates", "A3-ks-replicates", "A4-ks-replicates",
+        "A7-ks-replicates", "A9-ks-replicates", "A9-ks-donsker"])
 def test_checks_refuse_work_they_cannot_check(name, overrides, match, monkeypatch):
     # empty work used to pass with nothing checked (A5 divided by zero), A4
     # sampled its whole mixture law before an IndexError or a decay read the
     # wrong way round, and A9's variance target sigma^2 sqrt(2/pi) holds for
-    # f = 1 only; a walk of 2^64 steps overflowed A9's binomial draw
+    # f = 1 only; a walk of 2^64 steps overflowed A9's binomial draw, and
+    # from walk level 32 up A9's spatial path could pass the sampling cap
+    # part-way through the replicates; too few samples for a KS test were
+    # refused only after everything had been sampled
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled")
 
@@ -256,7 +268,93 @@ def test_a9_composition_draws_have_the_direct_walk_law(weight):
     composed = []
     for i in range(count):
         sites = abs(2 * int(SeedSpec(62, i).rng().binomial(2**n, 0.5)) - 2**n)
-        path = acceptance._brownian_time_path(h, n, sites, SeedSpec(63, i))
+        path = sample_fbm(h, acceptance._brownian_time_grid(n, sites), SeedSpec(63, i))
         composed.append(variation(path, f, r, "trapezoid").value_at(sites * 2.0 ** (-n / 2)))
     _, p = ks_two_sample(direct, composed)
     assert p > acceptance.ALPHA
+
+
+def _a9_rows_one_seed_at_a_time(h, level, r, seeds):
+    """Reference for A9's chunk: every replicate drawn alone, path by path,
+    through the public statistic and conditional std."""
+    weight, sigma = get_weight("one"), limit_sigma(r, h)
+    k, spacing = 2**level, 2.0 ** -(level // 2)
+    rows = []
+    for seed in seeds:
+        sites = np.abs(2 * seed.substream(0).rng().binomial(k, 0.5, size=2) - k).tolist()
+        path = sample_fbm(h, acceptance._brownian_time_grid(level, sites[0]), seed.substream(1))
+        stat = variation(path, weight, r, "trapezoid").value_at(sites[0] * spacing)
+        path = sample_fbm(h, acceptance._brownian_time_grid(level, sites[1]), seed.substream(2))
+        std = limit_conditional_std(path, weight, sigma, sites[1] * spacing)
+        rows.append((stat, std * seed.substream(3).rng().standard_normal()))
+    return np.array(rows)
+
+
+def _a9_chunk(monkeypatch, **config):
+    """The chunk function A9 hands replicate_map for its statistic."""
+    captured = []
+    real = acceptance.replicate_map
+
+    def spy(fn, *args, **kwargs):
+        captured.append(fn)
+        return real(fn, *args, **kwargs)
+
+    monkeypatch.setattr(acceptance, "replicate_map", spy)
+    acceptance.check_a9(master_seed=5, replicates=50, donsker_level=4, donsker_replicates=50,
+                        **config)
+    monkeypatch.setattr(acceptance, "replicate_map", real)
+    return captured[0]
+
+
+def _pads(level, seeds, side):
+    k = 2**level
+    sites = [abs(2 * int(s.substream(0).rng().binomial(k, 0.5, size=2)[side]) - k) for s in seeds]
+    return [acceptance._brownian_time_grid(level, n).npoints - 1 for n in sites]
+
+
+@pytest.mark.parametrize("level", [6, 14, 24])
+def test_a9_grouped_chunk_equals_one_seed_at_a_time(level, monkeypatch):
+    h, r = 0.25, 2
+    chunk = _a9_chunk(monkeypatch, level=level, h=h, r=r)
+    seeds = [SeedSpec(77, i) for i in range(16)]
+    assert chunk(seeds).tobytes() == _a9_rows_one_seed_at_a_time(h, level, r, seeds).tobytes()
+    # a chunk whose rows all lie on different grids, on both sides
+    distinct, pads = [], (set(), set())
+    for i in range(400):
+        seed = SeedSpec(78, i)
+        p0, p1 = _pads(level, [seed], 0)[0], _pads(level, [seed], 1)[0]
+        if p0 not in pads[0] and p1 not in pads[1] and p0 != p1:
+            distinct.append(seed)
+            pads[0].add(p0)
+            pads[1].add(p1)
+    assert len(distinct) >= 2
+    assert chunk(distinct).tobytes() == _a9_rows_one_seed_at_a_time(h, level, r, distinct).tobytes()
+
+
+def test_a9_groups_are_capped_by_chunk_steps_and_stay_bit_identical(monkeypatch):
+    # with CHUNK_STEPS = 32 a group on a 16-site grid holds at most 2 rows,
+    # so the 16 rows of a level-6 chunk split into several groups per grid
+    h, level, r = 0.3, 6, 2
+    monkeypatch.setattr(acceptance, "CHUNK_STEPS", 32)
+    seeds = [SeedSpec(79, i) for i in range(16)]
+    sites = np.array([[abs(2 * int(b) - 64) for b in s.substream(0).rng().binomial(64, 0.5, size=2)]
+                      for s in seeds])
+    groups = list(acceptance._grid_groups(level, sites[:, 0]))
+    assert sorted(i for rows, _ in groups for i in rows) == list(range(16))
+    assert all(len(rows) <= max(1, 32 // (grid.npoints - 1)) for rows, grid in groups)
+    grids = [grid for _, grid in groups]
+    assert len(grids) > len(set(grids))  # some grid was split at the cap
+    chunk = _a9_chunk(monkeypatch, level=level, h=h, r=r)
+    assert chunk(seeds).tobytes() == _a9_rows_one_seed_at_a_time(h, level, r, seeds).tobytes()
+
+
+@pytest.mark.parametrize("name,config", [
+    ("A4", dict(replicates=60, level=8, decay_levels=(6, 10), decay_replicates=20)),
+    ("A5", dict(samples=48, levels=(4, 8, 10))),
+    ("A9", dict(replicates=80, level=14, donsker_level=8, donsker_replicates=60)),
+])
+def test_reworked_checks_give_the_same_bytes_on_two_threads(name, config):
+    # each worker thread keeps its own sampler scratch
+    fn = ACCEPTANCE[name].fn
+    one = fn(master_seed=11, threads=1, **config).canonical_json()
+    assert fn(master_seed=11, threads=2, **config).canonical_json() == one

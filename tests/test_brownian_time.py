@@ -326,3 +326,30 @@ def test_walk_variation_table_equals_per_step_formula(n, weight):
                 got = identity_residuals(sample, f, r, t)["direct"]
                 assert got == _walk_power_variation_per_step(sample, f, r, t)
             assert identity_residuals(sample, f, r, 0.5 / 2**n)["direct"] == 0.0
+
+
+@pytest.mark.parametrize("steps", [
+    np.array([1, 0, -1]), np.array([1, -2]), np.array([2, 1]), np.array([-2]),
+    np.array([1.0, -1.0]), np.array([True, True]), np.array([1, 1], dtype=np.uint8),
+    np.array([[1, -1]]), np.array([1, np.iinfo(np.int64).min]),
+], ids=["zero", "minus-two", "two", "only-minus-two", "float", "bool", "unsigned", "2-D",
+        "int64-min"])
+def test_walk_validation_rejects_what_it_always_rejected(steps):
+    with pytest.raises(ValueError, match="integers"):
+        EmbeddedWalk(level=2, steps=steps)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64])
+def test_walk_validation_accepts_signed_plus_minus_one_and_empty(dtype):
+    walk = EmbeddedWalk(level=2, steps=np.array([1, -1, -1], dtype=dtype))
+    assert walk.s.tolist() == [0, 1, 0, -1]
+    empty = EmbeddedWalk(level=2, steps=np.array([], dtype=dtype))
+    assert empty.s.tolist() == [0] and crossing_counts(empty, 0.0).horizon == 0
+
+
+def test_crossed_sites_are_read_only_and_built_once():
+    walk = sample_walk(6, 1.0, SeedSpec(9, 0))
+    first = walk.crossed(64)
+    assert np.array_equal(first, np.minimum(walk.s[:-1], walk.s[1:]))
+    assert not first.flags.writeable
+    assert np.shares_memory(first, walk.crossed(10))

@@ -232,3 +232,34 @@ def test_sample_fbm_matches_full_spectrum_reference(t_min, size):
     assert got.shape == want.shape
     assert np.all(got[:, grid.zero_index] == 0.0)
     assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("count,size", [(16, None), (4096, 4), (16384, None)])
+def test_sampler_results_never_share_memory_with_the_scratch(count, size):
+    # the normals and half-spectrum buffers are kept per thread and reused;
+    # what a sampler returns is always its own memory
+    first = sample_fgn_circulant(0.25, count, 1.0 / count, SeedSpec(3, 0), size=size)
+    kept = first.copy()
+    second = sample_fgn_circulant(0.25, count, 1.0 / count, SeedSpec(3, 1), size=size)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, kept)
+    rows = 1 if size is None else size
+    for buf in fbm_mod._buffers(rows, count):
+        assert not np.shares_memory(first, buf) and not np.shares_memory(second, buf)
+    grid = GridSpec(level=4, t_min=-1.0, t_max=1.0)
+    seeds = [SeedSpec(4, i) for i in range(3)]
+    batch, again = sample_fbm(0.3, grid, seeds), sample_fbm(0.3, grid, seeds)
+    path, other = sample_fbm(0.3, grid, seeds[0]), sample_fbm(0.3, grid, seeds[1])
+    assert not np.shares_memory(batch, again) and np.array_equal(batch, again)
+    assert not np.shares_memory(path.values, other.values)
+    assert np.array_equal(path.values, batch[0])
+
+
+def test_scratch_keeps_a_bounded_number_of_shapes():
+    for count in range(1, 3 * fbm_mod._SCRATCH_ENTRIES):
+        sample_fgn_circulant(0.25, count, 0.5, SeedSpec(1, count))
+    assert len(fbm_mod._scratch.buffers) == fbm_mod._SCRATCH_ENTRIES
+    # a draw above the point bound is not kept
+    big = fbm_mod._SCRATCH_POINTS + 1
+    sample_fgn_circulant(0.25, big, 1.0 / big, SeedSpec(1, 0))
+    assert all(rows * count <= fbm_mod._SCRATCH_POINTS for rows, count in fbm_mod._scratch.buffers)

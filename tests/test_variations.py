@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from fbmvar import (
+    FbmPath,
     GridSpec,
     SeedSpec,
     WeightFunction,
+    as_hurst,
     get_weight,
     limit_conditional_std,
     limit_quadrature,
@@ -323,3 +325,27 @@ def test_unknown_rule_is_rejected():
         variation(path, F_GAUSS, 2, "simpson")
     with pytest.raises(ValueError, match="unknown rule"):
         variation(path, None, 2, "unweighted")
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+def test_value_at_reads_the_same_bits_as_scale_times_raw(rows):
+    # value_at reads the kept longdouble sums; raw is their float copy
+    grid = GridSpec(level=7, t_min=-0.25, t_max=1.0)
+    seed = SeedSpec(8, 0) if rows is None else [SeedSpec(8, i) for i in range(rows)]
+    values = sample_fbm(0.3, grid, seed)
+    path = values if rows is None else FbmPath(grid, as_hurst(0.3), values)
+    for rule in RULES:
+        series = variation(path, F_GAUSS, 2, rule)
+        raw = series.raw
+        last = raw.shape[-1] - 1
+        assert raw.shape[-1] == 2**7 + 1 and np.all(raw[..., 0] == 0.0)
+        for k in (0, 1, last // 2, last):
+            got = series.value_at(k * 2.0**-7)
+            expected = series.scale * raw[..., k]
+            if rows is None:
+                assert isinstance(got, float) and got == float(expected)
+            else:
+                assert got.tobytes() == expected.tobytes()
+        assert series.values.tobytes() == (series.scale * raw).tobytes()
+        with pytest.raises(ValueError, match="outside the series range"):
+            series.value_at((last + 1) * 2.0**-7)
