@@ -647,7 +647,8 @@ def check_a9(
         report.failures.append(f"mixture KS p-value {p:.4g} <= {ALPHA}")
 
     def terminals(seeds) -> list:
-        return [2.0 ** (-donsker_level / 2.0) * sample_walk(donsker_level, 1.0, seed).s[-1]
+        # S_K is the sum of the steps: the walk's sites are never built
+        return [2.0 ** (-donsker_level / 2.0) * sample_walk(donsker_level, 1.0, seed).steps.sum()
                 for seed in seeds]
 
     ys = replicate_map(terminals, donsker_replicates, master_seed + 1, threads)

@@ -24,17 +24,18 @@ are their partial sums, so the two cannot disagree.  What several readers
 of one walk need is computed once, on first use: its extent (lowest and
 highest site), read by `sample_fbmbt`, `FbmbtSample` and `crossing_counts`,
 and the lower site of each step's lattice interval, read by
-`crossing_counts` and `identity_residuals`.  `sample_walk` builds its
-steps in place from the draw, and the walk validates them with
-reductions that allocate nothing, so a walk read for its terminal site
-alone (A9's Donsker clause) costs little beyond its stream.
+`crossing_counts` and `identity_residuals`; so are its sites.
+`sample_walk` builds its steps in place from the draw, and the walk
+validates them with reductions that allocate nothing, so a walk read for
+its terminal site alone (the sum of its steps, as A9's Donsker clause
+reads it) costs little beyond its stream.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,12 +53,11 @@ class EmbeddedWalk:
 
     A walk is its steps, a 1-D integer array of +-1 (anything else raises
     ValueError); the sites S_0 = 0, S_{k+1} = S_k + steps[k] are derived
-    from them, never given.
+    from them, never given, on first read.
     """
 
     level: int
     steps: np.ndarray  # +-1 per step
-    s: np.ndarray = field(init=False)  # partial sums, S_0 = 0
 
     def __post_init__(self):
         steps = np.asarray(self.steps)
@@ -65,11 +65,15 @@ class EmbeddedWalk:
         if steps.ndim != 1 or steps.dtype.kind != "i" or (len(steps) and (
                 steps.min() < -1 or steps.max() > 1 or np.count_nonzero(steps) < len(steps))):
             raise ValueError("walk steps must be a 1-D array of integers +-1")
-        s = np.empty(len(steps) + 1, dtype=np.int64)
-        s[0] = 0
-        np.cumsum(steps, out=s[1:])
         object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "s", s)
+
+    @functools.cached_property
+    def s(self) -> np.ndarray:
+        """The sites, partial sums of the steps with S_0 = 0 (int64)."""
+        s = np.empty(len(self.steps) + 1, dtype=np.int64)
+        s[0] = 0
+        np.cumsum(self.steps, out=s[1:])
+        return s
 
     @functools.cached_property
     def _extent(self) -> tuple[int, int]:
