@@ -56,7 +56,7 @@ from .harness import (
     ks_two_sample,
     replicate_map,
 )
-from .variations import _rule_variations, limit_conditional_std, limit_quadrature, variation
+from .variations import limit_conditional_std, limit_quadrature, variation
 from .weights import get_weight
 
 #: shipped default seeds; the first is the primary, the other two are the
@@ -308,8 +308,9 @@ def check_a4(
         grid = GridSpec(level=n, t_min=0.0, t_max=1.0)
 
         def chunk(seeds, grid=grid) -> np.ndarray:
-            trap, mid = _rule_variations(_paths(h, grid, seeds), weight, r, ("trapezoid", "midpoint"))
-            gap = trap.value_at(1.0) - mid.value_at(1.0)
+            paths = _paths(h, grid, seeds)
+            gap = (variation(paths, weight, r, "trapezoid").value_at(1.0)
+                   - variation(paths, weight, r).value_at(1.0))
             return gap * gap
 
         steps = grid.npoints - 1

@@ -124,32 +124,23 @@ def step_summands(
     (of the last axis, for a batch) belongs to the step that starts at grid
     index i.
     """
-    return _rule_summands(path, f, r, (rule,))[0]
-
-
-def _rule_summands(path: FbmPath, f: WeightFunction | None, r: int, rules) -> list:
-    """`step_summands` under each of `rules`, all from one odd-power table."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    for rule in rules:
-        if rule not in RULES:
-            raise ValueError(f"unknown rule '{rule}'; known: {', '.join(RULES)}")
+    if rule not in RULES:
+        raise ValueError(f"unknown rule '{rule}'; known: {', '.join(RULES)}")
     x = path.values
     # x[1:] - x[:-1] is what np.diff computes, without its call overhead
-    power = odd_power(2.0 ** (path.grid.level * path.h.h) * (x[..., 1:] - x[..., :-1]), r)
+    summands = odd_power(2.0 ** (path.grid.level * path.h.h) * (x[..., 1:] - x[..., :-1]), r)
     if f is None:
-        return [power] * len(rules)
-    out = []
-    for rule in rules:
-        if rule == "midpoint":
-            w = f(0.5 * (x[..., :-1] + x[..., 1:]))
-        elif rule == "trapezoid":
-            fx = f(x)
-            w = 0.5 * (fx[..., :-1] + fx[..., 1:])
-        else:
-            w = f(x[..., :-1] if rule == "left" else x[..., 1:])
-        out.append(w * power)
-    return out
+        return summands
+    if rule == "midpoint":
+        w = f(0.5 * (x[..., :-1] + x[..., 1:]))
+    elif rule == "trapezoid":
+        fx = f(x)
+        w = 0.5 * (fx[..., :-1] + fx[..., 1:])
+    else:
+        w = f(x[..., :-1] if rule == "left" else x[..., 1:])
+    return w * summands
 
 
 def variation(
@@ -160,17 +151,10 @@ def variation(
     The normalization is 2^(-n/2) for midpoint and trapezoid, 2^(nH-n) for
     the endpoint rules.
     """
-    return _rule_variations(path, f, r, (rule,))[0]
-
-
-def _rule_variations(path: FbmPath, f: WeightFunction | None, r: int, rules) -> list:
-    """`variation` under each of `rules`, all from one odd-power table."""
-    n, zero = path.grid.level, path.grid.zero_index
-    return [
-        _series(n, summands[..., zero:],
-                2.0 ** (-n / 2.0) if rule in ("midpoint", "trapezoid") else 2.0 ** (n * path.h.h - n))
-        for rule, summands in zip(rules, _rule_summands(path, f, r, rules))
-    ]
+    summands = step_summands(path, f, r, rule)[..., path.grid.zero_index :]
+    n = path.grid.level
+    scale = 2.0 ** (-n / 2.0) if rule in ("midpoint", "trapezoid") else 2.0 ** (n * path.h.h - n)
+    return _series(n, summands, scale)
 
 
 def limit_quadrature(path: FbmPath, f: WeightFunction, t: float):
