@@ -20,15 +20,15 @@ them.  Its "direct" entry is the walk statistic wherever one is needed.
 `simulate fbmbt`.
 
 A walk (`EmbeddedWalk`) is built from its +-1 steps alone; its sites S_k
-are their partial sums, so the two cannot disagree.  What several readers
-of one walk need is computed once, on first use: its extent (lowest and
-highest site), read by `sample_fbmbt`, `FbmbtSample` and `crossing_counts`,
-and the lower site of each step's lattice interval, read by
-`crossing_counts` and `identity_residuals`; so are its sites.
-`sample_walk` builds its steps in place from the draw, and the walk
-validates them with reductions that allocate nothing, so a walk read for
-its terminal site alone (the sum of its steps, as A9's Donsker clause
-reads it) costs little beyond its stream.
+are their partial sums, so the two cannot disagree.  The sites, and what
+several readers of one walk need, are computed once, on first read: its
+extent (lowest and highest site), read by `sample_fbmbt`, `FbmbtSample`
+and `crossing_counts`, and the lower site of each step's lattice interval,
+read by `crossing_counts` and `identity_residuals`.  `sample_walk` builds
+its steps in place from the draw, and the walk validates them with
+reductions that allocate nothing, so a walk read for its terminal site
+alone (the sum of its steps, as A9's Donsker clause reads it) costs little
+beyond its stream.
 """
 
 from __future__ import annotations

@@ -111,9 +111,10 @@ class GridSpec:
             val = getattr(self, name) * 2.0**self.level
             if abs(val - round(val)) > 1e-9:
                 raise ValueError(f"{name} must be a multiple of 2^-level")
-            object.__setattr__(self, "i_" + name[2:], round(val))
-        object.__setattr__(self, "npoints", self.i_max - self.i_min + 1)
-        object.__setattr__(self, "zero_index", -self.i_min)
+        i_min, i_max = round(self.t_min * 2.0**self.level), round(self.t_max * 2.0**self.level)
+        for name, value in (("i_min", i_min), ("i_max", i_max),
+                            ("npoints", i_max - i_min + 1), ("zero_index", -i_min)):
+            object.__setattr__(self, name, value)
 
     @property
     def spacing(self) -> float:
