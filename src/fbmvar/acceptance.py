@@ -396,8 +396,6 @@ def check_a6(
         raise ValueError(f"n_list must hold at least two strictly increasing levels, "
                          f"got {n_list!r}")
     weight = get_weight(f)
-    if weight.order < 1:
-        raise ValueError("weight must provide a first derivative")
     mu = gaussian_moment(2 * r)
     start = time.perf_counter()
     rms = {}

@@ -9,6 +9,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fbmvar
@@ -62,3 +63,20 @@ def test_spectrum_cache_is_traceable():
     # the tracer reports the circulant spectrum cache's hits and misses
     spectrum = fbmvar.fbm._circulant_spectrum
     assert callable(spectrum.cache_clear) and callable(spectrum.cache_info)
+
+
+def test_tracer_patch_targets_are_class_attributes(monkeypatch):
+    # the tracer patches SeedSpec.rng and WeightFunction.eval on the classes,
+    # and counts a weight evaluation through __call__ by the eval patch alone
+    assert "rng" in fbmvar.SeedSpec.__dict__
+    assert "eval" in fbmvar.WeightFunction.__dict__
+    calls = []
+    original = fbmvar.WeightFunction.eval
+
+    def counting(self, k, x):
+        calls.append(k)
+        return original(self, k, x)
+
+    monkeypatch.setattr(fbmvar.WeightFunction, "eval", counting)
+    fbmvar.get_weight("gauss")(np.linspace(-1.0, 1.0, 5))
+    assert calls == [0]

@@ -153,8 +153,15 @@ def test_simulate_fbm_rejects_bad_grid(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "simulate", "fbm", "--n", "4", "--t", "0.3")
     assert code == 2
-    code, _, _ = run_cli(capsys, "simulate", "fbm", "--n", "4", "--f", "nosuch")
+
+
+@pytest.mark.parametrize("process", ["fbm", "fbmbt"])
+@pytest.mark.parametrize("weight", ["nosuch", "xsq_gauss"])
+def test_simulate_refuses_unknown_weight(capsys, process, weight):
+    code, out, err = run_cli(capsys, "simulate", process, "--n", "4", "--f", weight)
     assert code == 2
+    assert out == ""
+    assert err.startswith("error: --f must be one of ") and err.count("\n") == 1
 
 
 def test_simulate_fbm_refuses_oversized_grid_before_sampling(capsys, monkeypatch):

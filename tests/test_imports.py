@@ -44,3 +44,25 @@ def test_scipy_stats_loads_on_first_ks_test():
     # the import is deferred, not dropped: A2's KS test still uses scipy.stats
     code = "from fbmvar.acceptance import check_a2; check_a2(replicates=60, level=6)"
     assert "scipy.stats" in _loaded_after(code)
+
+
+PUBLIC_NAMES = [
+    "ACCEPTANCE", "CholeskyError", "ConvergenceError", "CrossingCounts", "DEFAULT_MASTER_SEEDS",
+    "EmbeddedWalk", "FbmPath", "FbmbtSample", "GridSpec", "HermiteCoeffs", "HurstParam",
+    "LimitSigma", "McReport", "RULES", "SeedSpec", "SpectralError", "VariationSeries", "WEIGHTS",
+    "WeightFunction", "acceptance", "as_hurst", "bivariate_odd_moment", "brownian_time",
+    "coarse_increment_overlap", "crossing_counts", "double_factorial", "fbm", "fbm_covariance",
+    "fgn_correlation", "gaussian", "gaussian_moment", "get_weight", "harness", "hermite_coeffs",
+    "identity_residuals", "ks_one_sample", "ks_two_sample", "limit_conditional_std",
+    "limit_quadrature", "limit_sigma", "midpoint_increment_overlap",
+    "midpoint_increment_overlap_closed", "run_check", "sample_fbm", "sample_fbm_cholesky",
+    "sample_fbmbt", "sample_fgn_circulant", "sample_walk", "step_summands", "variation",
+    "variations", "version", "weights",
+]
+
+
+def test_public_names_are_pinned():
+    # a name added to or dropped from the package surface shows up here
+    import fbmvar
+
+    assert sorted(fbmvar.__all__) == PUBLIC_NAMES

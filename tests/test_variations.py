@@ -41,20 +41,52 @@ def _path(level=8, h=0.25, seed=0, t_max=1.0, t_min=0.0):
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_registry_derivatives_match_finite_differences(name):
     xs = np.linspace(-3, 3, 25)
-    check_derivatives(REGISTRY[name], xs, k_max=6, tol=1e-6)
+    check_derivatives(REGISTRY[name], xs, tol=1e-6)
+
+
+def _horner(coeffs, x):
+    out = np.zeros_like(x)
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
+
+
+# Reference forms of f and f': Horner's scheme on the coefficients and on
+# their formal derivative, the sine shifted by k pi/2, and
+# (-1)^k H_k(x) exp(-x^2) with the physicists' H_0 = 1, H_1 = 2x.
+REFERENCE_WEIGHTS = {
+    "zero": (np.zeros_like, np.zeros_like),
+    "one": (np.ones_like, np.zeros_like),
+    "identity": (lambda x: _horner([0.0, 1.0], x), lambda x: _horner([1.0], x)),
+    "square": (lambda x: _horner([0.0, 0.0, 1.0], x), lambda x: _horner([0.0, 2.0], x)),
+    "sin": (lambda x: np.sin(x + 0 * np.pi / 2.0), lambda x: np.sin(x + 1 * np.pi / 2.0)),
+    "gauss": (
+        lambda x: (-1.0) ** 0 * np.ones_like(x) * np.exp(-(x**2)),
+        lambda x: (-1.0) ** 1 * (2.0 * x) * np.exp(-(x**2)),
+    ),
+}
+PINNED_XS = np.array([0.0, -0.0, 1e-300, -1e-300, np.pi, -np.pi, 40.0, -40.0, 0.3, -1.7, 2.5])
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_registry_weights_keep_their_bytes(name):
+    weight = REGISTRY[name]
+    for k, reference in enumerate(REFERENCE_WEIGHTS[name]):
+        assert weight.eval(k, PINNED_XS).tobytes() == reference(PINNED_XS).tobytes(), (name, k)
 
 
 def test_weight_order_guard():
-    f = WeightFunction("lin", 1, lambda k, x: x if k == 0 else np.ones_like(x))
-    f.eval(1, 0.5)
-    with pytest.raises(ValueError):
-        f.eval(2, 0.5)
+    f = WeightFunction("lin", lambda x: x, np.ones_like)
+    assert f.eval(1, 0.5) == 1.0
+    for k in (-1, 2):
+        with pytest.raises(ValueError):
+            f.eval(k, 0.5)
 
 
 def test_bad_derivatives_are_caught():
-    f = WeightFunction("broken", 2, lambda k, x: np.sin(x) if k == 0 else np.cos(x))
+    f = WeightFunction("broken", np.sin, lambda x: -np.cos(x))
     with pytest.raises(ValueError):
-        check_derivatives(f, np.linspace(-1, 1, 9), k_max=2)
+        check_derivatives(f, np.linspace(-1, 1, 9))
 
 
 # --- hand-computed values --------------------------------------------------
@@ -134,9 +166,7 @@ def test_affine_weight_collapses_trapezoid_to_midpoint():
     assert np.array_equal(
         variation(path, F_ID, 2, "trapezoid").raw, variation(path, F_ID, 2).raw
     )
-    affine = WeightFunction(
-        "affine", 8, lambda k, x: (1.7 * x + 0.3, np.full_like(x, 1.7), np.zeros_like(x))[min(k, 2)]
-    )
+    affine = WeightFunction("affine", lambda x: 1.7 * x + 0.3, lambda x: np.full_like(x, 1.7))
     psi = variation(path, affine, 2, "trapezoid")
     phi = variation(path, affine, 2)
     assert np.allclose(psi.raw, phi.raw, rtol=1e-12, atol=1e-13)
@@ -154,7 +184,7 @@ def test_unweighted_r1_brownian_telescopes_to_path():
 def test_odd_symmetry():
     path = _path(level=8, seed=11)
     flipped = make_path(8, -path.values, 0.25)
-    reflected = WeightFunction("refl", 8, lambda k, x: F_GAUSS.eval(k, -x))
+    reflected = WeightFunction("refl", lambda x: F_GAUSS(-x), lambda x: -F_GAUSS.eval(1, -x))
     for rule in RULES:
         for f, g in ((F_GAUSS, reflected), (None, None)):
             a, b = variation(path, f, 2, rule), variation(flipped, g, 2, rule)
@@ -210,11 +240,7 @@ def test_quadrature_constant_weight_is_exact():
     # the quadrand is f', constant for a linear weight
     assert limit_quadrature(path, F_ID, 1.0) == 1.0
     assert limit_quadrature(path, F_ID, 0.625) == 0.625
-
-    def slope_eval(k, x):  # f(x) = 0.7 x
-        return 0.7 * x if k == 0 else np.full_like(x, 0.7 if k == 1 else 0.0)
-
-    slope = WeightFunction("s07", 4, slope_eval)
+    slope = WeightFunction("s07", lambda x: 0.7 * x, lambda x: np.full_like(x, 0.7))
     assert limit_quadrature(path, slope, 1.0) == pytest.approx(0.7, rel=1e-12)
 
 
