@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .brownian_time import RESIDUAL_TOL, identity_residuals, sample_fbmbt, sample_walk
+from .brownian_time import RESIDUAL_TOL, _walk_steps, identity_residuals, sample_fbmbt, sample_walk
 from .fbm import CHOLESKY_CAP, FbmPath, GridSpec, SeedSpec, sample_fbm, sample_fbm_cholesky
 from .gaussian import (
     LimitSigma,
@@ -122,13 +122,39 @@ def _paths(h, grid: GridSpec, seeds) -> FbmPath:
     return FbmPath(grid=grid, h=as_hurst(h), values=sample_fbm(h, grid, seeds))
 
 
-def _limit_draw(path: FbmPath, weight, sigma, t: float, seeds) -> np.ndarray:
-    """Draws of the mixture-law limit sigma * int_0^t f(X_s) dW_s, with W
-    independent of X, given each path row: exactly normal with std
-    `limit_conditional_std`, so that std times one standard normal per row,
-    row i's from seeds[i]."""
-    z = np.array([seed.rng().standard_normal() for seed in seeds])
-    return limit_conditional_std(path, weight, sigma, t) * z
+def _grid_groups(grid_of, horizons):
+    """(rows, grid) groups of the rows whose horizons `grid_of` maps to one grid, in
+    order of first appearance, rows ascending, at most max(1, CHUNK_STEPS // steps) each."""
+    groups = {}
+    for i, t in enumerate(horizons):
+        groups.setdefault(grid_of(t), []).append(i)
+    for grid, rows in groups.items():
+        cap = max(1, CHUNK_STEPS // (grid.npoints - 1))
+        for lo in range(0, len(rows), cap):
+            yield rows[lo : lo + cap], grid
+
+
+def _mixture_draw(seeds, h, weight, r, rule, sigma, horizons, grid_of, sub) -> np.ndarray:
+    """A chunk's rows (Phi, L, X_end, X'_end), row i from seeds[i] alone:
+    Phi = `variation(X, f, r, rule).value_at(tau)` on a path X of substream
+    `sub`; L, the limit sigma * int_0^tau' f(X'_s) dW_s given the path X' of
+    substream sub + 1, is `limit_conditional_std` times a standard normal of
+    substream sub + 2; X_end and X'_end end the paths' grids.  A horizon is
+    one time, or one per row, whose path lies on grid_of(horizon); rows are
+    drawn in `_grid_groups`, a batch each."""
+    out = np.empty((len(seeds), 4))
+    for side, t in enumerate(horizons):
+        each = np.ndim(t) > 0
+        for rows, grid in _grid_groups(grid_of, t.tolist() if each else [t] * len(seeds)):
+            paths = _paths(h, grid, [seeds[i].substream(sub + side) for i in rows])
+            at = t[rows] if each else t
+            if side:
+                z = [seeds[i].substream(sub + 2).rng().standard_normal() for i in rows]
+                out[rows, 1] = limit_conditional_std(paths, weight, sigma, at) * np.array(z)
+            else:
+                out[rows, 0] = variation(paths, weight, r, rule).value_at(at)
+            out[rows, 2 + side] = paths.values[:, -1]
+    return out
 
 
 def _unweighted_draws(h, r, level, t, replicates, master_seed, threads):
@@ -145,13 +171,13 @@ def _mixture_law(report, rule, threads, replicates, level, h, r, f) -> McReport:
     recorded on `report`.
 
     The statistic is `variation` under the node rule `rule`.  Its draws are
-    compared (two-sample KS) with independent draws of the limit
-    sigma * sum f(X) dW, which given the path X is exactly normal with std
-    `limit_conditional_std`; the mean must vanish within SE_NARROW standard
-    errors, and the correlation with the terminal path value must be below
-    SE_NARROW/sqrt(R) + CORR_SLACK.  For r = 1 the limit is degenerate and the
-    check becomes variance decay: Var at `level` must be below
-    DEGENERATE_RATIO times its value at level - DEGENERATE_GAP.
+    compared (two-sample KS) with independent draws of the limit, both from
+    `_mixture_draw` on [0, 1] and substreams 0, 1 and 2; the mean must vanish
+    within SE_NARROW standard errors, and the correlation with the terminal
+    path value must be below SE_NARROW/sqrt(R) + CORR_SLACK.  For r = 1 the
+    limit is degenerate and the check becomes variance decay: Var at
+    `level` must be below DEGENERATE_RATIO times its value at
+    level - DEGENERATE_GAP.
     """
     master_seed = report.master_seed
     weight = get_weight(f)
@@ -181,21 +207,11 @@ def _mixture_law(report, rule, threads, replicates, level, h, r, f) -> McReport:
     else:
         grid = GridSpec(level=level, t_min=0.0, t_max=1.0)
 
-        def stat_and_terminal(seeds) -> np.ndarray:
-            paths = _paths(h, grid, [seed.substream(0) for seed in seeds])
-            return np.stack([variation(paths, weight, r, rule).value_at(1.0),
-                             paths.value_at(1.0)], axis=1)
+        def chunk(seeds) -> np.ndarray:
+            return _mixture_draw(seeds, h, weight, r, rule, sigma, (1.0, 1.0), lambda t: grid, 0)
 
-        def limit_and_terminal(seeds) -> np.ndarray:
-            paths = _paths(h, grid, [seed.substream(1) for seed in seeds])
-            lim = _limit_draw(paths, weight, sigma, 1.0, [seed.substream(2) for seed in seeds])
-            return np.stack([lim, paths.value_at(1.0)], axis=1)
-
-        steps = grid.npoints - 1
-        pairs = replicate_map(stat_and_terminal, replicates, master_seed, threads, steps=steps)
-        phi, x1 = pairs[:, 0], pairs[:, 1]
-        lim_pairs = replicate_map(limit_and_terminal, replicates, master_seed, threads, steps=steps)
-        lim = lim_pairs[:, 0]
+        rows = replicate_map(chunk, replicates, master_seed, threads, steps=grid.npoints - 1)
+        phi, lim, x1, x1_lim = rows.T
         ks_stat, p_val = ks_two_sample(phi, lim)
         desc = describe(phi)
         corr = float(np.corrcoef(phi, x1)[0, 1])
@@ -208,7 +224,7 @@ def _mixture_law(report, rule, threads, replicates, level, h, r, f) -> McReport:
         report.tests["corr_with_terminal"] = {"value": corr, "bound": corr_bound}
         # diagnostic: on the limit side W really is independent of the path,
         # so this correlation is exactly zero in law at every n
-        report.tests["corr_limit_side"] = {"value": float(np.corrcoef(lim, lim_pairs[:, 1])[0, 1])}
+        report.tests["corr_limit_side"] = {"value": float(np.corrcoef(lim, x1_lim)[0, 1])}
         if not p_val > ALPHA:
             report.failures.append(f"mixture KS p-value {p_val:.4g} <= {ALPHA}")
         if abs(desc["mean"]) > mean_bound:
@@ -542,19 +558,6 @@ def _brownian_time_grid(level: int, sites: int) -> GridSpec:
     return GridSpec(level=level // 2, t_min=0.0, t_max=pad * 2.0 ** -(level // 2))
 
 
-def _grid_groups(level: int, sites: np.ndarray):
-    """(rows, grid) groups of the rows of `sites` by `_brownian_time_grid`,
-    in order of first appearance, rows in ascending order, each group at
-    most max(1, CHUNK_STEPS // pad) rows."""
-    groups = {}
-    for i, count in enumerate(sites.tolist()):
-        groups.setdefault(_brownian_time_grid(level, count), []).append(i)
-    for grid, rows in groups.items():
-        cap = max(1, CHUNK_STEPS // (grid.npoints - 1))
-        for lo in range(0, len(rows), cap):
-            yield rows[lo : lo + cap], grid
-
-
 def check_a9(
     master_seed: int = DEFAULT_MASTER_SEEDS[0],
     threads: int = 1,
@@ -583,17 +586,13 @@ def check_a9(
     must be standard normal at the Donsker level.  The variance target
     holds for f = 1 only, so any other weight is refused.
 
-    A replicate's paths are drawn from its own substreams: its two |S_K|
-    from substream 0, the statistic's path from 1, the limit side's from 2
-    and the limit side's normal from 3.  A chunk draws the paths of each
-    side in groups of rows on one grid (`_grid_groups`), each group one
-    `sample_fbm` batch whose rows equal the single draws bit for bit; a
-    row's statistic is read at its own horizon from the group's trapezoid
-    series, and its conditional std is `limit_conditional_std`'s sum, a
-    longdouble sum over the row's own prefix of one squared-weight table.
-    Walk levels above 30 are refused before anything is drawn: |S_K|
-    reaches 2^(6+n/2) sites at 64 sd, and the path covering them must
-    stay within `fbm.SAMPLE_FBM_CAP` points.
+    A replicate's two |S_K| come from its substream 0; both sides are
+    A3/A4's draw, `_mixture_draw`, at one horizon per row on the grid
+    `_brownian_time_grid` gives it: the statistic's path from substream 1,
+    the limit side's from 2 and its normal from 3.  Refused before anything
+    is drawn: walk levels above 30 (|S_K| reaches 2^(6+n/2) sites at 64 sd,
+    and the path covering them must stay within `fbm.SAMPLE_FBM_CAP`
+    points) and Donsker levels `sample_walk` would refuse.
     """
     report = _report("A9", locals())
     if f != "one":
@@ -603,32 +602,27 @@ def check_a9(
         raise ValueError(f"level must be a positive even integer <= 30, got {level}: the spatial "
                          "lattice has level n/2, and a path covering 2^(6+n/2) sites (|S_K| at "
                          "64 sd) must stay within the sampling cap")
+    try:  # the Donsker walks sample_walk would refuse, refused before any draw
+        _walk_steps(donsker_level, 1.0)
+    except ValueError as exc:
+        raise ValueError(f"donsker_level {donsker_level}: {exc}") from None
     _ks_samples(replicates=replicates, donsker_replicates=donsker_replicates)
     start = time.perf_counter()
     sigma = _positive_sigma(r, h)
     weight = get_weight(f)
-    hp = as_hurst(h)
-    k, spacing = 2**level, 2.0 ** -(level // 2)
+    k, spatial = 2**level, level // 2
+
+    def grid_of(tau):
+        return _brownian_time_grid(level, round(tau * 2**spatial))
 
     def chunk(seeds) -> np.ndarray:
         # |S_K| for the statistic's horizon (column 0) and the limit side's (column 1)
         sites = np.abs(2 * np.array([seed.substream(0).rng().binomial(k, 0.5, size=2)
                                      for seed in seeds]) - k)
-        out = np.empty((len(seeds), 2))
-        for rows, grid in _grid_groups(level, sites[:, 0]):
-            paths = FbmPath(grid, hp, sample_fbm(h, grid, [seeds[i].substream(1) for i in rows]))
-            series = variation(paths, weight, r, "trapezoid")
-            out[rows, 0] = series.scale * series.raw[np.arange(len(rows)), sites[rows, 0]]
-        for rows, grid in _grid_groups(level, sites[:, 1]):
-            values = sample_fbm(h, grid, [seeds[i].substream(2) for i in rows])
-            sq = weight(values).astype(np.longdouble) ** 2
-            for row, i in zip(sq, rows):
-                std = sigma.value * math.sqrt(float(np.sum(row[: sites[i, 1]])) * spacing)
-                out[i, 1] = std * seeds[i].substream(3).rng().standard_normal()
-        return out
+        tau = sites * 2.0**-spatial
+        return _mixture_draw(seeds, h, weight, r, "trapezoid", sigma, tau.T, grid_of, 1)[:, :2]
 
-    pairs = replicate_map(chunk, replicates, master_seed, threads)
-    draws, lim = pairs[:, 0], pairs[:, 1]
+    draws, lim = replicate_map(chunk, replicates, master_seed, threads).T
     desc = describe(draws)
     target = sigma.value**2 * math.sqrt(2.0 / math.pi)
     gap = abs(desc["variance"] - target)

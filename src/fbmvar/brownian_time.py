@@ -46,6 +46,10 @@ from .weights import WeightFunction
 #: spatial grids are padded to site multiples of this, to stabilize caches
 _SITE_PAD = 8
 
+#: most steps `sample_walk` draws (level 22 over [0, 1] fits); a walk and
+#: its identity checks peak at about 50 bytes per step
+SAMPLE_WALK_CAP = 1 << 22
+
 
 @dataclass(frozen=True)
 class EmbeddedWalk:
@@ -99,13 +103,23 @@ class EmbeddedWalk:
         return self._lower[:k]
 
 
-def sample_walk(n: int, t: float, seed: SeedSpec) -> EmbeddedWalk:
-    """Rademacher walk with floor(2^n t) steps."""
+def _walk_steps(n: int, t: float) -> int:
+    """floor(2^n t), the steps of a walk at level n up to t; ValueError
+    unless n >= 1 and the walk has 1 to SAMPLE_WALK_CAP steps."""
     if n < 1:
-        raise ValueError("n must be a positive integer")
-    k = math.floor(t * 2**n)
-    if k < 1:
-        raise ValueError("need floor(2^n t) >= 1")
+        raise ValueError(f"n must be a positive integer, got {n}")
+    try:
+        k = math.floor(t * 2.0**n)
+    except OverflowError:  # beyond any float, so beyond the cap
+        k = math.inf
+    if not 1 <= k <= SAMPLE_WALK_CAP:
+        raise ValueError(f"walk has {k} steps, not between 1 and the sampling cap {SAMPLE_WALK_CAP}")
+    return k
+
+
+def sample_walk(n: int, t: float, seed: SeedSpec) -> EmbeddedWalk:
+    """Rademacher walk with floor(2^n t) steps, refused before any draw."""
+    k = _walk_steps(n, t)  # before the stream is made
     steps = seed.rng().integers(0, 2, size=k, dtype=np.int64)
     steps *= 2
     steps -= 1

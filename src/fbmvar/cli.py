@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import math
 import os
 import platform
 import sys
@@ -30,7 +29,7 @@ import numpy as np
 import scipy
 
 from .acceptance import ACCEPTANCE, DEFAULT_MASTER_SEEDS, run_check
-from .brownian_time import RESIDUAL_TOL, identity_residuals, sample_fbmbt
+from .brownian_time import RESIDUAL_TOL, _walk_steps, identity_residuals, sample_fbmbt
 from .fbm import GridSpec, SeedSpec, sample_fbm
 from .gaussian import (
     SIGMA_TOL,
@@ -43,11 +42,6 @@ from .gaussian import (
 from .variations import RULES, variation
 from .version import VERSION
 from .weights import REGISTRY, get_weight
-
-
-#: longest walk `simulate fbmbt` samples, in steps (level 22 over [0, 1]
-#: fits); the walk and its identity checks peak at about 50 bytes per step
-SIMULATE_FBMBT_CAP = 1 << 22
 
 #: type and help of every option; option "t_min" is the flag --t-min and
 #: the config-file key t_min, parsed with the option's type
@@ -232,16 +226,10 @@ def cmd_simulate_fbmbt(args) -> int:
     if cfg["n"] < 2 or cfg["n"] % 2:
         raise UsageError(f"--n must be a positive even integer, got {cfg['n']}")
     _check_process(cfg)
-    try:
-        steps = math.floor(cfg["t"] * 2.0 ** cfg["n"])
-    except OverflowError:  # beyond any float, so beyond the cap
-        steps = math.inf
-    if steps < 1:
-        raise UsageError("--t too small: the walk needs at least one step")
-    if steps > SIMULATE_FBMBT_CAP:
-        raise UsageError(
-            f"walk has {steps} steps, above the simulate cap {SIMULATE_FBMBT_CAP}"
-        )
+    try:  # the walk sample_walk would refuse, refused before anything is drawn
+        _walk_steps(cfg["n"], cfg["t"])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     seed = SeedSpec(cfg["seed"], 0)
     sample = sample_fbmbt(cfg["h"], cfg["n"], cfg["t"], seed)
     res = identity_residuals(sample, get_weight(cfg["f"]), cfg["r"], cfg["t"])

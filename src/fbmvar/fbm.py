@@ -52,9 +52,8 @@ CHOLESKY_CAP = 2048
 #: circulant sampler's buffers take about 64 bytes per point
 SAMPLE_FBM_CAP = 1 << 22
 
-#: most (rows, count) shapes whose work buffers one thread keeps, and the
-#: most points (rows * count) of a kept shape: at most 4 MiB per thread
-_SCRATCH_ENTRIES = 4
+#: most points (rows * count) of a draw whose work buffers come from its
+#: thread's scratch: 2 * _SCRATCH_POINTS floats and as many complex, 1.5 MiB
 _SCRATCH_POINTS = 1 << 15
 
 _scratch = threading.local()
@@ -188,22 +187,17 @@ def _circulant_spectrum(h: float, count: int) -> np.ndarray:
 
 def _buffers(rows: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Work buffers of a (rows, count) draw: (rows, 2*count) floats for the
-    normals and (rows, count+1) complex for the half spectrum.  Shapes of
-    at most _SCRATCH_POINTS points come from this thread's scratch, which
-    keeps the _SCRATCH_ENTRIES most recently used shapes; larger ones are
-    allocated per call."""
+    normals and (rows, count+1) complex for the half spectrum.  A draw of at
+    most _SCRATCH_POINTS points gets views of this thread's one pair of flat
+    scratch buffers, at its own shape; a larger one gets fresh buffers."""
+    shapes = (rows, 2 * count), (rows, count + 1)
     if rows * count > _SCRATCH_POINTS:
-        return np.empty((rows, 2 * count)), np.empty((rows, count + 1), dtype=complex)
-    kept = getattr(_scratch, "buffers", None)
-    if kept is None:
-        kept = _scratch.buffers = {}
-    bufs = kept.pop((rows, count), None)
-    if bufs is None:
-        if len(kept) >= _SCRATCH_ENTRIES:
-            del kept[next(iter(kept))]  # the least recently used shape
-        bufs = np.empty((rows, 2 * count)), np.empty((rows, count + 1), dtype=complex)
-    kept[rows, count] = bufs
-    return bufs
+        return np.empty(shapes[0]), np.empty(shapes[1], dtype=complex)
+    flat = getattr(_scratch, "buffers", None)
+    if flat is None:
+        flat = _scratch.buffers = (np.empty(2 * _SCRATCH_POINTS),
+                                   np.empty(2 * _SCRATCH_POINTS, dtype=complex))
+    return tuple(buf[: math.prod(shape)].reshape(shape) for buf, shape in zip(flat, shapes))
 
 
 def _fill_normals(seed: SeedSpec | Sequence[SeedSpec], out: np.ndarray) -> None:

@@ -41,12 +41,12 @@ CHUNK_ROWS = 16
 #: they are freed, so every chunk pays page faults on fresh memory (40k
 #: minor faults per 500-replicate A1 at 16 rows of 2^12 steps, none at 4
 #: rows), which cost more than the batching saves.  The circulant sampler
-#: now keeps its normals and half-spectrum buffers per thread for draws of
-#: up to 2^15 points (`fbm._buffers`), so a run of equal chunks reuses them
-#: instead of faulting them in: A4's level-14 gap loop, one 2^14-step row
-#: per chunk, fell from 256 minor faults per path to none.  What each chunk
-#: still allocates afresh (the transform's output, the paths, the
-#: statistic's sums) is what this cap keeps small.
+#: keeps one flat pair of normals and half-spectrum buffers per thread, and
+#: a draw of up to 2^15 points works in views of it (`fbm._buffers`), so
+#: chunks of any shape reuse it instead of faulting it in: A4's level-14
+#: gap loop, one 2^14-step row per chunk, fell from 256 minor faults per
+#: path to none.  What each chunk still allocates afresh (the transform's
+#: output, the paths, the statistic's sums) is what this cap keeps small.
 CHUNK_STEPS = 2**14
 
 

@@ -24,7 +24,8 @@ gives the same bits as the path alone.  Partial sums are accumulated in
 extended precision so that differencing recovers the per-step summands and
 window increments are one subtraction.  A series keeps those longdouble
 sums: `value_at` reads them directly, and the float copy `raw` (and
-`values`) is built only when it is read, with the same bits.
+`values`) is built only when it is read, with the same bits.  For a batch,
+`value_at` and `limit_conditional_std` also take one time per row.
 The remaining functions give the path functionals of the limits: the
 quadrature of f' that the endpoint rules converge to, and the conditional
 std of the mixture law given the path.  The trapezoid-midpoint gap has no
@@ -74,20 +75,27 @@ class VariationSeries:
     def values(self) -> np.ndarray:
         return self.scale * self.raw
 
-    def index_at(self, t: float) -> int:
-        k = math.floor(t * 2**self.level)
-        if not 0 <= k <= self._sums.shape[-1]:
-            raise ValueError(f"t={t} outside the series range")
-        return k
-
-    def value_at(self, t: float):
+    def value_at(self, t):
         """Right-continuous step evaluation: the sum over j < floor(2^n t);
-        a float for one series, one value per row for a batch.  The same
-        bits as scale * raw[..., k], read without building `raw`."""
-        k = self.index_at(t)
-        raw = self._sums[..., k - 1].astype(float) if k else np.zeros(self._sums.shape[:-1])
-        value = self.scale * raw
+        a float for one series; for a batch, one value per row, at one time
+        or at one time per row.  The same bits as scale * raw[..., k], read
+        without building `raw`."""
+        k = _steps(t, self.level, self._sums.shape[:-1], self._sums.shape[-1], "series")
+        rows = np.arange(len(k)) if np.ndim(k) else Ellipsis
+        # a read at k = 0 takes the last sum, replaced by 0
+        value = self.scale * np.where(k > 0, self._sums[rows, k - 1], 0.0).astype(float)
         return float(value) if value.ndim == 0 else value
+
+
+def _steps(t, level: int, rows: tuple, last: int, what: str):
+    """floor(2^level t) for one time, or an array of them for one time per
+    row of a batch of leading shape `rows`; refused outside 0..last."""
+    if np.ndim(t) and rows != (len(t),):
+        raise ValueError(f"{len(t)} times for a {what} of {rows} rows: give one time, or one per row")
+    k = [math.floor(s * 2**level) for s in np.ravel(t).tolist()]  # floats: numpy scalars are slow
+    if not all(0 <= i <= last for i in k):
+        raise ValueError(f"t={t} outside the {what} range")
+    return np.array(k) if np.ndim(t) else k[0]
 
 
 def odd_power(x: np.ndarray, r: int):
@@ -171,17 +179,17 @@ def limit_quadrature(path: FbmPath, f: WeightFunction, t: float):
     return float(value) if value.ndim == 0 else value
 
 
-def limit_conditional_std(path: FbmPath, f: WeightFunction, sigma, t: float):
+def limit_conditional_std(path: FbmPath, f: WeightFunction, sigma, t):
     """Conditional std of the mixture-law limit at t given the path:
     sigma * sqrt(sum_j f(X_j)^2 2^-n) over the floor(2^n t) steps of [0, t],
     the weight read at each step's left end.  Given the path, the limit is
     exactly normal with this std, so one draw is this std times a standard
-    normal.  A float, or one std per row for a batch."""
-    k = math.floor(t * 2**path.grid.level)
-    if k < 0 or path.grid.zero_index + k > path.grid.npoints - 1:
-        raise ValueError(f"t={t} outside the path range")
-    x = path.values[..., path.grid.zero_index : path.grid.zero_index + k]
-    s = getattr(sigma, "value", sigma)
-    sq = np.sum(f(x).astype(np.longdouble) ** 2, axis=-1).astype(float) * path.grid.spacing
-    std = float(s) * np.sqrt(sq)
+    normal.  A float; or, for a batch, one std per row, at one time or at
+    one time per row."""
+    zero = path.grid.zero_index
+    k = _steps(t, path.grid.level, path.values.shape[:-1], path.grid.npoints - 1 - zero, "path")
+    sq = f(path.values[..., zero:]).astype(np.longdouble) ** 2
+    # each row sums its own prefix, as it does alone
+    sq = np.array([np.sum(row[:m]) for row, m in zip(sq, k)]) if np.ndim(k) else np.sum(sq[..., :k], axis=-1)
+    std = float(getattr(sigma, "value", sigma)) * np.sqrt(sq.astype(float) * path.grid.spacing)
     return float(std) if std.ndim == 0 else std

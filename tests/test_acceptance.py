@@ -226,6 +226,9 @@ def test_normal_cdf_leaves_reports_unchanged(name, monkeypatch):
     ("A9", {"level": 0}, "level must be a positive even integer"),
     ("A9", {"level": 64}, "level must be a positive even integer <= 30"),
     ("A9", {"level": 32}, "level must be a positive even integer <= 30"),
+    ("A9", {"donsker_level": 0}, "donsker_level 0: n must be a positive integer"),
+    ("A9", {"donsker_level": 23}, "donsker_level 23: walk has 8388608 steps, not between 1 and"),
+    ("A9", {"donsker_level": 2000}, "donsker_level 2000: walk has inf steps, not between 1 and"),
     ("A10", {"hs": ()}, "hs is empty"),
     ("A2", {"replicates": 40}, "replicates must be >= 50 for a KS test, got 40"),
     ("A3", {"replicates": 40}, "replicates must be >= 50 for a KS test, got 40"),
@@ -236,15 +239,17 @@ def test_normal_cdf_leaves_reports_unchanged(name, monkeypatch):
 ], ids=["A4-one-level", "A4-decreasing", "A4-equal", "A5-levels", "A6-empty", "A6-one-level",
         "A6-repeated", "A7-hs", "A8-both", "A8-trials", "A8-band_hs", "A8-band_ms",
         "A9-gauss", "A9-sin", "A9-zero", "A9-odd-level", "A9-level-0", "A9-level-64",
-        "A9-level-32", "A10-hs", "A2-ks-replicates", "A3-ks-replicates", "A4-ks-replicates",
-        "A7-ks-replicates", "A9-ks-replicates", "A9-ks-donsker"])
+        "A9-level-32", "A9-donsker-0", "A9-donsker-23", "A9-donsker-2000", "A10-hs",
+        "A2-ks-replicates", "A3-ks-replicates", "A4-ks-replicates", "A7-ks-replicates",
+        "A9-ks-replicates", "A9-ks-donsker"])
 def test_checks_refuse_work_they_cannot_check(name, overrides, match, monkeypatch):
     # empty work used to pass with nothing checked (A5 divided by zero), A4
     # sampled its whole mixture law before an IndexError or a decay read the
     # wrong way round, and A9's variance target sigma^2 sqrt(2/pi) holds for
     # f = 1 only; a walk of 2^64 steps overflowed A9's binomial draw, and
     # from walk level 32 up A9's spatial path could pass the sampling cap
-    # part-way through the replicates; too few samples for a KS test were
+    # part-way through the replicates; too few samples for a KS test, or a
+    # Donsker level with no walk or a walk above the sampling cap, were
     # refused only after everything had been sampled
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled")
@@ -339,7 +344,9 @@ def test_a9_groups_are_capped_by_chunk_steps_and_stay_bit_identical(monkeypatch)
     seeds = [SeedSpec(79, i) for i in range(16)]
     sites = np.array([[abs(2 * int(b) - 64) for b in s.substream(0).rng().binomial(64, 0.5, size=2)]
                       for s in seeds])
-    groups = list(acceptance._grid_groups(level, sites[:, 0]))
+    tau = sites[:, 0] * 2.0 ** -(level // 2)
+    groups = list(acceptance._grid_groups(
+        lambda t: acceptance._brownian_time_grid(level, round(t * 2 ** (level // 2))), tau))
     assert sorted(i for rows, _ in groups for i in rows) == list(range(16))
     assert all(len(rows) <= max(1, 32 // (grid.npoints - 1)) for rows, grid in groups)
     grids = [grid for _, grid in groups]

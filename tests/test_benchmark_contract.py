@@ -80,3 +80,28 @@ def test_tracer_patch_targets_are_class_attributes(monkeypatch):
     monkeypatch.setattr(fbmvar.WeightFunction, "eval", counting)
     fbmvar.get_weight("gauss")(np.linspace(-1.0, 1.0, 5))
     assert calls == [0]
+
+
+@pytest.mark.parametrize("variant", ["full", "smoke"])
+def test_many_short_ops_sample_the_paths_they_state(workloads, variant, monkeypatch):
+    # the traced run checks that a workload samples the paths its config
+    # states: fBm rows from sample_fbm and sample_fbm_cholesky plus one per
+    # sample_walk call, as looked up in acceptance and brownian_time
+    sampled = []
+
+    def counting(sampler):
+        def counted(*args, **kwargs):
+            result = sampler(*args, **kwargs)
+            sampled.append(result.shape[0] if isinstance(result, np.ndarray) else 1)
+            return result
+
+        return counted
+
+    for module in (fbmvar.acceptance, fbmvar.brownian_time):
+        for name in ("sample_fbm", "sample_fbm_cholesky", "sample_walk"):
+            if name in vars(module):
+                monkeypatch.setattr(module, name, counting(vars(module)[name]))
+    for op in workloads.build_ops(fbmvar, "many_short", 20260809, variant):
+        sampled.clear()
+        op.fn(*op.args, **op.kwargs)
+        assert sum(sampled) == op.paths, op.name

@@ -199,6 +199,17 @@ def test_sample_walk_contracts():
         sample_walk(4, 0.01, SeedSpec(0, 0))
 
 
+@pytest.mark.parametrize("n", [23, 60, 2000])
+def test_sample_walk_refuses_walks_above_the_cap_before_drawing(n, monkeypatch):
+    # 2^n steps above SAMPLE_WALK_CAP, levels beyond any float included
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled an oversized walk")
+
+    monkeypatch.setattr(SeedSpec, "rng", no_sampling)
+    with pytest.raises(ValueError, match=f"and the sampling cap {brownian_time.SAMPLE_WALK_CAP}"):
+        sample_walk(n, 1.0, SeedSpec(0, 0))
+
+
 def test_sample_walk_moments():
     k = 256
     rows = np.stack([sample_walk(8, 1.0, SeedSpec(200, i)).s[-1] for i in range(3000)])

@@ -13,7 +13,7 @@ import scipy
 
 from fbmvar import McReport, SeedSpec, cli, fbm
 from fbmvar.acceptance import check_a1
-from fbmvar.brownian_time import RESIDUAL_TOL
+from fbmvar.brownian_time import RESIDUAL_TOL, SAMPLE_WALK_CAP
 from fbmvar.cli import main
 
 
@@ -235,7 +235,7 @@ def test_simulate_fbmbt_refuses_oversized_walk_before_sampling(capsys, monkeypat
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
-        assert str(cli.SIMULATE_FBMBT_CAP) in err
+        assert str(SAMPLE_WALK_CAP) in err
 
 
 def test_verify_unknown_suite(capsys):

@@ -1,6 +1,7 @@
 """Generator tests: determinism, spectra, covariance law, oracle agreement."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -255,11 +256,25 @@ def test_sampler_results_never_share_memory_with_the_scratch(count, size):
     assert np.array_equal(path.values, batch[0])
 
 
-def test_scratch_keeps_a_bounded_number_of_shapes():
-    for count in range(1, 3 * fbm_mod._SCRATCH_ENTRIES):
-        sample_fgn_circulant(0.25, count, 0.5, SeedSpec(1, count))
-    assert len(fbm_mod._scratch.buffers) == fbm_mod._SCRATCH_ENTRIES
-    # a draw above the point bound is not kept
-    big = fbm_mod._SCRATCH_POINTS + 1
-    sample_fgn_circulant(0.25, big, 1.0 / big, SeedSpec(1, 0))
-    assert all(rows * count <= fbm_mod._SCRATCH_POINTS for rows, count in fbm_mod._scratch.buffers)
+def test_scratch_is_one_pair_per_thread():
+    # every draw of at most _SCRATCH_POINTS points works in views of its
+    # thread's one pair of flat buffers; a larger draw gets fresh buffers
+    def flat_pair():
+        for rows, count in ((1, 16), (4, 4096), (2, 3), (16, 2048), (1, fbm_mod._SCRATCH_POINTS)):
+            sample_fgn_circulant(0.25, count, 1.0 / count, [SeedSpec(1, i) for i in range(rows)])
+        flat = fbm_mod._scratch.buffers
+        assert [buf.size for buf in flat] == [2 * fbm_mod._SCRATCH_POINTS] * 2
+        for rows, count in ((1, 16), (4, 4096), (16, 2048), (1, fbm_mod._SCRATCH_POINTS)):
+            normals, half = fbm_mod._buffers(rows, count)
+            assert normals.shape == (rows, 2 * count) and half.shape == (rows, count + 1)
+            assert np.shares_memory(normals, flat[0]) and np.shares_memory(half, flat[1])
+        big = fbm_mod._SCRATCH_POINTS + 1
+        sample_fgn_circulant(0.25, big, 1.0 / big, SeedSpec(1, 0))
+        assert fbm_mod._scratch.buffers is flat
+        assert not any(np.shares_memory(buf, kept) for buf in fbm_mod._buffers(1, big) for kept in flat)
+        return flat
+
+    here = flat_pair()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        there = pool.submit(flat_pair).result()
+    assert not any(np.shares_memory(a, b) for a in here for b in there)

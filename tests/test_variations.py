@@ -285,6 +285,31 @@ def test_limit_conditional_std_unit_weight_law():
         assert limit_conditional_std(path, F_ONE, sigma, t) == pytest.approx(expected, rel=1e-14)
 
 
+@pytest.mark.parametrize("weight", ["one", "gauss", "sin"])
+def test_limit_conditional_std_reads_one_time_per_row(weight):
+    # each row's std at its own time, or at one time for every row, equals
+    # the row read alone, at k = 0, 1, a middle step and the last step
+    grid = GridSpec(level=7, t_min=-0.25, t_max=1.0)
+    values = sample_fbm(0.3, grid, [SeedSpec(9, i) for i in range(4)])
+    batch = FbmPath(grid, as_hurst(0.3), values)
+    f, sigma, last = get_weight(weight), limit_sigma(2, 0.3), 2**7
+    alone = [FbmPath(grid, batch.h, row) for row in values]
+    for ks in ((0, 1, last // 2, last), (last, last // 2, 1, 0), (1, 1, last, last)):
+        t = np.array(ks) * 2.0**-7
+        want = [limit_conditional_std(p, f, sigma, s) for p, s in zip(alone, t)]
+        assert limit_conditional_std(batch, f, sigma, t).tobytes() == np.array(want).tobytes()
+        for s in t:
+            want = [limit_conditional_std(p, f, sigma, s) for p in alone]
+            assert limit_conditional_std(batch, f, sigma, s).tobytes() == np.array(want).tobytes()
+    # a time outside the path in any one row is refused
+    for bad in (last + 1, -1):
+        with pytest.raises(ValueError, match="outside the path range"):
+            limit_conditional_std(batch, f, sigma, np.array([0, 1, bad, last]) * 2.0**-7)
+    for times in ([0.5, 0.5], [0.5] * 5):
+        with pytest.raises(ValueError, match="one time, or one per row"):
+            limit_conditional_std(batch, f, sigma, times)
+
+
 def test_limit_conditional_std_rejects_t_outside_the_path():
     path = _path(level=6)
     for t in (4.0, -1.0):
@@ -375,3 +400,17 @@ def test_value_at_reads_the_same_bits_as_scale_times_raw(rows):
         assert series.values.tobytes() == (series.scale * raw).tobytes()
         with pytest.raises(ValueError, match="outside the series range"):
             series.value_at((last + 1) * 2.0**-7)
+        if rows is None:
+            continue
+        # one time per row: each row reads what it reads alone, at k = 0, 1,
+        # a middle step and the last step
+        for ks in ((0, 1, last), (1, last // 2, 0), (last, last // 2, 1)):
+            t = np.array(ks) * 2.0**-7
+            alone = [variation(FbmPath(grid, path.h, row), F_GAUSS, 2, rule).value_at(s)
+                     for row, s in zip(values, t)]
+            assert series.value_at(t).tobytes() == np.array(alone).tobytes()
+        for ks in ((0, last + 1, 1), (-1, 0, 1)):
+            with pytest.raises(ValueError, match="outside the series range"):
+                series.value_at(np.array(ks) * 2.0**-7)
+        with pytest.raises(ValueError, match="one time, or one per row"):
+            series.value_at([0.5, 0.5])
