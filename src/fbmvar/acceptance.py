@@ -48,9 +48,9 @@ from .gaussian import (
     midpoint_increment_overlap_closed,
 )
 from .harness import (
-    CHUNK_STEPS,
     KS_MIN_SAMPLES,
     McReport,
+    _grid_groups,
     describe,
     ks_one_sample,
     ks_two_sample,
@@ -120,18 +120,6 @@ def _paths(h, grid: GridSpec, seeds) -> FbmPath:
     """A chunk's paths on `grid`, drawn as one batch: row i is the path of
     seeds[i] alone, bit for bit."""
     return FbmPath(grid=grid, h=as_hurst(h), values=sample_fbm(h, grid, seeds))
-
-
-def _grid_groups(grid_of, horizons):
-    """(rows, grid) groups of the rows whose horizons `grid_of` maps to one grid, in
-    order of first appearance, rows ascending, at most max(1, CHUNK_STEPS // steps) each."""
-    groups = {}
-    for i, t in enumerate(horizons):
-        groups.setdefault(grid_of(t), []).append(i)
-    for grid, rows in groups.items():
-        cap = max(1, CHUNK_STEPS // (grid.npoints - 1))
-        for lo in range(0, len(rows), cap):
-            yield rows[lo : lo + cap], grid
 
 
 def _mixture_draw(seeds, h, weight, r, rule, sigma, horizons, grid_of, sub) -> np.ndarray:
@@ -367,11 +355,11 @@ def check_a5(
     blocks = []
     for idx, (n, count) in enumerate(zip(levels, per_level)):
         def chunk(seeds, n=n) -> np.ndarray:
-            res = [identity_residuals(sample_fbmbt(h, n, 1.0, seed), weight, r, 1.0)
-                   for seed in seeds]
+            res = [identity_residuals(sample, weight, r, 1.0)
+                   for sample in sample_fbmbt(h, n, 1.0, seeds)]
             return np.array([[x["residual_crossing"], x["residual_composition"]] for x in res])
 
-        blocks.append(replicate_map(chunk, count, master_seed + idx, threads))
+        blocks.append(replicate_map(chunk, count, master_seed + idx, threads, steps=2**n))
     # numpy's max propagates NaN, so a residual lost to overflow fails the gate
     worst = dict(zip(("crossing", "composition"), np.concatenate(blocks).max(axis=0).tolist()))
     report.estimates["max_residual"] = worst
@@ -622,6 +610,7 @@ def check_a9(
         tau = sites * 2.0**-spatial
         return _mixture_draw(seeds, h, weight, r, "trapezoid", sigma, tau.T, grid_of, 1)[:, :2]
 
+    # one chunk holds many grids, each drawn in batches `_grid_groups` caps
     draws, lim = replicate_map(chunk, replicates, master_seed, threads).T
     desc = describe(draws)
     target = sigma.value**2 * math.sqrt(2.0 / math.pi)
@@ -644,7 +633,8 @@ def check_a9(
         return [2.0 ** (-donsker_level / 2.0) * sample_walk(donsker_level, 1.0, seed).steps.sum()
                 for seed in seeds]
 
-    ys = replicate_map(terminals, donsker_replicates, master_seed + 1, threads)
+    ys = replicate_map(terminals, donsker_replicates, master_seed + 1, threads,
+                       steps=2**donsker_level)
     ydesc = describe(ys)
     dstat, dp = ks_one_sample(ys, _normal_cdf)
     report.estimates["donsker"] = ydesc

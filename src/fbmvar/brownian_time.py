@@ -35,11 +35,14 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fbm import FbmPath, GridSpec, SeedSpec, sample_fbm
+from .gaussian import as_hurst
+from .harness import _grid_groups
 from .variations import step_summands
 from .weights import WeightFunction
 
@@ -192,24 +195,35 @@ class FbmbtSample:
         return self.spatial.values[self.spatial.grid.zero_index + self.walk.s]
 
 
-def sample_fbmbt(h, n: int, t: float, seed: SeedSpec) -> FbmbtSample:
+def sample_fbmbt(h, n: int, t: float, seed: SeedSpec | Sequence[SeedSpec]):
     """Walk plus independent spatial fBm covering the walk's range.
 
     Requires even n so the spatial lattice 2^(-n/2) Z is a dyadic grid of
     level n/2; the walk and the path come from separate substreams of
-    `seed`.
+    `seed`.  For a sequence of SeedSpecs the result is a list, item i the
+    sample of seed[i] alone, bit for bit: the walks are drawn one per
+    seed, and the spatial paths in one `sample_fbm` batch per grid
+    (`harness._grid_groups`).
     """
     if n % 2:
         raise ValueError("fBm-in-Brownian-time sampling requires an even level n")
-    walk = sample_walk(n, t, seed.substream(0))  # substream 1 drives the path
-    lo, hi = walk._extent
-    lo, hi = min(lo, 0), max(hi, 1)
-    lo = -_SITE_PAD * math.ceil(-lo / _SITE_PAD) if lo < 0 else 0
-    hi = _SITE_PAD * math.ceil(hi / _SITE_PAD)
+    seeds = [seed] if isinstance(seed, SeedSpec) else list(seed)
+    walks = [sample_walk(n, t, s.substream(0)) for s in seeds]  # substream 1 drives the path
     spacing = 2.0 ** (-(n // 2))
-    grid = GridSpec(level=n // 2, t_min=lo * spacing, t_max=hi * spacing)
-    spatial = sample_fbm(h, grid, seed.substream(1))
-    return FbmbtSample(walk=walk, spatial=spatial)
+
+    def grid_of(extent) -> GridSpec:
+        lo, hi = min(extent[0], 0), max(extent[1], 1)
+        lo = -_SITE_PAD * math.ceil(-lo / _SITE_PAD) if lo < 0 else 0
+        hi = _SITE_PAD * math.ceil(hi / _SITE_PAD)
+        return GridSpec(level=n // 2, t_min=lo * spacing, t_max=hi * spacing)
+
+    hp = as_hurst(h)
+    samples = [None] * len(seeds)
+    for rows, grid in _grid_groups(grid_of, [walk._extent for walk in walks]):
+        values = sample_fbm(hp, grid, [seeds[i].substream(1) for i in rows])
+        for i, row in zip(rows, values):
+            samples[i] = FbmbtSample(walk=walks[i], spatial=FbmPath(grid=grid, h=hp, values=row))
+    return samples[0] if isinstance(seed, SeedSpec) else samples
 
 
 def _lsum(terms: np.ndarray) -> float:

@@ -266,6 +266,8 @@ def cmd_verify(args) -> int:
     for name in names:
         if name not in ACCEPTANCE:
             raise UsageError(f"unknown check '{name}'; known: {', '.join(ACCEPTANCE)} or 'all'")
+    if cfg["seed"] is not None and cfg["seed"] < 0:
+        raise UsageError(f"--seed must be >= 0, got {cfg['seed']}")
     if cfg["n"] is not None and cfg["n"] % 2 and "A9" in names:
         raise UsageError(f"--n must be even for A9, whose spatial lattice has level n/2, "
                          f"got {cfg['n']}")

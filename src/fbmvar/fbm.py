@@ -16,14 +16,19 @@ the value at t = 0 is exactly zero.  The circulant sampler also draws a
 batch, one row per SeedSpec, through one spectrum scaling, one FFT and
 one cumulative sum; each row is bit-identical to its seed's single path.
 
-`scipy.linalg` is imported by the oracle's factorization on its first
-call; the circulant path needs numpy alone.
+Every stream is numpy's PCG64 seeded by SeedSequence, whose fixed 32-bit
+hash `_seed_words` computes in numpy for many stream ids at once, so that
+a Monte Carlo call derives its thousands of streams in a few passes
+instead of one SeedSequence each; numpy.random itself is loaded on the
+first draw.  `scipy.linalg` is imported by the oracle's factorization on
+its first call; the circulant path needs numpy alone.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -59,28 +64,160 @@ _SCRATCH_POINTS = 1 << 15
 _scratch = threading.local()
 
 
+#: numpy's SeedSequence hash constants (documented as stable)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _MASK = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+
+#: most stream ids of one sub tuple whose seed words a `_Streams` table
+#: derives at once, and holds per thread (32 KiB)
+_STREAM_BLOCK = 1024
+
+
+def _u32_words(n) -> list[int]:
+    """The 32-bit words SeedSequence reads a non-negative integer as, least
+    significant first (0 is one word)."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK]
+    while n >> 32:
+        n >>= 32
+        words.append(n & _MASK)
+    return words
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's running 32-bit hash: each call xors in the constant,
+    steps it by `mult` and multiplies.  Takes Python ints or uint32 arrays."""
+    def hash32(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK
+        value = value * const & _MASK
+        return value ^ value >> 16
+    return hash32
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two 32-bit words (Python ints or uint32 arrays)."""
+    value = ((_MIX_L * x & _MASK) - (_MIX_R * y & _MASK)) & _MASK
+    return value ^ value >> 16
+
+
+def _seed_words(master_seed, ids: range, sub: tuple[int, ...]) -> np.ndarray:
+    """Row j is SeedSequence(master_seed, spawn_key=(ids[j], *sub))
+    .generate_state(4, np.uint64), for all of `ids` in one pass.
+
+    The ids enter the hash as one uint32 column after the master seed's
+    words, which SeedSequence pads to its pool of four; the pool's own
+    mixing is done once, on Python ints.  Several ids must lie below 2^32
+    (one word each); one id may be any non-negative integer."""
+    run = _u32_words(master_seed)
+    run += [0] * (4 - len(run))
+    if len(ids) == 1:
+        key = _u32_words(ids[0])
+    elif ids.start < 0 or ids.stop > 1 << 32:
+        raise ValueError(f"stream ids {ids} must lie in [0, 2^32) to be derived together")
+    else:
+        key = [np.arange(ids.start, ids.stop, dtype=np.uint32)]
+    entropy = run + key + [w for k in sub for w in _u32_words(k)]
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(w))
+    out_hash = _hasher(_INIT_B, _MULT_B)
+    state = np.empty((8, len(ids)), dtype=np.uint64)
+    for i in range(8):
+        state[i] = out_hash(pool[i % 4])
+    # uint32 pairs, low word first, make the uint64 words
+    return np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)
+
+
+@functools.cache
+def _words_seed():
+    """The seed sequence that hands PCG64 precomputed words; defined on the
+    first draw, so that importing fbmvar does not load numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for its 4 uint64 words alone
+
+    return Words
+
+
+class _Streams:
+    """The seed words of stream ids `ids` under one master seed.  Per thread
+    and sub tuple, the block of _STREAM_BLOCK ids holding the id asked for
+    is derived in one `_seed_words` pass on first use, and held until that
+    thread asks for another block of that sub tuple: threads share no
+    block, so they neither lock nor evict each other's."""
+
+    def __init__(self, master_seed: int, ids: range):
+        self.master_seed, self.ids = master_seed, ids
+        self._held = threading.local()
+
+    def seeds(self) -> list["SeedSpec"]:
+        """One SeedSpec per id, each reading its words from this table."""
+        seeds = [SeedSpec(self.master_seed, i) for i in self.ids]
+        for seed in seeds:
+            object.__setattr__(seed, "_streams", self)
+        return seeds
+
+    def words(self, stream_id: int, sub: tuple[int, ...]) -> np.ndarray:
+        """The 4 uint64 seed words of stream (stream_id, *sub)."""
+        blocks = vars(self._held)  # this thread's: sub -> (first id, words)
+        first, words = blocks.get(sub, (stream_id, ()))
+        if not 0 <= stream_id - first < len(words):
+            lo = (stream_id - self.ids.start) // _STREAM_BLOCK * _STREAM_BLOCK
+            ids = self.ids[lo : lo + _STREAM_BLOCK]
+            first, words = blocks[sub] = ids.start, _seed_words(self.master_seed, ids, sub)
+        return words[stream_id - first]
+
+
 @dataclass(frozen=True)
 class SeedSpec:
     """Deterministic RNG derivation: (master_seed, stream_id) -> generator.
 
-    The generator state is seeded from SeedSequence(entropy=master_seed,
-    spawn_key=(stream_id, *sub)), which is injective in the triple.
-    Substreams extend the spawn key by one more index and are independent
-    of the parent stream and of each other.
+    The generator is PCG64 seeded with the words of SeedSequence(entropy=
+    master_seed, spawn_key=(stream_id, *sub)), which is injective in the
+    triple; a negative entry raises ValueError.  Substreams extend the
+    spawn key by one more index and are independent of the parent stream
+    and of each other.
+
+    The words come from a `_Streams` table: `harness.replicate_map` gives
+    the SeedSpecs of one call one table (`substream` passes it on), which
+    derives a block of the call's streams at once; a SeedSpec made alone
+    is a one-row table.  The bits are the same either way, and the table
+    takes no part in ==, hash or repr.
     """
 
     master_seed: int
     stream_id: int = 0
     sub: tuple[int, ...] = ()
+    _streams: _Streams | None = field(default=None, init=False, compare=False, repr=False)
 
     def rng(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(
-            entropy=self.master_seed, spawn_key=(self.stream_id, *self.sub)
-        )
-        return np.random.default_rng(seq)
+        i = self.stream_id
+        streams = self._streams or _Streams(self.master_seed, range(i, i + 1))
+        words = streams.words(i, self.sub)
+        return np.random.Generator(np.random.PCG64(_words_seed()(words)))
 
     def substream(self, k: int) -> "SeedSpec":
-        return SeedSpec(self.master_seed, self.stream_id, self.sub + (k,))
+        spec = SeedSpec(self.master_seed, self.stream_id, self.sub + (k,))
+        object.__setattr__(spec, "_streams", self._streams)
+        return spec
+
+    def __reduce__(self):  # a pickled or copied SeedSpec is made alone: tables hold thread state
+        return SeedSpec, (self.master_seed, self.stream_id, self.sub)
 
 
 @dataclass(frozen=True)

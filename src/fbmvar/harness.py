@@ -3,9 +3,13 @@ the report every acceptance check returns.
 
 `replicate_map`'s seed stream is the replicate index, so an aggregate is
 a deterministic function of the master seed whatever the worker count.
-It hands its function chunks of consecutive seeds, so a check can draw a
-chunk's paths as one batch; each row it gets back depends on one seed
-alone, so neither the chunk size nor the worker count changes the result.
+It hands its function chunks of consecutive seeds, sized by the grid
+steps a row samples (`CHUNK_STEPS`) and the worker count alone, so a check
+can draw a chunk's paths as one batch; a chunk whose rows lie on several
+grids draws one batch per grid (`_grid_groups`).  Each row it gets back
+depends on one seed alone, so neither the chunk size nor the worker count
+changes the result.  The seeds of one call derive their streams together,
+a block per substream, from one table that lives as long as the call.
 A report's config is exactly its check's arguments less the master seed
 (a field) and the thread count, so config and seed replay the report;
 the gates are fixed constants of `acceptance`, recorded in `tests` next
@@ -27,26 +31,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fbm import SeedSpec
+from .fbm import _Streams
 from .version import VERSION
 
 #: fewest samples per batch the asymptotic KS p-values are computed for
 KS_MIN_SAMPLES = 50
 
-#: most seeds `replicate_map` hands its function at once ...
-CHUNK_ROWS = 16
-#: ... and most grid steps they may sample together (4 rows at 2^12 steps,
-#: 1 at 2^14).  This bounds a batch's buffers: a chunk of 2^16 steps holds
-#: MiB-sized temporaries, which glibc's malloc returns to the system when
-#: they are freed, so every chunk pays page faults on fresh memory (40k
-#: minor faults per 500-replicate A1 at 16 rows of 2^12 steps, none at 4
-#: rows), which cost more than the batching saves.  The circulant sampler
-#: keeps one flat pair of normals and half-spectrum buffers per thread, and
-#: a draw of up to 2^15 points works in views of it (`fbm._buffers`), so
-#: chunks of any shape reuse it instead of faulting it in: A4's level-14
-#: gap loop, one 2^14-step row per chunk, fell from 256 minor faults per
-#: path to none.  What each chunk still allocates afresh (the transform's
-#: output, the paths, the statistic's sums) is what this cap keeps small.
+#: most grid steps the seeds of one `replicate_map` chunk, or one batch of
+#: `_grid_groups`, sample together (4 rows at 2^12 steps, 1 at 2^14).  This
+#: bounds a batch's buffers: a chunk of 2^16 steps holds MiB-sized
+#: temporaries, which glibc's malloc returns to the system when they are
+#: freed, so every chunk pays page faults on fresh memory (40k minor faults
+#: per 500-replicate A1 at 16 rows of 2^12 steps, none at 4 rows), which
+#: cost more than the batching saves.  The circulant sampler keeps one flat
+#: pair of normals and half-spectrum buffers per thread, and a draw of up
+#: to 2^15 points works in views of it (`fbm._buffers`), so chunks of any
+#: shape reuse it instead of faulting it in: A4's level-14 gap loop, one
+#: 2^14-step row per chunk, fell from 256 minor faults per path to none.
+#: What each chunk still allocates afresh (the transform's output, the
+#: paths, the statistic's sums) is what this cap keeps small.
 CHUNK_STEPS = 2**14
 
 
@@ -117,15 +120,19 @@ def replicate_map(
     per seed, in the chunk's order (an array whose first axis runs over
     the chunk).  Each row must depend on its own seed alone, never on the
     chunk it came in.  `steps` is the number of grid steps one row
-    samples: a chunk holds at most CHUNK_ROWS seeds and, beyond one seed,
-    at most CHUNK_STEPS steps.  Chunks are concatenated in replicate
-    order, so the result is independent of the chunk size and the worker
-    count.
+    samples: a chunk holds at most CHUNK_STEPS // steps seeds (at least
+    one), and at most ceil(replicates / threads), so that every thread
+    gets work.  Chunks are concatenated in replicate order, so the result
+    is independent of the chunk size and the worker count.
+
+    The call's SeedSpecs share one table of seed words (`fbm._Streams`):
+    the first `rng()` of a substream derives the words of a block of the
+    call's streams at once.  The table goes when the call returns.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
-    seeds = [SeedSpec(master_seed, i) for i in range(replicates)]
-    size = max(1, min(CHUNK_ROWS, CHUNK_STEPS // max(steps, 1)))
+    seeds = _Streams(master_seed, range(replicates)).seeds()
+    size = max(1, min(CHUNK_STEPS // max(steps, 1), -(-replicates // max(threads, 1))))
     chunks = [seeds[i : i + size] for i in range(0, replicates, size)]
     if threads <= 1:
         rows = [fn(chunk) for chunk in chunks]
@@ -133,6 +140,20 @@ def replicate_map(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(fn, chunks))
     return np.concatenate(rows)
+
+
+def _grid_groups(grid_of, horizons):
+    """(rows, grid) groups of the rows whose horizons `grid_of` maps to one
+    grid, in order of first appearance, rows ascending, each at most
+    max(1, CHUNK_STEPS // steps) rows of its grid's steps: the batches in
+    which a chunk whose rows lie on several grids draws its paths."""
+    groups = {}
+    for i, t in enumerate(horizons):
+        groups.setdefault(grid_of(t), []).append(i)
+    for grid, rows in groups.items():
+        cap = max(1, CHUNK_STEPS // (grid.npoints - 1))
+        for lo in range(0, len(rows), cap):
+            yield rows[lo : lo + cap], grid
 
 
 def describe(x: np.ndarray) -> dict:

@@ -38,6 +38,7 @@ import pytest
 from scipy import stats as sps
 
 import fbmvar.acceptance as acceptance
+import fbmvar.harness as harness
 from fbmvar import (
     SeedSpec, get_weight, identity_residuals, ks_two_sample, limit_conditional_std, limit_sigma,
     sample_fbm, sample_fbmbt, variation,
@@ -340,7 +341,7 @@ def test_a9_groups_are_capped_by_chunk_steps_and_stay_bit_identical(monkeypatch)
     # with CHUNK_STEPS = 32 a group on a 16-site grid holds at most 2 rows,
     # so the 16 rows of a level-6 chunk split into several groups per grid
     h, level, r = 0.3, 6, 2
-    monkeypatch.setattr(acceptance, "CHUNK_STEPS", 32)
+    monkeypatch.setattr(harness, "CHUNK_STEPS", 32)
     seeds = [SeedSpec(79, i) for i in range(16)]
     sites = np.array([[abs(2 * int(b) - 64) for b in s.substream(0).rng().binomial(64, 0.5, size=2)]
                       for s in seeds])

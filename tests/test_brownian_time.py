@@ -18,7 +18,7 @@ from fbmvar import (
     sample_walk,
     step_summands,
 )
-from fbmvar import brownian_time
+from fbmvar import brownian_time, harness
 from fbmvar.brownian_time import RESIDUAL_TOL
 from fbmvar.variations import odd_power
 from helpers import make_path
@@ -314,6 +314,42 @@ def test_fbmbt_determinism():
     assert not np.array_equal(
         a.spatial.values, sample_fbmbt(0.25, 8, 1.0, SeedSpec(42, 8)).spatial.values
     )
+
+
+@pytest.mark.parametrize("chunk_steps", [None, 64], ids=["uncapped", "capped"])
+def test_batch_sample_fbmbt_rows_equal_each_seed_alone(chunk_steps, monkeypatch):
+    # 32 level-8 samples fall on 11 spatial grids of 24 to 56 steps; at
+    # CHUNK_STEPS = 64 a grid's batch holds at most 2 rows, so groups split
+    h, n = 0.3, 8
+    if chunk_steps:
+        monkeypatch.setattr(harness, "CHUNK_STEPS", chunk_steps)
+    batches, real = [], brownian_time.sample_fbm
+
+    def spy(h, grid, seeds, size=None):
+        batches.append((grid, len(seeds)))
+        return real(h, grid, seeds, size)
+
+    monkeypatch.setattr(brownian_time, "sample_fbm", spy)
+    seeds = [SeedSpec(90, i) for i in range(32)]
+    got = sample_fbmbt(h, n, 1.0, seeds)
+    monkeypatch.setattr(brownian_time, "sample_fbm", real)
+    grids = [sample.spatial.grid for sample in got]
+    assert 1 < len(set(grids)) < len(grids)  # rows on one grid and rows on different grids
+    assert sum(rows for _, rows in batches) == len(seeds) and max(rows for _, rows in batches) > 1
+    if chunk_steps:
+        assert all(rows <= max(1, chunk_steps // (grid.npoints - 1)) for grid, rows in batches)
+        assert len(batches) > len(set(grids))  # some grid was split at the cap
+    else:
+        assert len(batches) == len(set(grids))
+    for seed, sample in zip(seeds, got):
+        alone = sample_fbmbt(h, n, 1.0, seed)
+        assert sample.walk.steps.tobytes() == alone.walk.steps.tobytes()
+        assert sample.spatial.grid == alone.spatial.grid
+        assert sample.spatial.values.tobytes() == alone.spatial.values.tobytes()
+        # and both are the walk and the path drawn from the seed's substreams directly
+        assert sample.walk.steps.tobytes() == sample_walk(n, 1.0, seed.substream(0)).steps.tobytes()
+        path = sample_fbm(h, sample.spatial.grid, seed.substream(1))
+        assert sample.spatial.values.tobytes() == path.values.tobytes()
 
 
 def _walk_power_variation_per_step(sample, f, r, t):

@@ -62,6 +62,7 @@ def test_sigma_verbose_lists_terms(capsys):
         ("simulate", "fbm", "--t", "inf"),
         ("simulate", "fbm", "--seed", "-1"),
         ("simulate", "fbmbt", "--seed", "-1"),
+        ("verify", "A1", "--seed", "-1"),  # refused before any check runs
         ("verify", "A8", "--threads", "0"),  # would run serially
         ("verify", "A8", "--threads", "1000000"),  # would start a thread per replicate
         ("verify", "A1", "--n", "40"),  # would allocate 8 TiB

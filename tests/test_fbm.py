@@ -1,6 +1,10 @@
 """Generator tests: determinism, spectra, covariance law, oracle agreement."""
 
+import copy
 import math
+import pickle
+import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -28,6 +32,113 @@ def test_seedspec_determinism_and_streams():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+# --- seed derivation, against numpy's SeedSequence -----------------------------
+
+_MASTERS = [0, 1, 2**32 - 1, 2**32, 2**70 + 5,
+            *(random.Random(i).getrandbits(140) for i in range(4))]
+_SUBS = [(), (0,), (3, 2**32 + 7), (1, 2**40, 5)]
+
+
+def _reference(master, stream_id, sub):
+    return np.random.SeedSequence(master, spawn_key=(stream_id, *sub))
+
+
+@pytest.mark.parametrize("master", _MASTERS)
+@pytest.mark.parametrize("sub", _SUBS, ids=str)
+def test_seed_words_match_seedsequence(master, sub):
+    # a block of ids at either end of the one-word range, and one id alone of any size
+    for ids in (range(0, 40), range(2**32 - 40, 2**32)):
+        want = np.array([_reference(master, i, sub).generate_state(4, np.uint64) for i in ids])
+        assert fbm_mod._seed_words(master, ids, sub).tobytes() == want.tobytes()
+    for i in (0, 7, 2**32 - 1, 2**32, 2**64 + 3):
+        want = _reference(master, i, sub).generate_state(4, np.uint64)
+        assert fbm_mod._seed_words(master, range(i, i + 1), sub)[0].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("master", _MASTERS)
+def test_first_draws_match_seedsequence(master):
+    # alone, from a table and through replicate_map, every stream draws numpy's bits
+    ids = range(2**32 - 3, 2**32)
+    table = {seed.stream_id: seed for seed in fbm_mod._Streams(master, ids).seeds()}
+    for sub in _SUBS:
+        for i in ids:
+            alone, tabled = SeedSpec(master, i, sub), table[i]
+            for k in sub:
+                tabled = tabled.substream(k)
+            for spec in (alone, tabled):
+                want = np.random.default_rng(_reference(master, i, sub))
+                assert spec.rng().standard_normal(3).tobytes() == want.standard_normal(3).tobytes()
+    from fbmvar.harness import replicate_map
+
+    got = replicate_map(lambda seeds: np.array([s.substream(2).rng().random() for s in seeds]),
+                        5, master)
+    assert got.tolist() == [np.random.default_rng(_reference(master, i, (2,))).random()
+                            for i in range(5)]
+
+
+@pytest.mark.parametrize("spec", [SeedSpec(-1, 0), SeedSpec(1, -1), SeedSpec(1, 0, (2, -3))],
+                         ids=repr)
+def test_negative_seed_entries_raise_like_numpy(spec):
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        _reference(spec.master_seed, spec.stream_id, spec.sub)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        spec.rng()
+
+
+def test_seedspec_identity_ignores_its_table():
+    tabled = fbm_mod._Streams(9, range(4)).seeds()[2].substream(1)
+    alone = SeedSpec(9, 2).substream(1)
+    assert tabled._streams is not None and alone._streams is None
+    assert tabled == alone and hash(tabled) == hash(alone) and repr(tabled) == repr(alone)
+    assert repr(alone) == "SeedSpec(master_seed=9, stream_id=2, sub=(1,))"
+    assert len({tabled, alone}) == 1
+    for copied in (pickle.loads(pickle.dumps(tabled)), copy.deepcopy(tabled)):
+        assert copied == tabled and copied._streams is None
+        assert copied.rng().random() == tabled.rng().random()
+
+
+def test_stream_table_derives_bounded_blocks_and_is_thread_safe(monkeypatch):
+    # blocks of 8 ids churn while 8 threads on 2 cores read across their
+    # boundaries; every stream must still get its own words
+    monkeypatch.setattr(fbm_mod, "_STREAM_BLOCK", 8)
+    ids = range(100)
+    want = {sub: fbm_mod._seed_words(5, ids, sub) for sub in ((), (1,))}
+    derived, real = [], fbm_mod._seed_words
+    monkeypatch.setattr(fbm_mod, "_seed_words", lambda m, ids, sub: derived.append(len(ids))
+                        or real(m, ids, sub))
+    table = fbm_mod._Streams(5, ids)
+    order = [(i, sub) for i in ids for sub in want] * 3
+    random.Random(0).shuffle(order)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda key: table.words(*key).copy(), order, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(g.tobytes() == want[sub][i].tobytes() for g, (i, sub) in zip(got, order))
+    assert derived and max(derived) <= 8
+
+
+def test_replicate_map_threads_derive_each_block_once(monkeypatch):
+    # two threads walking far-apart halves of one call hold a block each,
+    # so neither re-derives what the other evicted
+    from fbmvar.harness import replicate_map
+
+    derived, real = [], fbm_mod._seed_words
+
+    def count(m, ids, sub):
+        derived.append((ids.start, sub))
+        return real(m, ids, sub)
+
+    monkeypatch.setattr(fbm_mod, "_seed_words", count)
+    got = replicate_map(lambda seeds: np.array([s.substream(1).rng().random() for s in seeds]),
+                        3000, 8, threads=2)
+    assert got.tolist() == [np.random.default_rng(_reference(8, i, (1,))).random()
+                            for i in range(3000)]
+    assert len(derived) <= 4 and len(set(derived)) == 3  # blocks 0, 1024, 2048; one may be shared
 
 
 def test_gridspec_validation():

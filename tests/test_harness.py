@@ -106,16 +106,36 @@ def test_replicate_map_chunks_hold_consecutive_seeds_within_the_caps():
         seen.append([seed.stream_id for seed in seeds])
         return np.zeros(len(seeds))
 
-    # 16 rows at 2^10 steps, 4 at 2^12, and one seed however large its grid
-    for steps, size in ((2**10, 16), (2**12, 4), (2**14, 1), (2**20, 1)):
+    # 16 rows at 2^10 steps, 4 at 2^12, one seed however large its grid,
+    # and every seed at once when a row samples one step
+    for steps, size in ((2**10, 16), (2**12, 4), (2**14, 1), (2**20, 1), (1, 37)):
         seen.clear()
         assert len(replicate_map(record, 37, 3, steps=steps)) == 37
         assert [i for chunk in seen for i in chunk] == list(range(37))
         assert [len(chunk) for chunk in seen[:-1]] == [size] * (len(seen) - 1)
 
 
+@pytest.mark.parametrize("threads", [2, 3])
+def test_replicate_map_splits_cheap_rows_across_threads(threads):
+    # at steps=1 the step cap would take every seed at once; the thread
+    # count still splits them, into chunks of ceil(replicates / threads)
+    seen = []
+
+    def record(seeds):
+        seen.append([seed.stream_id for seed in seeds])
+        return np.array([seed.stream_id for seed in seeds])
+
+    got = replicate_map(record, 37, 3, threads=threads, steps=1)
+    assert got.tolist() == list(range(37))
+    assert len(seen) >= threads
+    assert max(len(chunk) for chunk in seen) == -(-37 // threads)
+    assert sorted(i for chunk in seen for i in chunk) == list(range(37))
+
+
 @pytest.mark.parametrize("chunk_rows", [1, 3, 16])
 def test_replicate_map_rows_do_not_depend_on_chunks_or_threads(chunk_rows, monkeypatch):
+    # CHUNK_STEPS = 1 gives every chunk and grid batch one row; then it is
+    # set so that chunks of the batch below hold chunk_rows rows
     h, weight = 0.3, get_weight("gauss")
     grid = GridSpec(level=6, t_min=-0.25, t_max=1.0)
 
@@ -131,9 +151,9 @@ def test_replicate_map_rows_do_not_depend_on_chunks_or_threads(chunk_rows, monke
         "A6": lambda: check_a6(master_seed=5, replicates=20, n_list=(4, 6)),
         "A10": lambda: check_a10(master_seed=5, replicates=20, level=8, hs=(0.25,)),
     }
-    monkeypatch.setattr(harness, "CHUNK_ROWS", 1)
+    monkeypatch.setattr(harness, "CHUNK_STEPS", 1)
     one_row = {name: run().canonical_json() for name, run in reports.items()}
-    monkeypatch.setattr(harness, "CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(harness, "CHUNK_STEPS", chunk_rows * (grid.npoints - 1))
     for threads in (1, 4):
         got = replicate_map(batch, 50, 77, threads=threads, steps=grid.npoints - 1)
         assert got.tobytes() == want.tobytes()

@@ -1,6 +1,6 @@
 """Import cost: `import fbmvar` loads numpy alone (`fbmvar.cli` adds the
 bare scipy package), and scipy's stats, special and linalg load only when
-a call needs them.
+a call needs them, numpy.random on the first draw.
 
 Each case runs in a fresh interpreter, since this test process has long
 since loaded all three.
@@ -18,9 +18,10 @@ ROOT = Path(__file__).resolve().parent.parent
 DEFERRED = ("scipy.stats", "scipy.special", "scipy.linalg")
 
 
-def _loaded_after(code: str) -> list[str]:
-    """The deferred scipy modules in sys.modules once `code` has run."""
-    report = f"import json, sys; print(json.dumps([m for m in {DEFERRED!r} if m in sys.modules]))"
+def _loaded_after(code: str, modules=DEFERRED) -> list[str]:
+    """Which of `modules` (the deferred scipy ones) are in sys.modules once
+    `code` has run."""
+    report = f"import json, sys; print(json.dumps([m for m in {modules!r} if m in sys.modules]))"
     src = str(ROOT / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
@@ -38,6 +39,14 @@ def _loaded_after(code: str) -> list[str]:
 ], ids=["import", "import-cli", "cli-sigma"])
 def test_scipy_submodules_not_loaded(code):
     assert _loaded_after(code) == []
+
+
+def test_numpy_random_loads_on_first_draw():
+    # seed words are derived in numpy alone; PCG64 and its seed-words shim
+    # load numpy.random on the first rng(), not on import
+    assert _loaded_after("import fbmvar", ("numpy.random",)) == []
+    code = "import fbmvar; fbmvar.SeedSpec(1).rng()"
+    assert _loaded_after(code, ("numpy.random",)) == ["numpy.random"]
 
 
 def test_scipy_stats_loads_on_first_ks_test():
