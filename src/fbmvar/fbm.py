@@ -17,9 +17,11 @@ batch, one row per SeedSpec, through one spectrum scaling, one FFT and
 one cumulative sum; each row is bit-identical to its seed's single path.
 
 Every stream is numpy's PCG64 seeded by SeedSequence, whose fixed 32-bit
-hash `_seed_words` computes in numpy for many stream ids at once, so that
-a Monte Carlo call derives its thousands of streams in a few passes
-instead of one SeedSequence each; numpy.random itself is loaded on the
+hash `_seed_words` computes in numpy for a block of stream ids at once,
+so that a Monte Carlo call derives its thousands of streams in a few
+passes instead of one SeedSequence each.  The words are a function of
+(master seed, stream id, sub) alone, so the bounded cache of blocks
+(`_word_block`) changes no bit; numpy.random itself is loaded on the
 first draw.  `scipy.linalg` is imported by the oracle's factorization on
 its first call; the circulant path needs numpy alone.
 """
@@ -68,8 +70,7 @@ _scratch = threading.local()
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _MASK = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
 
-#: most stream ids of one sub tuple whose seed words a `_Streams` table
-#: derives at once, and holds per thread (32 KiB)
+#: stream ids whose seed words `_word_block` derives, and caches, together
 _STREAM_BLOCK = 1024
 
 
@@ -154,33 +155,14 @@ def _words_seed():
     return Words
 
 
-class _Streams:
-    """The seed words of stream ids `ids` under one master seed.  Per thread
-    and sub tuple, the block of _STREAM_BLOCK ids holding the id asked for
-    is derived in one `_seed_words` pass on first use, and held until that
-    thread asks for another block of that sub tuple: threads share no
-    block, so they neither lock nor evict each other's."""
-
-    def __init__(self, master_seed: int, ids: range):
-        self.master_seed, self.ids = master_seed, ids
-        self._held = threading.local()
-
-    def seeds(self) -> list["SeedSpec"]:
-        """One SeedSpec per id, each reading its words from this table."""
-        seeds = [SeedSpec(self.master_seed, i) for i in self.ids]
-        for seed in seeds:
-            object.__setattr__(seed, "_streams", self)
-        return seeds
-
-    def words(self, stream_id: int, sub: tuple[int, ...]) -> np.ndarray:
-        """The 4 uint64 seed words of stream (stream_id, *sub)."""
-        blocks = vars(self._held)  # this thread's: sub -> (first id, words)
-        first, words = blocks.get(sub, (stream_id, ()))
-        if not 0 <= stream_id - first < len(words):
-            lo = (stream_id - self.ids.start) // _STREAM_BLOCK * _STREAM_BLOCK
-            ids = self.ids[lo : lo + _STREAM_BLOCK]
-            first, words = blocks[sub] = ids.start, _seed_words(self.master_seed, ids, sub)
-        return words[stream_id - first]
+@functools.lru_cache(maxsize=64)
+def _word_block(master_seed: int, first: int, sub: tuple[int, ...]) -> np.ndarray:
+    """The read-only seed words of the _STREAM_BLOCK stream ids from
+    `first` on (32 KiB), or of `first` alone outside the one-word range."""
+    size = _STREAM_BLOCK if 0 <= first < 1 << 32 else 1
+    words = _seed_words(master_seed, range(first, first + size), sub)
+    words.flags.writeable = False
+    return words
 
 
 @dataclass(frozen=True)
@@ -193,31 +175,24 @@ class SeedSpec:
     spawn key by one more index and are independent of the parent stream
     and of each other.
 
-    The words come from a `_Streams` table: `harness.replicate_map` gives
-    the SeedSpecs of one call one table (`substream` passes it on), which
-    derives a block of the call's streams at once; a SeedSpec made alone
-    is a one-row table.  The bits are the same either way, and the table
-    takes no part in ==, hash or repr.
+    The words of the block of _STREAM_BLOCK ids holding stream_id are
+    derived in one pass on the first draw of any of them and kept in a
+    small cache shared by every SeedSpec and thread (`_word_block`), so a
+    Monte Carlo call's streams cost a few derivations.
     """
 
     master_seed: int
     stream_id: int = 0
     sub: tuple[int, ...] = ()
-    _streams: _Streams | None = field(default=None, init=False, compare=False, repr=False)
 
     def rng(self) -> np.random.Generator:
         i = self.stream_id
-        streams = self._streams or _Streams(self.master_seed, range(i, i + 1))
-        words = streams.words(i, self.sub)
+        first = i - i % _STREAM_BLOCK if 0 <= i < 1 << 32 else i
+        words = _word_block(self.master_seed, first, self.sub)[i - first]
         return np.random.Generator(np.random.PCG64(_words_seed()(words)))
 
     def substream(self, k: int) -> "SeedSpec":
-        spec = SeedSpec(self.master_seed, self.stream_id, self.sub + (k,))
-        object.__setattr__(spec, "_streams", self._streams)
-        return spec
-
-    def __reduce__(self):  # a pickled or copied SeedSpec is made alone: tables hold thread state
-        return SeedSpec, (self.master_seed, self.stream_id, self.sub)
+        return SeedSpec(self.master_seed, self.stream_id, self.sub + (k,))
 
 
 @dataclass(frozen=True)
@@ -243,11 +218,15 @@ class GridSpec:
             raise ValueError("grid endpoints must be finite")
         if not self.t_min <= 0.0 < self.t_max:
             raise ValueError("need t_min <= 0 < t_max")
-        for name in ("t_min", "t_max"):
-            val = getattr(self, name) * 2.0**self.level
+        try:  # the endpoints in units of the spacing
+            ends = [math.ldexp(getattr(self, name), self.level) for name in ("t_min", "t_max")]
+        except OverflowError:
+            raise ValueError(f"a level-{self.level} grid over [{self.t_min}, {self.t_max}] "
+                             "has more points than a float can count") from None
+        for name, val in zip(("t_min", "t_max"), ends):
             if abs(val - round(val)) > 1e-9:
                 raise ValueError(f"{name} must be a multiple of 2^-level")
-        i_min, i_max = round(self.t_min * 2.0**self.level), round(self.t_max * 2.0**self.level)
+        i_min, i_max = (round(val) for val in ends)
         for name, value in (("i_min", i_min), ("i_max", i_max),
                             ("npoints", i_max - i_min + 1), ("zero_index", -i_min)):
             object.__setattr__(self, name, value)
@@ -374,6 +353,8 @@ def sample_fgn_circulant(
         raise ValueError("spacing must be positive")
     if size is not None and not isinstance(seed, SeedSpec):
         raise ValueError("size applies to one SeedSpec; a batch has one row per seed")
+    if size is not None and size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
     hp = as_hurst(h)
     amp = _circulant_spectrum(hp.h, count)
     rows = (1 if size is None else int(size)) if isinstance(seed, SeedSpec) else len(seed)
@@ -414,6 +395,8 @@ def sample_fbm_cholesky(h, grid: GridSpec, seed: SeedSpec, size: int | None = No
         raise ValueError(
             f"grid has {grid.npoints} points, above the Cholesky cap {CHOLESKY_CAP}"
         )
+    if size is not None and size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
     hp = as_hurst(h)
     chol = _cholesky_factor(hp.h, grid)
     rows = 1 if size is None else int(size)

@@ -8,14 +8,13 @@ steps a row samples (`CHUNK_STEPS`) and the worker count alone, so a check
 can draw a chunk's paths as one batch; a chunk whose rows lie on several
 grids draws one batch per grid (`_grid_groups`).  Each row it gets back
 depends on one seed alone, so neither the chunk size nor the worker count
-changes the result.  The seeds of one call derive their streams together,
-a block per substream, from one table that lives as long as the call.
-A report's config is exactly its check's arguments less the master seed
-(a field) and the thread count, so config and seed replay the report;
-the gates are fixed constants of `acceptance`, recorded in `tests` next
-to the values they bound (A5's `residual_tol` alone stays an argument:
-the benchmark's validator reads it from the config).  Serialization has
-a canonical form (timing excluded) on which byte-reproducibility rests.
+changes the result.  A report's config is exactly its check's arguments
+less the master seed (a field) and the thread count, so config and seed
+replay the report; the gates are fixed constants of `acceptance`,
+recorded in `tests` next to the values they bound (A5's `residual_tol`
+alone stays an argument: the benchmark's validator reads it from the
+config).  Serialization has a canonical form (timing excluded) on which
+byte-reproducibility rests.
 
 `scipy.stats` is imported by `describe`, `ks_one_sample` and
 `ks_two_sample` on their first call, not with the module: a process that
@@ -31,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fbm import _Streams
+from .fbm import SeedSpec
 from .version import VERSION
 
 #: fewest samples per batch the asymptotic KS p-values are computed for
@@ -124,14 +123,10 @@ def replicate_map(
     one), and at most ceil(replicates / threads), so that every thread
     gets work.  Chunks are concatenated in replicate order, so the result
     is independent of the chunk size and the worker count.
-
-    The call's SeedSpecs share one table of seed words (`fbm._Streams`):
-    the first `rng()` of a substream derives the words of a block of the
-    call's streams at once.  The table goes when the call returns.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
-    seeds = _Streams(master_seed, range(replicates)).seeds()
+    seeds = [SeedSpec(master_seed, i) for i in range(replicates)]
     size = max(1, min(CHUNK_STEPS // max(steps, 1), -(-replicates // max(threads, 1))))
     chunks = [seeds[i : i + size] for i in range(0, replicates, size)]
     if threads <= 1:

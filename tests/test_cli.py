@@ -66,6 +66,8 @@ def test_sigma_verbose_lists_terms(capsys):
         ("verify", "A8", "--threads", "0"),  # would run serially
         ("verify", "A8", "--threads", "1000000"),  # would start a thread per replicate
         ("verify", "A1", "--n", "40"),  # would allocate 8 TiB
+        ("simulate", "fbm", "--n", "1100"),  # 2^n overflows a float
+        *(("verify", name, "--n", "2000") for name in ("A1", "A2", "A3", "A4", "A10")),
         ("verify", "A3", "--n", "22"),  # one level above sample_fbm's cap
         ("verify", "A4", "--n", "22"),
         ("verify", "A10", "--n", "22"),

@@ -59,23 +59,26 @@ def test_seed_words_match_seedsequence(master, sub):
 
 @pytest.mark.parametrize("master", _MASTERS)
 def test_first_draws_match_seedsequence(master):
-    # alone, from a table and through replicate_map, every stream draws numpy's bits
-    ids = range(2**32 - 3, 2**32)
-    table = {seed.stream_id: seed for seed in fbm_mod._Streams(master, ids).seeds()}
-    for sub in _SUBS:
-        for i in ids:
-            alone, tabled = SeedSpec(master, i, sub), table[i]
-            for k in sub:
-                tabled = tabled.substream(k)
-            for spec in (alone, tabled):
-                want = np.random.default_rng(_reference(master, i, sub))
-                assert spec.rng().standard_normal(3).tobytes() == want.standard_normal(3).tobytes()
+    # alone, through substream and through replicate_map, every stream draws
+    # numpy's bits, on both sides of the one-word id range too
     from fbmvar.harness import replicate_map
 
-    got = replicate_map(lambda seeds: np.array([s.substream(2).rng().random() for s in seeds]),
+    def draw(seed, sub):
+        for k in sub:
+            seed = seed.substream(k)
+        return seed.rng().standard_normal(3)
+
+    def want(i, sub):
+        return np.random.default_rng(_reference(master, i, sub)).standard_normal(3)
+
+    for sub in _SUBS:
+        for i in range(2**32 - 3, 2**32 + 2):
+            for got in (SeedSpec(master, i, sub).rng().standard_normal(3),
+                        draw(SeedSpec(master, i), sub)):
+                assert got.tobytes() == want(i, sub).tobytes()
+    got = replicate_map(lambda seeds: np.array([[draw(s, sub) for sub in _SUBS] for s in seeds]),
                         5, master)
-    assert got.tolist() == [np.random.default_rng(_reference(master, i, (2,))).random()
-                            for i in range(5)]
+    assert got.tobytes() == np.array([[want(i, sub) for sub in _SUBS] for i in range(5)]).tobytes()
 
 
 @pytest.mark.parametrize("spec", [SeedSpec(-1, 0), SeedSpec(1, -1), SeedSpec(1, 0, (2, -3))],
@@ -87,58 +90,67 @@ def test_negative_seed_entries_raise_like_numpy(spec):
         spec.rng()
 
 
-def test_seedspec_identity_ignores_its_table():
-    tabled = fbm_mod._Streams(9, range(4)).seeds()[2].substream(1)
-    alone = SeedSpec(9, 2).substream(1)
-    assert tabled._streams is not None and alone._streams is None
-    assert tabled == alone and hash(tabled) == hash(alone) and repr(tabled) == repr(alone)
-    assert repr(alone) == "SeedSpec(master_seed=9, stream_id=2, sub=(1,))"
-    assert len({tabled, alone}) == 1
-    for copied in (pickle.loads(pickle.dumps(tabled)), copy.deepcopy(tabled)):
-        assert copied == tabled and copied._streams is None
-        assert copied.rng().random() == tabled.rng().random()
+def test_seedspec_is_a_plain_value():
+    spec = SeedSpec(9, 2).substream(1)
+    same = SeedSpec(9, 2, (1,))
+    assert vars(spec) == {"master_seed": 9, "stream_id": 2, "sub": (1,)}  # no hidden state
+    assert spec == same and hash(spec) == hash(same) and len({spec, same}) == 1
+    assert spec != SeedSpec(9, 2) and spec != SeedSpec(9, 3, (1,))
+    assert repr(spec) == "SeedSpec(master_seed=9, stream_id=2, sub=(1,))"
+    for copied in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+        assert copied == spec and vars(copied) == vars(spec)
+        assert copied.rng().random() == spec.rng().random()
 
 
-def test_stream_table_derives_bounded_blocks_and_is_thread_safe(monkeypatch):
-    # blocks of 8 ids churn while 8 threads on 2 cores read across their
-    # boundaries; every stream must still get its own words
+@pytest.fixture
+def derived(monkeypatch):
+    """(first id, count, sub) of each block of seed words derived during the
+    test, from an empty cache, which is emptied again afterwards."""
+    log, real = [], fbm_mod._seed_words
+    monkeypatch.setattr(fbm_mod, "_seed_words", lambda m, ids, sub: log.append(
+        (ids.start, len(ids), sub)) or real(m, ids, sub))
+    fbm_mod._word_block.cache_clear()
+    yield log
+    fbm_mod._word_block.cache_clear()
+
+
+def test_word_cache_derives_bounded_blocks_and_is_thread_safe(monkeypatch, derived):
+    # 76 blocks of 8 ids churn through the 64-block cache while 8 threads on
+    # 2 cores read across their boundaries; every stream must still get its
+    # own words
     monkeypatch.setattr(fbm_mod, "_STREAM_BLOCK", 8)
-    ids = range(100)
-    want = {sub: fbm_mod._seed_words(5, ids, sub) for sub in ((), (1,))}
-    derived, real = [], fbm_mod._seed_words
-    monkeypatch.setattr(fbm_mod, "_seed_words", lambda m, ids, sub: derived.append(len(ids))
-                        or real(m, ids, sub))
-    table = fbm_mod._Streams(5, ids)
-    order = [(i, sub) for i in ids for sub in want] * 3
+    ids, subs = range(300), ((), (1,))
+    order = [(i, sub) for i in ids for sub in subs] * 3
     random.Random(0).shuffle(order)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            got = list(pool.map(lambda key: table.words(*key).copy(), order, timeout=60))
+            got = list(pool.map(lambda key: SeedSpec(5, *key).rng().bit_generator.state,
+                                order, timeout=60))
     finally:
         sys.setswitchinterval(interval)
-    assert all(g.tobytes() == want[sub][i].tobytes() for g, (i, sub) in zip(got, order))
-    assert derived and max(derived) <= 8
+    assert all(g == np.random.PCG64(_reference(5, i, sub)).state for g, (i, sub) in zip(got, order))
+    assert {count for _, count, _ in derived} == {8}
+    assert fbm_mod._word_block.cache_info().currsize <= 64 < len(derived)  # blocks were evicted
 
 
-def test_replicate_map_threads_derive_each_block_once(monkeypatch):
-    # two threads walking far-apart halves of one call hold a block each,
-    # so neither re-derives what the other evicted
+def test_replicate_map_threads_derive_each_block_once(derived):
+    # two threads walking far-apart halves of one call share the cache's
+    # blocks, and a second call with the same master and sub derives nothing
     from fbmvar.harness import replicate_map
 
-    derived, real = [], fbm_mod._seed_words
+    want = [np.random.default_rng(_reference(8, i, (1,))).random() for i in range(3000)]
 
-    def count(m, ids, sub):
-        derived.append((ids.start, sub))
-        return real(m, ids, sub)
+    def call():
+        return replicate_map(lambda seeds: np.array([s.substream(1).rng().random() for s in seeds]),
+                             3000, 8, threads=2).tolist()
 
-    monkeypatch.setattr(fbm_mod, "_seed_words", count)
-    got = replicate_map(lambda seeds: np.array([s.substream(1).rng().random() for s in seeds]),
-                        3000, 8, threads=2)
-    assert got.tolist() == [np.random.default_rng(_reference(8, i, (1,))).random()
-                            for i in range(3000)]
-    assert len(derived) <= 4 and len(set(derived)) == 3  # blocks 0, 1024, 2048; one may be shared
+    assert call() == want
+    # blocks 0, 1024 and 2048; both threads may miss the shared one at once
+    assert len(derived) <= 4 and {first for first, _, _ in derived} == {0, 1024, 2048}
+    derived.clear()
+    assert call() == want and derived == []
 
 
 def test_gridspec_validation():
@@ -148,6 +160,9 @@ def test_gridspec_validation():
         GridSpec(level=3, t_min=0.5, t_max=1.0)  # t_min > 0
     with pytest.raises(ValueError):
         GridSpec(level=3, t_min=0.0, t_max=0.3)  # off-grid t_max
+    for level, t_max in ((1100, 1.0), (1023, 4.0)):  # 2^level * t_max overflows a float
+        with pytest.raises(ValueError, match="more points than a float can count"):
+            GridSpec(level=level, t_min=0.0, t_max=t_max)
     g = GridSpec(level=3, t_min=-0.5, t_max=1.0)
     assert g.npoints == 13
     assert g.zero_index == 4
@@ -155,6 +170,16 @@ def test_gridspec_validation():
     assert g.index_of(0.125) == g.zero_index + 1
     with pytest.raises(ValueError):
         g.index_of(0.3)
+
+
+@pytest.mark.parametrize("sampler", [sample_fbm, sample_fbm_cholesky])
+@pytest.mark.parametrize("grid", [GridSpec(1, 0.0, 0.5), GridSpec(2, -0.5, 0.5)],
+                         ids=lambda g: f"{g.npoints}pt")
+@pytest.mark.parametrize("size", [-3, -1, 0])
+def test_samplers_refuse_sizes_below_one(sampler, grid, size):
+    # refused before any stream is made: this seed's stream would raise otherwise
+    with pytest.raises(ValueError, match=f"size must be >= 1, got {size}"):
+        sampler(0.25, grid, SeedSpec(-1, 0), size=size)
 
 
 def test_fgn_deterministic_for_fixed_seed():
