@@ -16,13 +16,11 @@ from .brownian_time import (
     sample_walk,
 )
 from .fbm import (
-    CholeskyError,
     FbmPath,
     GridSpec,
     SeedSpec,
     SpectralError,
     sample_fbm,
-    sample_fbm_cholesky,
     sample_fgn_circulant,
 )
 from .gaussian import (

@@ -1,18 +1,18 @@
 """Exact sampling of (two-sided) fractional Brownian motion on dyadic grids.
 
-Two generators with one law:
+One generator: circulant embedding of the fGn correlation sequence
+(Davies-Harte / Wood-Chan, O(N log N)).  The embedding's spectrum is real
+and symmetric, so only its Hermitian half is scaled by the cached
+amplitudes and inverted with one real FFT.  Its draws have exactly the
+law of fBm whenever that spectrum is nonnegative, which
+`_circulant_spectrum` checks, raising SpectralError when it fails; A7
+checks the draws against the covariance C_H and the exact normal law of
+X(t).
 
-* circulant embedding of the fGn correlation sequence (Davies-Harte /
-  Wood-Chan, O(N log N), the workhorse): the embedding's spectrum is
-  real and symmetric, so only its Hermitian half is scaled by the cached
-  amplitudes and inverted with one real FFT, and
-* dense Cholesky factorization of the full covariance matrix (O(N^3), the
-  small-scale oracle the fast path is validated against).
-
-Both are deterministic functions of a SeedSpec.  Increments of two-sided
-fBm form a single stationary fGn stream across the origin, so a two-sided
-path is one circulant draw, cumulatively summed and re-anchored so that
-the value at t = 0 is exactly zero.  The circulant sampler also draws a
+Every draw is a deterministic function of a SeedSpec.  Increments of
+two-sided fBm form a single stationary fGn stream across the origin, so a
+two-sided path is one circulant draw, cumulatively summed and re-anchored
+so that the value at t = 0 is exactly zero.  The sampler also draws a
 batch, one row per SeedSpec, through one spectrum scaling, one FFT and
 one cumulative sum; each row is bit-identical to its seed's single path.
 
@@ -22,8 +22,7 @@ so that a Monte Carlo call derives its thousands of streams in a few
 passes instead of one SeedSequence each.  The words are a function of
 (master seed, stream id, sub) alone, so the bounded cache of blocks
 (`_word_block`) changes no bit; numpy.random itself is loaded on the
-first draw.  `scipy.linalg` is imported by the oracle's factorization on
-its first call; the circulant path needs numpy alone.
+first draw.  The sampler needs numpy alone.
 """
 
 from __future__ import annotations
@@ -37,23 +36,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import HurstParam, as_hurst, fbm_covariance, fgn_correlation
+from .gaussian import HurstParam, as_hurst, fgn_correlation
 
 
 class SpectralError(RuntimeError):
     """The circulant embedding produced a genuinely negative eigenvalue."""
 
 
-class CholeskyError(RuntimeError):
-    """The dense covariance factorization failed (non-PD numerical matrix)."""
-
-
 #: eigenvalues of the unit-spacing correlation circulant below this abort;
 #: tiny negatives above it are clamped to zero.
 EIGENVALUE_FLOOR = -1e-9
-
-#: point-count cap for the O(N^3) Cholesky oracle
-CHOLESKY_CAP = 2048
 
 #: point-count cap for `sample_fbm` (level 21 over [0, 1] fits); the
 #: circulant sampler's buffers take about 64 bytes per point
@@ -357,7 +349,7 @@ def sample_fgn_circulant(
         raise ValueError(f"size must be >= 1, got {size}")
     hp = as_hurst(h)
     amp = _circulant_spectrum(hp.h, count)
-    rows = (1 if size is None else int(size)) if isinstance(seed, SeedSpec) else len(seed)
+    rows = (1 if size is None else operator.index(size)) if isinstance(seed, SeedSpec) else len(seed)
     normals, half = _buffers(rows, count)
     _fill_normals(seed, normals)
     half.real[:, 0] = normals[:, 0]
@@ -368,45 +360,6 @@ def sample_fgn_circulant(
     half *= amp * spacing**hp.h
     fgn = np.fft.irfft(half, n=2 * count, axis=1)[:, :count]
     return fgn[0] if size is None and isinstance(seed, SeedSpec) else fgn
-
-
-@functools.lru_cache(maxsize=32)
-def _cholesky_factor(h: float, grid: GridSpec) -> np.ndarray:
-    """Lower Cholesky factor of C_H on the grid points with t=0 removed."""
-    import scipy.linalg
-
-    pts = grid.times()
-    pts = np.delete(pts, grid.zero_index)
-    cov = fbm_covariance(HurstParam(h), pts[:, None], pts[None, :])
-    try:
-        chol = scipy.linalg.cholesky(cov, lower=True)
-    except scipy.linalg.LinAlgError as exc:  # report the offending minor
-        raise CholeskyError(f"covariance factorization failed on {grid}: {exc}") from exc
-    chol.flags.writeable = False
-    return chol
-
-
-def sample_fbm_cholesky(h, grid: GridSpec, seed: SeedSpec, size: int | None = None):
-    """Exact-law fBm path via dense Cholesky; the small-scale oracle.
-
-    The point t=0 is excluded from the factorized set and pinned to 0.
-    """
-    if grid.npoints > CHOLESKY_CAP:
-        raise ValueError(
-            f"grid has {grid.npoints} points, above the Cholesky cap {CHOLESKY_CAP}"
-        )
-    if size is not None and size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
-    hp = as_hurst(h)
-    chol = _cholesky_factor(hp.h, grid)
-    rows = 1 if size is None else int(size)
-    rng = seed.rng()
-    z = rng.standard_normal((rows, chol.shape[0]))
-    vals = z @ chol.T
-    vals = np.insert(vals, grid.zero_index, 0.0, axis=1)
-    if size is None:
-        return FbmPath(grid=grid, h=hp, values=vals[0])
-    return vals
 
 
 def sample_fbm(h, grid: GridSpec, seed: SeedSpec | Sequence[SeedSpec], size: int | None = None):

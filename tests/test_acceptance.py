@@ -38,10 +38,11 @@ import pytest
 from scipy import stats as sps
 
 import fbmvar.acceptance as acceptance
+import fbmvar.fbm as fbm_mod
 import fbmvar.harness as harness
 from fbmvar import (
-    SeedSpec, get_weight, identity_residuals, ks_two_sample, limit_conditional_std, limit_sigma,
-    sample_fbm, sample_fbmbt, variation,
+    SeedSpec, fgn_correlation, get_weight, identity_residuals, ks_two_sample,
+    limit_conditional_std, limit_sigma, sample_fbm, sample_fbmbt, variation,
 )
 from fbmvar.acceptance import ACCEPTANCE, run_check
 
@@ -100,7 +101,7 @@ def test_a6_endpoint_limits():
     _run("A6")
 
 
-def test_a7_generator_against_oracle():
+def test_a7_generator_against_exact_law():
     _run("A7")
 
 
@@ -129,6 +130,36 @@ def test_a4_wall_time_covers_gap_decay_loop(monkeypatch):
         replicates=60, level=6, decay_levels=(4, 6), decay_replicates=20
     )
     assert report.wall_time_s >= 2 * pause
+
+
+def _defective_spectrum(last_lag=None, interior_power=1.0):
+    """`fbm._circulant_spectrum` with rho_H(j) set to 0 for j > last_lag,
+    and the power of the interior frequencies times interior_power."""
+    def spectrum(h, count):
+        rho = fgn_correlation(h, np.arange(count + 1))
+        if last_lag is not None:
+            rho[last_lag + 1 :] = 0.0
+        lam = np.fft.fft(np.concatenate([rho, rho[-2:0:-1]])).real
+        amp = np.sqrt(np.clip(lam[: count + 1], 0.0, None) * (2 * count))
+        amp[1:count] *= np.sqrt(0.5 * interior_power)
+        return amp
+
+    return spectrum
+
+
+@pytest.mark.parametrize("defect", [_defective_spectrum(interior_power=2.0),
+                                    _defective_spectrum(last_lag=1),
+                                    _defective_spectrum(last_lag=16)],
+                         ids=["interior-power-doubled", "rho-zero-beyond-1", "rho-zero-beyond-16"])
+def test_a7_covariance_gate_catches_a_wrong_spectrum(defect, monkeypatch):
+    # the covariance gate sees every defect; the terminal KS misses the
+    # correlations cut beyond lag 16 (p = 0.30 at h = 0.2)
+    assert acceptance.check_a7(replicates=2000).passed
+    monkeypatch.setattr(fbm_mod, "_circulant_spectrum", defect)
+    report = acceptance.check_a7(replicates=2000)
+    z = report.tests["max_z h=0.2"]["value"]
+    assert z > acceptance.SE_WIDE
+    assert f"h=0.2: max covariance z-score {z:.3g} > {acceptance.SE_WIDE}" in report.failures
 
 
 #: a small configuration of every check, about 1 s for all ten

@@ -85,8 +85,8 @@ def test_tracer_patch_targets_are_class_attributes(monkeypatch):
 @pytest.mark.parametrize("variant", ["full", "smoke"])
 def test_many_short_ops_sample_the_paths_they_state(workloads, variant, monkeypatch):
     # the traced run checks that a workload samples the paths its config
-    # states: fBm rows from sample_fbm and sample_fbm_cholesky plus one per
-    # sample_walk call, as looked up in acceptance and brownian_time
+    # states: fBm rows from sample_fbm plus one per sample_walk call, as
+    # looked up in acceptance and brownian_time
     sampled = []
 
     def counting(sampler):
@@ -98,7 +98,7 @@ def test_many_short_ops_sample_the_paths_they_state(workloads, variant, monkeypa
         return counted
 
     for module in (fbmvar.acceptance, fbmvar.brownian_time):
-        for name in ("sample_fbm", "sample_fbm_cholesky", "sample_walk"):
+        for name in ("sample_fbm", "sample_walk"):
             if name in vars(module):
                 monkeypatch.setattr(module, name, counting(vars(module)[name]))
     for op in workloads.build_ops(fbmvar, "many_short", 20260809, variant):

@@ -73,7 +73,7 @@ def test_sigma_verbose_lists_terms(capsys):
         ("verify", "A10", "--n", "22"),
         ("verify", "all", "--n", "24"),  # A9's default level, but A1's grid
         ("verify", "A9", "--n", "64"),  # a walk too long for a 64-bit step count
-        ("verify", "A7", "--n", "14"),  # an 8.6 GB covariance above the Cholesky cap
+        ("verify", "A7", "--n", "14"),  # an 8.6 GB covariance above A7's dense covariance cap
         ("verify", "A10", "--n", "3"),  # one live window: no band would be tested
         ("verify", "all", "--n", "5", "--replicates", "200"),  # odd: refused before A1 runs
     ],

@@ -1,4 +1,4 @@
-"""Generator tests: determinism, spectra, covariance law, oracle agreement."""
+"""Generator tests: determinism, spectra, covariance law, exact-law agreement."""
 
 import copy
 import math
@@ -9,17 +9,17 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 import fbmvar.fbm as fbm_mod
 from fbmvar import (
     GridSpec,
     SeedSpec,
     SpectralError,
-    fbm_covariance,
     fgn_correlation,
+    ks_one_sample,
     ks_two_sample,
     sample_fbm,
-    sample_fbm_cholesky,
     sample_fgn_circulant,
 )
 
@@ -172,7 +172,7 @@ def test_gridspec_validation():
         g.index_of(0.3)
 
 
-@pytest.mark.parametrize("sampler", [sample_fbm, sample_fbm_cholesky])
+@pytest.mark.parametrize("sampler", [sample_fbm])
 @pytest.mark.parametrize("grid", [GridSpec(1, 0.0, 0.5), GridSpec(2, -0.5, 0.5)],
                          ids=lambda g: f"{g.npoints}pt")
 @pytest.mark.parametrize("size", [-3, -1, 0])
@@ -180,6 +180,15 @@ def test_samplers_refuse_sizes_below_one(sampler, grid, size):
     # refused before any stream is made: this seed's stream would raise otherwise
     with pytest.raises(ValueError, match=f"size must be >= 1, got {size}"):
         sampler(0.25, grid, SeedSpec(-1, 0), size=size)
+
+
+@pytest.mark.parametrize("size", [2.5, np.float64(2.0)], ids=repr)
+def test_sample_fbm_refuses_fractional_sizes(size):
+    # a fractional size is refused, not truncated; an integer of any type is a size
+    grid = GridSpec(2, -0.5, 0.5)
+    with pytest.raises(TypeError):
+        sample_fbm(0.25, grid, SeedSpec(1, 0), size=size)
+    assert sample_fbm(0.25, grid, SeedSpec(1, 0), size=np.int64(3)).shape == (3, grid.npoints)
 
 
 def test_fgn_deterministic_for_fixed_seed():
@@ -231,15 +240,6 @@ def test_spectral_failure_aborts(monkeypatch):
     fbm_mod._circulant_spectrum.cache_clear()
 
 
-def test_cholesky_pins_zero_and_respects_cap():
-    grid = GridSpec(level=4, t_min=-0.5, t_max=1.0)
-    path = sample_fbm_cholesky(0.3, grid, SeedSpec(5, 0))
-    assert path.value_at(0.0) == 0.0
-    big = GridSpec(level=12, t_min=0.0, t_max=1.0)
-    with pytest.raises(ValueError):
-        sample_fbm_cholesky(0.3, big, SeedSpec(5, 0))
-
-
 def test_sample_fbm_refuses_oversized_grid_before_drawing(monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("drew for an oversized grid")
@@ -253,29 +253,16 @@ def test_sample_fbm_refuses_oversized_grid_before_drawing(monkeypatch):
             sample_fbm(0.3, big, seed)
 
 
-def test_cholesky_covariance_example():
-    # Cov(X_0.5, X_1) at h=0.3 over many replicates
-    h = 0.3
-    grid = GridSpec(level=6, t_min=0.0, t_max=1.0)
-    vals = sample_fbm_cholesky(h, grid, SeedSpec(6, 0), size=100_000)
-    i, j = grid.index_of(0.5), grid.index_of(1.0)
-    prod = vals[:, i] * vals[:, j]
-    target = fbm_covariance(h, 0.5, 1.0)
-    se = prod.std(ddof=1) / math.sqrt(len(prod))
-    assert abs(prod.mean() - target) < 3 * se
-
-
 def test_two_sided_halves_are_correlated():
     # kills the "two independent halves" shortcut
     h = 0.35
     grid = GridSpec(level=5, t_min=-1.0, t_max=1.0)
-    for sampler in (sample_fbm, sample_fbm_cholesky):
-        vals = sampler(h, grid, SeedSpec(8, 0), size=60_000)
-        i, j = grid.index_of(-0.5), grid.index_of(0.5)
-        prod = vals[:, i] * vals[:, j]
-        target = 0.5 * (0.5 ** (2 * h) + 0.5 ** (2 * h) - 1.0)
-        se = prod.std(ddof=1) / math.sqrt(len(prod))
-        assert abs(prod.mean() - target) < 4 * se
+    vals = sample_fbm(h, grid, SeedSpec(8, 0), size=60_000)
+    i, j = grid.index_of(-0.5), grid.index_of(0.5)
+    prod = vals[:, i] * vals[:, j]
+    target = 0.5 * (0.5 ** (2 * h) + 0.5 ** (2 * h) - 1.0)
+    se = prod.std(ddof=1) / math.sqrt(len(prod))
+    assert abs(prod.mean() - target) < 4 * se
 
 
 def test_fbm_anchored_at_zero():
@@ -296,12 +283,11 @@ def test_fbm_self_similarity_variance():
         assert abs(sq.mean() - abs(t) ** (2 * h)) < 3 * se
 
 
-def test_circulant_matches_cholesky_oracle():
-    # distributional equality of terminal values on a two-sided level-5 grid
+def test_circulant_terminal_value_has_the_exact_law():
+    # X(1) on a two-sided level-5 grid is exactly N(0, 1)
     grid = GridSpec(level=5, t_min=-1.0, t_max=1.0)
-    a = sample_fbm(0.3, grid, SeedSpec(13, 0), size=10_000)[:, -1]
-    b = sample_fbm_cholesky(0.3, grid, SeedSpec(14, 0), size=10_000)[:, -1]
-    _, p = ks_two_sample(a, b)
+    terminal = sample_fbm(0.3, grid, SeedSpec(13, 0), size=10_000)[:, -1]
+    _, p = ks_one_sample(terminal, sps.norm.cdf)
     assert p > 0.01
 
 

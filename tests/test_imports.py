@@ -56,7 +56,7 @@ def test_scipy_stats_loads_on_first_ks_test():
 
 
 PUBLIC_NAMES = [
-    "ACCEPTANCE", "CholeskyError", "ConvergenceError", "CrossingCounts", "DEFAULT_MASTER_SEEDS",
+    "ACCEPTANCE", "ConvergenceError", "CrossingCounts", "DEFAULT_MASTER_SEEDS",
     "EmbeddedWalk", "FbmPath", "FbmbtSample", "GridSpec", "HermiteCoeffs", "HurstParam",
     "LimitSigma", "McReport", "RULES", "SeedSpec", "SpectralError", "VariationSeries", "WEIGHTS",
     "WeightFunction", "acceptance", "as_hurst", "bivariate_odd_moment", "brownian_time",
@@ -64,7 +64,7 @@ PUBLIC_NAMES = [
     "fgn_correlation", "gaussian", "gaussian_moment", "get_weight", "harness", "hermite_coeffs",
     "identity_residuals", "ks_one_sample", "ks_two_sample", "limit_conditional_std",
     "limit_quadrature", "limit_sigma", "midpoint_increment_overlap",
-    "midpoint_increment_overlap_closed", "run_check", "sample_fbm", "sample_fbm_cholesky",
+    "midpoint_increment_overlap_closed", "run_check", "sample_fbm",
     "sample_fbmbt", "sample_fgn_circulant", "sample_walk", "step_summands", "variation",
     "variations", "version", "weights",
 ]
