@@ -14,7 +14,12 @@ canonical bytes.  The arguments are what a caller chooses; the gates
 are fixed module constants, each recorded in `tests` next to the value it
 bounds.  A5's `residual_tol` stays an argument: it bounds float rounding,
 not a statistic, and the benchmark's validator reads it from the config;
-its default is `brownian_time.RESIDUAL_TOL`.  A1, A2 and A9 compare with
+its default is `brownian_time.RESIDUAL_TOL`.  Every clause goes through
+the one helper `_gate`, which records it under `tests` (A6 and A10 write
+one entry for several clauses) and appends its failure text when it did
+not pass; each KS clause goes through `_ks`, the one place that compares a
+p-value with ALPHA.  A report fails exactly when one of its `_gate` calls
+failed.  A1, A2 and A9 compare with
 sigma(r, H), which is 0 at r = 1, so they refuse r < 2; A3/A4 test the
 decay of the degenerate variance there instead.  A check whose KS test
 needs more samples than it is asked for (`harness.KS_MIN_SAMPLES`) refuses
@@ -94,6 +99,25 @@ def _report(kind: str, args: dict) -> McReport:
     on entry): the config is the arguments less master_seed and threads."""
     config = {k: v for k, v in args.items() if k not in ("master_seed", "threads")}
     return McReport(kind=kind, config=config, master_seed=args["master_seed"])
+
+
+def _gate(report: McReport, passed: bool, failure: str, name: str | None = None,
+          record: dict | None = None) -> None:
+    """Record one clause of a check: its `record` under tests[name], when
+    named, and its `failure` text when it did not pass."""
+    if name is not None:
+        report.tests[name] = record
+    if not passed:
+        report.failures.append(failure)
+
+
+def _ks(report: McReport, label: str, result: tuple[float, float], name: str | None = None) -> dict:
+    """The KS clause of a (statistic, p-value) `result`: it passes when the
+    p-value is above ALPHA.  Returns its record, gated under tests[name]."""
+    stat, p = result
+    record = {"statistic": stat, "p_value": p, "alpha": ALPHA}
+    _gate(report, p > ALPHA, f"{label}KS p-value {p:.4g} <= {ALPHA}", name, record)
+    return record
 
 
 def _positive_sigma(r: int, h) -> LimitSigma:
@@ -192,9 +216,9 @@ def _mixture_law(report, rule, threads, replicates, level, h, r, f) -> McReport:
         v_lo = variances[str(level - DEGENERATE_GAP)]["variance"]
         v_hi = variances[str(level)]["variance"]
         ratio = v_hi / v_lo if v_lo > 0 else math.inf
-        report.tests["variance_decay"] = {"ratio": ratio, "bound": DEGENERATE_RATIO}
-        if not ratio < DEGENERATE_RATIO:
-            report.failures.append(f"degenerate variance did not decay: {v_lo:.4g} -> {v_hi:.4g}")
+        _gate(report, ratio < DEGENERATE_RATIO,
+              f"degenerate variance did not decay: {v_lo:.4g} -> {v_hi:.4g}",
+              "variance_decay", {"ratio": ratio, "bound": DEGENERATE_RATIO})
         report.estimates["variances"] = variances
     else:
         grid = GridSpec(level=level, t_min=0.0, t_max=1.0)
@@ -204,25 +228,21 @@ def _mixture_law(report, rule, threads, replicates, level, h, r, f) -> McReport:
 
         rows = replicate_map(chunk, replicates, master_seed, threads, steps=grid.npoints - 1)
         phi, lim, x1, x1_lim = rows.T
-        ks_stat, p_val = ks_two_sample(phi, lim)
         desc = describe(phi)
         corr = float(np.corrcoef(phi, x1)[0, 1])
         corr_bound = SE_NARROW / math.sqrt(replicates) + CORR_SLACK
         mean_bound = SE_NARROW * desc["se_mean"]
         report.estimates["statistic"] = desc
         report.estimates["limit"] = describe(lim)
-        report.tests["ks_two_sample"] = {"statistic": ks_stat, "p_value": p_val, "alpha": ALPHA}
-        report.tests["mean"] = {"value": desc["mean"], "allowed": mean_bound}
-        report.tests["corr_with_terminal"] = {"value": corr, "bound": corr_bound}
         # diagnostic: on the limit side W really is independent of the path,
         # so this correlation is exactly zero in law at every n
         report.tests["corr_limit_side"] = {"value": float(np.corrcoef(lim, x1_lim)[0, 1])}
-        if not p_val > ALPHA:
-            report.failures.append(f"mixture KS p-value {p_val:.4g} <= {ALPHA}")
-        if abs(desc["mean"]) > mean_bound:
-            report.failures.append(f"mean {desc['mean']:.4g} not within {SE_NARROW:g} SE of 0")
-        if not abs(corr) < corr_bound:
-            report.failures.append(f"|corr| {abs(corr):.4g} >= {corr_bound:.4g}")
+        _ks(report, "mixture ", ks_two_sample(phi, lim), "ks_two_sample")
+        _gate(report, not abs(desc["mean"]) > mean_bound,
+              f"mean {desc['mean']:.4g} not within {SE_NARROW:g} SE of 0",
+              "mean", {"value": desc["mean"], "allowed": mean_bound})
+        _gate(report, abs(corr) < corr_bound, f"|corr| {abs(corr):.4g} >= {corr_bound:.4g}",
+              "corr_with_terminal", {"value": corr, "bound": corr_bound})
     report.wall_time_s = time.perf_counter() - start
     return report
 
@@ -244,12 +264,10 @@ def check_a1(
     gap = abs(desc["variance"] - sigma.value**2)
     allowed = SE_NARROW * desc["se_variance"]
     report.estimates = {"draws": desc, "sigma": sigma.value, "sigma_sq": sigma.value**2}
-    report.tests["variance_vs_sigma_sq"] = {"gap": gap, "allowed": allowed}
-    if not gap <= allowed:
-        report.failures.append(
-            f"variance {desc['variance']:.4g} vs sigma^2 {sigma.value ** 2:.4g}: "
-            f"gap {gap:.4g} > {SE_NARROW} SE"
-        )
+    _gate(report, gap <= allowed,
+          f"variance {desc['variance']:.4g} vs sigma^2 {sigma.value ** 2:.4g}: "
+          f"gap {gap:.4g} > {SE_NARROW} SE",
+          "variance_vs_sigma_sq", {"gap": gap, "allowed": allowed})
     report.wall_time_s = time.perf_counter() - start
     return report
 
@@ -268,10 +286,7 @@ def check_a2(
     sigma = _positive_sigma(r, h)
     _ks_samples(replicates=replicates)
     draws = _unweighted_draws(h, r, level, 1.0, replicates, master_seed, threads)
-    stat, p = ks_one_sample(draws / sigma.value, _normal_cdf)
-    report.tests["ks_vs_standard_normal"] = {"statistic": stat, "p_value": p, "alpha": ALPHA}
-    if not p > ALPHA:
-        report.failures.append(f"KS p-value {p:.4g} <= {ALPHA}")
+    _ks(report, "", ks_one_sample(draws / sigma.value, _normal_cdf), "ks_vs_standard_normal")
     report.wall_time_s = time.perf_counter() - start
     return report
 
@@ -325,12 +340,10 @@ def check_a4(
     report.estimates["gap_l2"] = l2
     lo, hi = str(decay_levels[0]), str(decay_levels[1])
     ratio = l2[hi] / l2[lo] if l2[lo] > 0 else math.inf
-    report.tests["gap_decay"] = {"ratio": ratio, "bound": GAP_DECAY_RATIO}
-    if not ratio < GAP_DECAY_RATIO:
-        report.failures.append(
-            f"|trapezoid-midpoint| L2 at n={hi} is {l2[hi]:.4g}, "
-            f"not below {GAP_DECAY_RATIO} * {l2[lo]:.4g}"
-        )
+    _gate(report, ratio < GAP_DECAY_RATIO,
+          f"|trapezoid-midpoint| L2 at n={hi} is {l2[hi]:.4g}, "
+          f"not below {GAP_DECAY_RATIO} * {l2[lo]:.4g}",
+          "gap_decay", {"ratio": ratio, "bound": GAP_DECAY_RATIO})
     report.wall_time_s = time.perf_counter() - start
     return report
 
@@ -366,8 +379,7 @@ def check_a5(
     worst = dict(zip(("crossing", "composition"), np.concatenate(blocks).max(axis=0).tolist()))
     report.estimates["max_residual"] = worst
     for name, value in worst.items():
-        if not value <= residual_tol:
-            report.failures.append(f"{name} residual {value:.3e} > {residual_tol:g}")
+        _gate(report, value <= residual_tol, f"{name} residual {value:.3e} > {residual_tol:g}")
     report.wall_time_s = time.perf_counter() - start
     return report
 
@@ -423,17 +435,14 @@ def check_a6(
     report.tests["rms_at_last_level"] = {
         "left": rms[last]["left"], "right": rms[last]["right"], "bound": RMS_THRESHOLD}
     for side in ("left", "right"):
-        if not rms[last][side] < rms[first][side]:
-            report.failures.append(
-                f"{side} RMS did not decrease: {rms[first][side]:.4g} -> {rms[last][side]:.4g}"
-            )
-        if not rms[last][side] < RMS_THRESHOLD:
-            report.failures.append(
-                f"{side} RMS at n={last} is {rms[last][side]:.4g} >= {RMS_THRESHOLD}"
-            )
+        _gate(report, rms[last][side] < rms[first][side],
+              f"{side} RMS did not decrease: {rms[first][side]:.4g} -> {rms[last][side]:.4g}")
+        _gate(report, rms[last][side] < RMS_THRESHOLD,
+              f"{side} RMS at n={last} is {rms[last][side]:.4g} >= {RMS_THRESHOLD}")
     # exact tie allowed: for constant f the three statistics coincide
-    if rms[first]["trapezoid"] > min(rms[first]["left"], rms[first]["right"]) * (1 + 1e-12):
-        report.failures.append("trapezoid RMS is not below both endpoint RMS values")
+    _gate(report,
+          not rms[first]["trapezoid"] > min(rms[first]["left"], rms[first]["right"]) * (1 + 1e-12),
+          "trapezoid RMS is not below both endpoint RMS values")
     report.wall_time_s = time.perf_counter() - start
     return report
 
@@ -479,14 +488,11 @@ def check_a7(
             gram += block.T @ block
             ends.append(block[:, -1])
         zmax = float(np.max(np.abs(gram / replicates - cov) / se))
-        stat, p = ks_one_sample(np.concatenate(ends) / t_max**h, _normal_cdf)
-        ks = {"statistic": stat, "p_value": p, "alpha": ALPHA}
+        _gate(report, zmax <= SE_WIDE, f"h={h}: max covariance z-score {zmax:.3g} > {SE_WIDE}",
+              f"max_z h={h}", {"value": zmax, "bound": SE_WIDE})
+        ks = _ks(report, f"h={h}: terminal ",
+                 ks_one_sample(np.concatenate(ends) / t_max**h, _normal_cdf))
         report.estimates[f"h={h}"] = {"max_z": zmax, "ks_terminal": ks}
-        report.tests[f"max_z h={h}"] = {"value": zmax, "bound": SE_WIDE}
-        if not zmax <= SE_WIDE:
-            report.failures.append(f"h={h}: max covariance z-score {zmax:.3g} > {SE_WIDE}")
-        if not p > ALPHA:
-            report.failures.append(f"h={h}: terminal KS p-value {p:.4g} <= {ALPHA}")
     report.wall_time_s = time.perf_counter() - start
     return report
 
@@ -520,9 +526,8 @@ def check_a8(
         closed = midpoint_increment_overlap_closed(h, n, s, t)
         worst = max(worst, abs(direct - closed) / max(1.0, abs(closed)))
     report.estimates["max_identity_residual"] = worst
-    report.tests["identity_residual"] = {"value": worst, "bound": IDENTITY_TOL}
-    if not worst <= IDENTITY_TOL:
-        report.failures.append(f"overlap identity residual {worst:.3e} > {IDENTITY_TOL:g}")
+    _gate(report, worst <= IDENTITY_TOL, f"overlap identity residual {worst:.3e} > {IDENTITY_TOL:g}",
+          "identity_residual", {"value": worst, "bound": IDENTITY_TOL})
     bands = {}
     for h in band_hs:
         ratios = [
@@ -531,9 +536,9 @@ def check_a8(
         ]
         spread = max(ratios) / min(ratios)
         bands[f"h={h}"] = {"ratios": ratios, "spread": spread}
-        report.tests[f"band_spread h={h}"] = {"value": spread, "bound": A8_BAND_FACTOR}
-        if not spread <= A8_BAND_FACTOR:
-            report.failures.append(f"h={h}: coarse overlap ratio spread {spread:.3g} > {A8_BAND_FACTOR}")
+        _gate(report, spread <= A8_BAND_FACTOR,
+              f"h={h}: coarse overlap ratio spread {spread:.3g} > {A8_BAND_FACTOR}",
+              f"band_spread h={h}", {"value": spread, "bound": A8_BAND_FACTOR})
     report.estimates["bands"] = bands
     report.wall_time_s = time.perf_counter() - start
     return report
@@ -616,19 +621,14 @@ def check_a9(
     draws, lim = replicate_map(chunk, replicates, master_seed, threads).T
     desc = describe(draws)
     target = sigma.value**2 * math.sqrt(2.0 / math.pi)
-    gap = abs(desc["variance"] - target)
+    gap, allowed = abs(desc["variance"] - target), SE_WIDE * desc["se_variance"]
     report.estimates["draws"] = desc
     report.estimates["limit"] = describe(lim)
     report.estimates["variance_target"] = target
-    report.tests["variance_vs_mixture"] = {"gap": gap, "allowed": SE_WIDE * desc["se_variance"]}
-    if not gap <= SE_WIDE * desc["se_variance"]:
-        report.failures.append(
-            f"variance {desc['variance']:.4g} vs target {target:.4g}: gap beyond {SE_WIDE} SE"
-        )
-    stat, p = ks_two_sample(draws, lim)
-    report.tests["ks_vs_mixture"] = {"statistic": stat, "p_value": p, "alpha": ALPHA}
-    if not p > ALPHA:
-        report.failures.append(f"mixture KS p-value {p:.4g} <= {ALPHA}")
+    _gate(report, gap <= allowed,
+          f"variance {desc['variance']:.4g} vs target {target:.4g}: gap beyond {SE_WIDE} SE",
+          "variance_vs_mixture", {"gap": gap, "allowed": allowed})
+    _ks(report, "mixture ", ks_two_sample(draws, lim), "ks_vs_mixture")
 
     def terminals(seeds) -> list:
         # S_K is the sum of the steps: the walk's sites are never built
@@ -638,18 +638,14 @@ def check_a9(
     ys = replicate_map(terminals, donsker_replicates, master_seed + 1, threads,
                        steps=2**donsker_level)
     ydesc = describe(ys)
-    dstat, dp = ks_one_sample(ys, _normal_cdf)
     report.estimates["donsker"] = ydesc
-    report.tests["donsker_ks"] = {"statistic": dstat, "p_value": dp, "alpha": ALPHA}
     mean_gap, var_gap = abs(ydesc["mean"]), abs(ydesc["variance"] - 1.0)
-    report.tests["donsker_mean"] = {"gap": mean_gap, "allowed": SE_WIDE * ydesc["se_mean"]}
-    report.tests["donsker_variance"] = {"gap": var_gap, "allowed": SE_WIDE * ydesc["se_variance"]}
-    if mean_gap > SE_WIDE * ydesc["se_mean"]:
-        report.failures.append("walk terminal mean not within tolerance of 0")
-    if var_gap > SE_WIDE * ydesc["se_variance"]:
-        report.failures.append("walk terminal variance not within tolerance of 1")
-    if not dp > ALPHA:
-        report.failures.append(f"Donsker KS p-value {dp:.4g} <= {ALPHA}")
+    mean_allowed, var_allowed = SE_WIDE * ydesc["se_mean"], SE_WIDE * ydesc["se_variance"]
+    _gate(report, not mean_gap > mean_allowed, "walk terminal mean not within tolerance of 0",
+          "donsker_mean", {"gap": mean_gap, "allowed": mean_allowed})
+    _gate(report, not var_gap > var_allowed, "walk terminal variance not within tolerance of 1",
+          "donsker_variance", {"gap": var_gap, "allowed": var_allowed})
+    _ks(report, "Donsker ", ks_one_sample(ys, _normal_cdf), "donsker_ks")
     report.wall_time_s = time.perf_counter() - start
     return report
 
@@ -710,17 +706,14 @@ def check_a10(
         moments = _path_map(window_moments, h, grid, replicates, master_seed, threads).mean(axis=0)
         bound = d ** (p / 2.0) + d ** (p * h)
         for i in np.flatnonzero(~live):
-            if moments[i] != 0.0:
-                report.failures.append(
-                    f"h={h}: pair {pairs[i]} has zero width but moment {moments[i]}"
-                )
+            _gate(report, moments[i] == 0.0,
+                  f"h={h}: pair {pairs[i]} has zero width but moment {moments[i]}")
         ratios = np.full_like(d, np.nan)
         coarse = int(np.argmax(d))
         ratios[live] = moments[live] / (moments[coarse] / bound[coarse] * bound[live])
-        for i in np.flatnonzero(live)[ratios[live] > A10_BAND_FACTOR]:
-            report.failures.append(
-                f"h={h}: pair {pairs[i]}: ratio {ratios[i]:.3g} above band {A10_BAND_FACTOR}"
-            )
+        for i in np.flatnonzero(live):
+            _gate(report, not ratios[i] > A10_BAND_FACTOR,
+                  f"h={h}: pair {pairs[i]}: ratio {ratios[i]:.3g} above band {A10_BAND_FACTOR}")
         pos = live & (moments > 0)
         slope = None
         if pos.sum() >= 2:
@@ -762,12 +755,16 @@ def run_check(
     """Run one named check under the majority re-run policy.
 
     The primary seed decides when it passes; a statistical failure is
-    re-run on the remaining seeds and the majority decides.
+    re-run on the remaining seeds and the majority decides.  An empty or
+    repeated `master_seeds` is refused before any check runs: a repeated
+    seed would re-run the same draws and count them as further votes.
     """
     try:
         spec = ACCEPTANCE[name]
     except KeyError:
         raise ValueError(f"unknown acceptance check '{name}'; known: {sorted(ACCEPTANCE)}") from None
+    if not master_seeds or len(set(master_seeds)) != len(master_seeds):
+        raise ValueError(f"master_seeds must be non-empty and distinct, got {tuple(master_seeds)!r}")
     reports = [spec.fn(master_seed=master_seeds[0], threads=threads, **overrides)]
     if reports[0].passed or not spec.statistical or len(master_seeds) == 1:
         return reports[0].passed, reports

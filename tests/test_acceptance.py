@@ -28,10 +28,14 @@ contributed and the finite-level variance was +28.9% over the asymptotic
 4-SE gate.
 """
 
+import ast
 import inspect
 import json
+import math
 import time
+import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -397,3 +401,88 @@ def test_reworked_checks_give_the_same_bytes_on_two_threads(name, config):
     fn = ACCEPTANCE[name].fn
     one = fn(master_seed=11, threads=1, **config).canonical_json()
     assert fn(master_seed=11, threads=2, **config).canonical_json() == one
+
+
+@pytest.mark.parametrize("seeds", [(), (5, 5, 5), (5, 6, 5)], ids=["empty", "all-equal", "repeat"])
+def test_run_check_refuses_empty_or_repeated_seeds(seeds, monkeypatch):
+    # an empty tuple raised IndexError; a repeated seed re-ran the same
+    # draws and counted them as further votes of the majority
+    def no_check(**kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setitem(ACCEPTANCE, "A8", acceptance.CheckSpec("A8", no_check, True, "stub"))
+    with pytest.raises(ValueError, match="master_seeds must be non-empty and distinct"):
+        run_check("A8", master_seeds=seeds)
+
+
+def _empty_report():
+    return harness.McReport(kind="X", config={}, master_seed=0)
+
+
+def test_gate_records_each_clause_and_appends_failures_in_call_order():
+    report = _empty_report()
+    nan = math.nan
+    acceptance._gate(report, 1.0 <= 2.0, "not shown", "a", {"gap": 1.0, "allowed": 2.0})
+    acceptance._gate(report, False, "first")
+    acceptance._gate(report, nan <= 2.0, "a NaN gap fails", "b", {"gap": nan, "allowed": 2.0})
+    acceptance._gate(report, not nan > 2.0, "a NaN ratio is not above its bound", "c", {})
+    acceptance._gate(report, nan == 0.0, "a NaN moment is not zero")
+    assert list(report.tests) == ["a", "b", "c"]
+    assert report.tests["a"] == {"gap": 1.0, "allowed": 2.0}
+    assert report.failures == ["first", "a NaN gap fails", "a NaN moment is not zero"]
+    assert not report.passed
+
+
+@pytest.mark.parametrize("p, passed", [(0.5, True), (acceptance.ALPHA, False), (0.0, False),
+                                       (math.nan, False)])
+def test_ks_clause_passes_only_above_alpha(p, passed):
+    report = _empty_report()
+    record = acceptance._ks(report, "label ", (0.25, p), "ks")
+    assert report.tests == {"ks": record}
+    assert set(record) == {"statistic", "p_value", "alpha"}
+    assert record["alpha"] == acceptance.ALPHA
+    assert report.failures == ([] if passed else [f"label KS p-value {p:.4g} <= {acceptance.ALPHA}"])
+    unnamed = _empty_report()
+    acceptance._ks(unnamed, "", (0.25, p))
+    assert unnamed.tests == {}
+    assert unnamed.passed == passed
+
+
+def test_a8_identity_gate_catches_a_wrong_closed_form(monkeypatch):
+    real = acceptance.midpoint_increment_overlap_closed
+    monkeypatch.setattr(acceptance, "midpoint_increment_overlap_closed",
+                        lambda h, n, s, t: real(h, n, s, t) + 1e-6)
+    report = acceptance.check_a8(master_seed=5, **SMALL["A8"])
+    worst = report.tests["identity_residual"]["value"]
+    assert worst > acceptance.IDENTITY_TOL
+    assert report.failures == [f"overlap identity residual {worst:.3e} > {acceptance.IDENTITY_TOL:g}"]
+
+
+def test_a10_zero_width_gate_fails_a_nan_statistic(monkeypatch):
+    # a zero-width window's moment is exactly 0 unless the statistic is NaN
+    real = acceptance.variation
+    monkeypatch.setattr(acceptance, "variation", lambda *args: types.SimpleNamespace(
+        values=np.full_like(real(*args).values, np.nan)))
+    report = acceptance.check_a10(master_seed=5, replicates=20, level=4, hs=(0.25,),
+                                  widths=(0.5, 0.25, 2**-6))
+    assert report.failures == ["h=0.25: pair (0.5, 0.515625) has zero width but moment nan"]
+
+
+def test_every_clause_goes_through_the_one_gate():
+    # `.failures.append` is called in `_gate` alone, and ALPHA is compared
+    # with a p-value in `_ks` alone
+    tree = ast.parse(Path(acceptance.__file__).read_text())
+    owner = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                owner[node] = fn.name  # inner functions are walked later and win
+    appends = [owner.get(node) for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "append" and isinstance(node.func.value, ast.Attribute)
+               and node.func.value.attr == "failures"]
+    alpha = [owner.get(node) for node in ast.walk(tree) if isinstance(node, ast.Compare)
+             and any(isinstance(side, ast.Name) and side.id == "ALPHA"
+                     for side in [node.left, *node.comparators])]
+    assert appends == ["_gate"]
+    assert alpha == ["_ks"]
