@@ -9,7 +9,14 @@ Configuration may come from a flat key=value file (--config); explicit
 flags override file values.  Every emitted artifact embeds the effective
 config, the master seed, and the package version, and is byte-reproducible
 from that embedded config on the same environment, whose Python, numpy and
-scipy versions it records (the FFT backend can move output bits).
+scipy versions it records (the FFT backend can move output bits).  A file
+that cannot be read or written is a usage error too: an --out whose
+directory is missing, or which is a directory, is refused with the config,
+before anything is computed or printed.
+
+The module adds `argparse` and `json` to what `import fbmvar` loads; the
+`scipy` package loads only when an artifact records its version, so a
+command without --out never imports it.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
@@ -26,7 +33,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .acceptance import ACCEPTANCE, DEFAULT_MASTER_SEEDS, run_check
 from .brownian_time import RESIDUAL_TOL, _walk_steps, identity_residuals, sample_fbmbt
@@ -80,8 +86,14 @@ class UsageError(Exception):
 
 def load_config(path: str) -> dict:
     """Flat key=value config file; '#' starts a comment."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"--config {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise UsageError(f"--config {path}: not a UTF-8 text file") from None
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -94,7 +106,8 @@ def load_config(path: str) -> dict:
 
 def merge_config(args: argparse.Namespace, command: str) -> dict:
     """Effective config: hard defaults < config file (--config) < explicit
-    flags.  A file key the subcommand has no option for is refused.
+    flags.  A file key the subcommand has no option for is refused, and so
+    is an --out that names a directory or lies in no directory.
     """
     defaults = _DEFAULTS[command]
     merged = dict(defaults)
@@ -109,12 +122,17 @@ def merge_config(args: argparse.Namespace, command: str) -> dict:
         flag = getattr(args, key)
         if flag is not None:
             merged[key] = flag
+    out = merged["out"]
+    if out and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+        raise UsageError(f"--out {out}: not a file in an existing directory")
     return merged
 
 
 def _artifact(command: str, cfg: dict, master_seed, **body) -> dict:
     """An artifact: its command, version, config, seed and environment,
     then `body`; the environment stays outside the canonical reports."""
+    import scipy
+
     environment = {"python": platform.python_version(), "numpy": np.__version__,
                    "scipy": scipy.__version__}
     return {"command": command, "version": VERSION, "config": cfg, "master_seed": master_seed,
@@ -124,16 +142,27 @@ def _artifact(command: str, cfg: dict, master_seed, **body) -> dict:
 def _emit(document: dict, out: str | None) -> None:
     text = json.dumps(document, sort_keys=True, indent=1) + "\n"
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise UsageError(f"--out {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
 
-def _write_csv(path: Path, header: str, columns) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+def _write_csv(directory: str, name: str, header: str, columns) -> str:
+    """Write `columns` under `header` to directory/name, making the
+    directory if needed; the file's path."""
+    path = Path(directory) / name
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="") as fh:
+            fh.write(header + "\n")
+            for row in zip(*columns):
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write {name} under {directory}: {exc.strerror}") from None
+    return str(path)
 
 
 def _fmt(v) -> str:
@@ -208,15 +237,11 @@ def cmd_simulate_fbm(args) -> int:
             columns = [series[0].times] + [s.values for s in series]
         if not all(np.isfinite(c).all() for c in columns):
             raise UsageError(f"--r {cfg['r']} overflows the variation series; lower --r")
-        directory = Path(cfg["dump_series"])
-        directory.mkdir(parents=True, exist_ok=True)
-        _write_csv(directory / "series.csv", "t,phi,psi,left,right,unweighted", columns)
-        results["series_csv"] = str(directory / "series.csv")
+        results["series_csv"] = _write_csv(cfg["dump_series"], "series.csv",
+                                           "t,phi,psi,left,right,unweighted", columns)
     if cfg["dump_paths"]:
-        directory = Path(cfg["dump_paths"])
-        directory.mkdir(parents=True, exist_ok=True)
-        _write_csv(directory / "fbm_path.csv", "t,value", (grid.times(), path.values))
-        results["path_csv"] = str(directory / "fbm_path.csv")
+        results["path_csv"] = _write_csv(cfg["dump_paths"], "fbm_path.csv", "t,value",
+                                         (grid.times(), path.values))
     _emit(_artifact("simulate fbm", cfg, cfg["seed"], results=results), cfg["out"])
     return 0
 
@@ -242,12 +267,9 @@ def cmd_simulate_fbmbt(args) -> int:
         "residual_tol": RESIDUAL_TOL,
     }
     if cfg["dump_walk"]:
-        directory = Path(cfg["dump_walk"])
-        directory.mkdir(parents=True, exist_ok=True)
         k = np.arange(len(sample.walk.s))
-        _write_csv(directory / "walk.csv", "k,S_k,Z_k",
-                   (k, sample.walk.s, sample.z_values()))
-        results["walk_csv"] = str(directory / "walk.csv")
+        results["walk_csv"] = _write_csv(cfg["dump_walk"], "walk.csv", "k,S_k,Z_k",
+                                         (k, sample.walk.s, sample.z_values()))
     _emit(_artifact("simulate fbmbt", cfg, cfg["seed"], results=results), cfg["out"])
     # numpy's max propagates NaN, so a residual lost to overflow fails the gate
     worst = float(np.max([res["residual_crossing"], res["residual_composition"]]))

@@ -16,16 +16,17 @@ alone stays an argument: the benchmark's validator reads it from the
 config).  Serialization has a canonical form (timing excluded) on which
 byte-reproducibility rests.
 
-`scipy.stats` is imported by `describe`, `ks_one_sample` and
-`ks_two_sample` on their first call, not with the module: a process that
-only evaluates constants or samples paths never pays for it.
+Imports a call needs load with that call, not with the module, so a
+process never pays for what it does not run: `scipy.stats` with the first
+`describe`, `ks_one_sample` or `ks_two_sample`, `ThreadPoolExecutor` (and
+with it `logging`, `queue` and `traceback`) with the first
+`replicate_map` on more than one thread, and `json` with the first
+`McReport.canonical_json`.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,6 +107,8 @@ class McReport:
         """Byte-reproducible serialization: identical config and master seed
         produce identical bytes (timing carries no information and is
         excluded)."""
+        import json
+
         return json.dumps(self.to_dict(), sort_keys=True, indent=1)
 
 
@@ -132,6 +135,8 @@ def replicate_map(
     if threads <= 1:
         rows = [fn(chunk) for chunk in chunks]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(fn, chunks))
     return np.concatenate(rows)

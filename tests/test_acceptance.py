@@ -166,6 +166,20 @@ def test_a7_covariance_gate_catches_a_wrong_spectrum(defect, monkeypatch):
     assert f"h=0.2: max covariance z-score {z:.3g} > {acceptance.SE_WIDE}" in report.failures
 
 
+@pytest.mark.parametrize("name, failure", [
+    ("A1", "variance 48.15 vs sigma^2 5.697: gap 42.46 > 3.0 SE"),
+    ("A2", "KS p-value 1.369e-25 <= 0.01"),
+])
+def test_a1_a2_reject_a_doubled_interior_spectrum(name, failure, monkeypatch):
+    # a cheap row of the power table: at 500 replicates both checks still
+    # see the defect (variance 45.2-48.2 against 5.70, KS p at most 1.4e-25
+    # on the three shipped seeds), about 0.1 s each
+    check = ACCEPTANCE[name].fn
+    assert check(replicates=500).passed
+    monkeypatch.setattr(fbm_mod, "_circulant_spectrum", _defective_spectrum(interior_power=2.0))
+    assert check(replicates=500).failures == [failure]
+
+
 #: a small configuration of every check, about 1 s for all ten
 SMALL = {
     "A1": dict(replicates=60, level=6),

@@ -76,6 +76,13 @@ def test_sigma_verbose_lists_terms(capsys):
         ("verify", "A7", "--n", "14"),  # an 8.6 GB covariance above A7's dense covariance cap
         ("verify", "A10", "--n", "3"),  # one live window: no band would be tested
         ("verify", "all", "--n", "5", "--replicates", "200"),  # odd: refused before A1 runs
+        ("sigma", "--config", "/nonexistent.cfg"),
+        ("sigma", "--config", "/"),  # a directory
+        ("sigma", "--out", "/nonexistent-dir/x.json"),  # refused before sigma prints
+        ("simulate", "fbm", "--out", "/"),
+        ("simulate", "fbmbt", "--out", "/nonexistent-dir/x.json"),
+        ("verify", "A1", "--out", "/nonexistent-dir/x.json"),  # refused before A1 runs
+        ("verify", "A8", "--out", "/"),
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -87,6 +94,24 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_unreadable_config_and_unwritable_dumps_exit_2(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes("# r\xe9glage\nh = 0.3\n".encode("latin-1"))
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    for argv in [
+        ("sigma", "--config", str(latin1)),
+        ("simulate", "fbm", "--n", "4", "--dump-paths", str(a_file)),
+        ("simulate", "fbm", "--n", "4", "--dump-series", str(a_file / "sub")),
+        ("simulate", "fbmbt", "--n", "4", "--dump-walk", str(a_file / "sub")),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert a_file.read_text() == ""
 
 
 @pytest.mark.parametrize(

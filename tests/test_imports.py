@@ -1,9 +1,12 @@
-"""Import cost: `import fbmvar` loads numpy alone (`fbmvar.cli` adds the
-bare scipy package), and scipy's stats, special and linalg load only when
-a call needs them, numpy.random on the first draw.
+"""Import cost: `import fbmvar` loads numpy, `dataclasses` and the
+package's own modules, and `fbmvar.cli` adds `argparse` and `json`.
+scipy's stats, special and linalg load only when a call needs them, the
+bare scipy package when an artifact records its version, numpy.random on
+the first draw, the thread pool on the first multi-thread `replicate_map`
+and `json` on the first `canonical_json`.
 
 Each case runs in a fresh interpreter, since this test process has long
-since loaded all three.
+since loaded them all.
 """
 
 import json
@@ -15,13 +18,14 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEFERRED = ("scipy.stats", "scipy.special", "scipy.linalg")
+DEFERRED = ("scipy", "scipy.stats", "scipy.special", "scipy.linalg")
 
 
 def _loaded_after(code: str, modules=DEFERRED) -> list[str]:
-    """Which of `modules` (the deferred scipy ones) are in sys.modules once
-    `code` has run."""
-    report = f"import json, sys; print(json.dumps([m for m in {modules!r} if m in sys.modules]))"
+    """Which of `modules` (by default scipy and its deferred submodules) are
+    in sys.modules once `code` has run."""
+    # read sys.modules before the report's own json import
+    report = f"loaded = [m for m in {modules!r} if m in sys.modules]; import json; print(json.dumps(loaded))"
     src = str(ROOT / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
@@ -33,12 +37,27 @@ def _loaded_after(code: str, modules=DEFERRED) -> list[str]:
 
 
 @pytest.mark.parametrize("code", [
-    "import fbmvar; assert 'scipy' not in sys.modules",
+    "import fbmvar",
     "import fbmvar.cli",
+    # without --out no artifact records scipy's version
     "import fbmvar.cli; assert fbmvar.cli.main(['sigma', '--r', '2', '--h', '0.25']) == 0",
 ], ids=["import", "import-cli", "cli-sigma"])
 def test_scipy_submodules_not_loaded(code):
     assert _loaded_after(code) == []
+
+
+def test_import_loads_no_thread_pool_or_json():
+    # concurrent.futures brings logging, queue and traceback with it
+    modules = ("concurrent.futures", "logging", "json")
+    assert _loaded_after("import fbmvar", modules) == []
+
+
+def test_thread_pool_loads_on_first_multi_thread_map():
+    # the import is deferred, not dropped: threads > 1 still runs a pool
+    code = ("import numpy as np; from fbmvar.harness import replicate_map\n"
+            "rows = replicate_map(lambda seeds: np.array([s.stream_id for s in seeds]), 8, 1, threads=2)\n"
+            "assert rows.tolist() == list(range(8))")
+    assert _loaded_after(code, ("concurrent.futures",)) == ["concurrent.futures"]
 
 
 def test_numpy_random_loads_on_first_draw():
