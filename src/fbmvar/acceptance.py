@@ -40,7 +40,14 @@ from typing import Callable
 
 import numpy as np
 
-from .brownian_time import RESIDUAL_TOL, _walk_steps, identity_residuals, sample_fbmbt, sample_walk
+from .brownian_time import (
+    RESIDUAL_TOL,
+    _lattice_grid,
+    _walk_steps,
+    identity_residuals,
+    sample_fbmbt,
+    sample_walk,
+)
 from .fbm import FbmPath, GridSpec, SeedSpec, sample_fbm
 from .gaussian import (
     LimitSigma,
@@ -547,10 +554,9 @@ def check_a8(
 def _brownian_time_grid(level: int, sites: int) -> GridSpec:
     """The grid of a path at the spatial level L = n/2 of walk level n that
     covers `sites` lattice sites right of 0: [0, pad 2^(-L)], with pad the
-    least power of two >= max(sites, 8), so that few grid sizes (and
-    cached spectra) occur."""
-    pad = max(8, 1 << (sites - 1).bit_length())
-    return GridSpec(level=level // 2, t_min=0.0, t_max=pad * 2.0 ** -(level // 2))
+    least power of two >= max(sites, 8), so that few grid sizes occur, each
+    grid built once and its spectrum cached."""
+    return _lattice_grid(level // 2, 0, max(8, 1 << (sites - 1).bit_length()))
 
 
 def check_a9(

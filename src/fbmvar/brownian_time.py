@@ -24,11 +24,15 @@ are their partial sums, so the two cannot disagree.  The sites, and what
 several readers of one walk need, are computed once, on first read: its
 extent (lowest and highest site), read by `sample_fbmbt`, `FbmbtSample`
 and `crossing_counts`, and the lower site of each step's lattice interval,
-read by `crossing_counts` and `identity_residuals`.  `sample_walk` builds
-its steps in place from the draw, and the walk validates them with
+read by `crossing_counts` and `identity_residuals`.  `sample_walk` takes
+step k from the top bit of the k-th 32-bit half of its stream's raw PCG64
+words and builds the steps in place, and the walk validates them with
 reductions that allocate nothing, so a walk read for its terminal site
 alone (the sum of its steps, as A9's Donsker clause reads it) costs little
-beyond its stream.
+beyond its stream.  The walk's law needs only that those bits are fair and
+independent; that they equal numpy's `integers(0, 2)` draw bit for bit is
+what keeps every walk, and every digest built on one, unchanged, and a
+test pins it.
 """
 
 from __future__ import annotations
@@ -121,12 +125,31 @@ def _walk_steps(n: int, t: float) -> int:
 
 
 def sample_walk(n: int, t: float, seed: SeedSpec) -> EmbeddedWalk:
-    """Rademacher walk with floor(2^n t) steps, refused before any draw."""
+    """Rademacher walk with floor(2^n t) steps, refused before any draw.
+
+    Step k is +1 if the top bit of the k-th 32-bit half of the stream's raw
+    64-bit words is set and -1 if not, low halves first (the `view` order
+    on a little-endian machine).  The walk's law rests on PCG64 alone: its
+    bits are fair and independent.  That the steps are also, bit for bit,
+    `integers(0, 2, size=k, dtype=np.int64) * 2 - 1` holds because numpy's
+    bounded draw keeps the top bit of each half for a range of 2; it
+    depends on numpy's internals, and a test pins it.
+    """
     k = _walk_steps(n, t)  # before the stream is made
-    steps = seed.rng().integers(0, 2, size=k, dtype=np.int64)
+    words = seed.rng().bit_generator.random_raw((k + 1) // 2)
+    steps = (words.view(np.uint32)[:k] >> 31).astype(np.int64)
     steps *= 2
     steps -= 1
     return EmbeddedWalk(level=n, steps=steps)
+
+
+@functools.lru_cache(maxsize=256)
+def _lattice_grid(level: int, lo: int, hi: int) -> GridSpec:
+    """The level-`level` grid over lattice sites lo..hi, [lo 2^-level,
+    hi 2^-level], built once per padded size: callers pad the sites they
+    need, so a few hundred sizes cover every walk a check draws."""
+    spacing = 2.0**-level
+    return GridSpec(level=level, t_min=lo * spacing, t_max=hi * spacing)
 
 
 @dataclass(frozen=True)
@@ -160,19 +183,20 @@ def crossing_counts(walk: EmbeddedWalk, t: float) -> CrossingCounts:
     j_lo, j_hi = walk._extent if k == len(walk.steps) else (int(s.min()), int(s.max()))
     j_star = int(s[-1])
     width = j_hi - j_lo  # number of visited intervals
-    offset = walk.crossed(k) - j_lo
-    up = np.bincount(offset[walk.steps[:k] > 0], minlength=width).astype(np.int64, copy=False)
-    down = np.bincount(offset, minlength=width).astype(np.int64, copy=False) - up
-    counts = CrossingCounts(k, j_star, j_lo, up, down)
-    sites = counts.sites()
-    expected = np.zeros_like(up)
-    if j_star > 0:
-        expected[(sites >= 0) & (sites < j_star)] = 1
-    elif j_star < 0:
-        expected[(sites >= j_star) & (sites < 0)] = -1
-    if not np.array_equal(counts.net(), expected):
+    # interval offset i counts a down step at 2i and an up step at 2i + 1
+    key = walk.crossed(k) - j_lo
+    key *= 2
+    key += walk.steps[:k] > 0
+    both = np.bincount(key, minlength=2 * width).astype(np.int64, copy=False)
+    up, down = both[1::2], both[0::2]
+    # net is nonzero exactly on the block [0, S_K) or [S_K, 0), indices a:b
+    # of the profile, and there equals the sign of S_K
+    net = up - down
+    a, b = min(0, j_star) - j_lo, max(0, j_star) - j_lo
+    if (a < 0 or b > width or np.count_nonzero(net) != b - a
+            or np.count_nonzero(net[a:b] - (1 if j_star > 0 else -1))):
         raise AssertionError("net crossing profile disagrees with the terminal site")
-    return counts
+    return CrossingCounts(k, j_star, j_lo, up, down)
 
 
 @dataclass(frozen=True)
@@ -209,13 +233,12 @@ def sample_fbmbt(h, n: int, t: float, seed: SeedSpec | Sequence[SeedSpec]):
         raise ValueError("fBm-in-Brownian-time sampling requires an even level n")
     seeds = [seed] if isinstance(seed, SeedSpec) else list(seed)
     walks = [sample_walk(n, t, s.substream(0)) for s in seeds]  # substream 1 drives the path
-    spacing = 2.0 ** (-(n // 2))
 
     def grid_of(extent) -> GridSpec:
         lo, hi = min(extent[0], 0), max(extent[1], 1)
         lo = -_SITE_PAD * math.ceil(-lo / _SITE_PAD) if lo < 0 else 0
         hi = _SITE_PAD * math.ceil(hi / _SITE_PAD)
-        return GridSpec(level=n // 2, t_min=lo * spacing, t_max=hi * spacing)
+        return _lattice_grid(n // 2, lo, hi)
 
     hp = as_hurst(h)
     samples = [None] * len(seeds)
@@ -227,7 +250,7 @@ def sample_fbmbt(h, n: int, t: float, seed: SeedSpec | Sequence[SeedSpec]):
 
 
 def _lsum(terms: np.ndarray) -> float:
-    return float(np.sum(terms.astype(np.longdouble)))
+    return float(terms.astype(np.longdouble).sum())
 
 
 #: bound on both relative residuals of `identity_residuals`: the identities

@@ -11,12 +11,13 @@ config, the master seed, and the package version, and is byte-reproducible
 from that embedded config on the same environment, whose Python, numpy and
 scipy versions it records (the FFT backend can move output bits).  A file
 that cannot be read or written is a usage error too: an --out whose
-directory is missing, or which is a directory, is refused with the config,
-before anything is computed or printed.
+directory is missing or not writable, or which is a directory, is refused
+with the config, before anything is computed or printed.
 
 The module adds `argparse` and `json` to what `import fbmvar` loads; the
-`scipy` package loads only when an artifact records its version, so a
-command without --out never imports it.
+`scipy` package loads only when an artifact records its version, and
+`tempfile` only to probe an --out directory, so a command without --out
+imports neither.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
@@ -107,7 +108,7 @@ def load_config(path: str) -> dict:
 def merge_config(args: argparse.Namespace, command: str) -> dict:
     """Effective config: hard defaults < config file (--config) < explicit
     flags.  A file key the subcommand has no option for is refused, and so
-    is an --out that names a directory or lies in no directory.
+    is an --out that `_check_out` refuses.
     """
     defaults = _DEFAULTS[command]
     merged = dict(defaults)
@@ -122,10 +123,26 @@ def merge_config(args: argparse.Namespace, command: str) -> dict:
         flag = getattr(args, key)
         if flag is not None:
             merged[key] = flag
-    out = merged["out"]
-    if out and (Path(out).is_dir() or not Path(out).parent.is_dir()):
-        raise UsageError(f"--out {out}: not a file in an existing directory")
+    if merged["out"]:
+        _check_out(merged["out"])
     return merged
+
+
+def _check_out(out: str) -> None:
+    """Refuse an --out that is a directory, lies in no directory, or lies in
+    one where no file can be made; the probe makes and removes a temporary
+    file beside it and never opens the target itself."""
+    import tempfile
+
+    path = Path(out)
+    if path.is_dir() or not path.parent.is_dir():
+        raise UsageError(f"--out {out}: not a file in an existing directory")
+    try:
+        fd, probe = tempfile.mkstemp(prefix=".fbmvar-", dir=path.parent)
+    except OSError as exc:
+        raise UsageError(f"--out {out}: cannot write in its directory: {exc.strerror}") from None
+    os.close(fd)
+    os.unlink(probe)
 
 
 def _artifact(command: str, cfg: dict, master_seed, **body) -> dict:

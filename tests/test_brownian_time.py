@@ -50,12 +50,18 @@ def test_walk_sites_are_derived_from_the_steps():
 
 
 def test_sample_walk_sites_equal_the_cumsum_of_its_draw():
-    for n in (1, 4, 9):
+    # the steps are the top bits of the raw words' 32-bit halves, which are
+    # numpy's integers(0, 2) draw bit for bit; odd step counts end on a low
+    # half whose high half is dropped
+    for n, t in ((1, 1.0), (4, 1.0), (9, 1.0), (2, 0.25), (3, 0.375), (4, 15 / 16),
+                 (12, 4095 / 4096), (12, 1.0)):
+        k = math.floor(t * 2**n)
         for index in range(4):
             seed = SeedSpec(300 + n, index)
-            draw = seed.rng().integers(0, 2, size=2**n, dtype=np.int64) * 2 - 1
+            draw = seed.rng().integers(0, 2, size=k, dtype=np.int64) * 2 - 1
             expected = np.concatenate([[0], np.cumsum(draw)])
-            walk = sample_walk(n, 1.0, seed)
+            walk = sample_walk(n, t, seed)
+            assert len(walk.steps) == k
             assert walk.s.dtype == expected.dtype and walk.s.tobytes() == expected.tobytes()
             assert walk.steps.tobytes() == draw.tobytes()
 
@@ -106,6 +112,18 @@ def test_profile_check_rejects_steps_that_disagree_with_sites():
     # place after construction, climb to 3
     walk = _walk([1, -1, 1])
     walk.s[:] = [0, 1, 2, 3]
+    with pytest.raises(AssertionError, match="net crossing profile"):
+        crossing_counts(walk, 0.75)
+    # a negative terminal: the sites fall to -3, the steps go down, up, down,
+    # so the block [-3, 0) nets -1, +1, -1
+    walk = _walk([-1, 1, -1])
+    walk.s[:] = [0, -1, -2, -3]
+    with pytest.raises(AssertionError, match="net crossing profile"):
+        crossing_counts(walk, 0.75)
+    # the block [0, 1) nets +1 as it must, but interval [1, 2) outside it,
+    # crossed upward twice, nets +2
+    walk = _walk([1, 1, 1])
+    walk.s[:] = [0, 1, 2, 1]
     with pytest.raises(AssertionError, match="net crossing profile"):
         crossing_counts(walk, 0.75)
 

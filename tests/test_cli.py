@@ -96,6 +96,15 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.skipif(not Path("/proc").is_dir(), reason="needs a /proc, where no file can be made")
+@pytest.mark.parametrize("argv", [("sigma",), ("verify", "A8")], ids=" ".join)
+def test_out_in_an_unwritable_directory_exits_2_before_any_output(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--out", "/proc/x.json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --out /proc/x.json") and err.count("\n") == 1
+
+
 def test_unreadable_config_and_unwritable_dumps_exit_2(tmp_path, capsys):
     latin1 = tmp_path / "latin1.cfg"
     latin1.write_bytes("# r\xe9glage\nh = 0.3\n".encode("latin-1"))
