@@ -249,12 +249,8 @@ def sample_fbmbt(h, n: int, t: float, seed: SeedSpec | Sequence[SeedSpec]):
     return samples[0] if isinstance(seed, SeedSpec) else samples
 
 
-def _lsum(terms: np.ndarray) -> float:
-    return float(terms.astype(np.longdouble).sum())
-
-
 #: bound on both relative residuals of `identity_residuals`: the identities
-#: are exact, so only float rounding of the longdouble sums may remain
+#: are exact, so only float64 rounding of the three sums may remain
 RESIDUAL_TOL = 1e-9
 
 
@@ -287,11 +283,12 @@ def identity_residuals(sample: FbmbtSample, f: WeightFunction, r: int, t: float)
     walk = sample.walk
     counts = crossing_counts(walk, t)  # builds the walk's crossed sites, read again here
     k, m = counts.horizon, counts.terminal
-    direct = _lsum(walk.steps[:k] * table[zero + walk.crossed(k)])
-    crossing = _lsum(table[zero + counts.sites()] * counts.net())
+    direct = float((walk.steps[:k] * table[zero + walk.crossed(k)]).sum())
+    crossing = float((table[zero + counts.sites()] * counts.net()).sum())
     if not 0 <= zero + m <= len(table):
         raise ValueError("spatial range insufficient for the requested t")
-    composed = _lsum(table[zero : zero + m]) if m >= 0 else _lsum(-table[zero + m : zero][::-1])
+    terms = table[zero : zero + m] if m >= 0 else -table[zero + m : zero][::-1]
+    composed = float(terms.sum())
     res_crossing = abs(direct - crossing) / max(1.0, abs(direct), abs(crossing))
     res_composed = abs(direct - composed) / max(1.0, abs(direct), abs(composed))
     return {

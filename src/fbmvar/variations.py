@@ -20,12 +20,13 @@ trapezoid table of the spatial path.
 Every function reads the path's grid along the last axis of its values,
 so the same code evaluates one path or a batch of paths on one grid
 (`FbmPath` with values of shape (rows, npoints)), row by row: a batch row
-gives the same bits as the path alone.  Partial sums are accumulated in
-extended precision so that differencing recovers the per-step summands and
-window increments are one subtraction.  A series keeps those longdouble
-sums: `value_at` reads them directly, and the float copy `raw` (and
-`values`) is built only when it is read, with the same bits.  For a batch,
-`value_at` and `limit_conditional_std` also take one time per row.
+gives the same bits as the path alone.  Partial sums are float64 running
+sums, one sequential add per step, so window increments are one
+subtraction; their rounding error is at most (N-1) u sum|x_j| (u = 2^-53),
+far below any Monte Carlo error, and their bits do not depend on the
+platform's long double.  A series keeps the sums as one read-only array
+`raw`, and `value_at` reads it directly.  For a batch, `value_at` and
+`limit_conditional_std` also take one time per row.
 The remaining functions give the path functionals of the limits: the
 quadrature of f' that the endpoint rules converge to, and the conditional
 std of the mixture law given the path.  The trapezoid-midpoint gap has no
@@ -48,42 +49,33 @@ from .weights import WeightFunction
 class VariationSeries:
     """Partial-sum process on the dyadic time grid.
 
-    `raw` holds the unnormalized running sums (raw[..., 0] = 0) along its
-    last axis, one series per row for a batch; `scale` is the statistic's
-    normalization, so the series value is scale * raw.  Window algebra
-    (exact identities, moment scaling) lives on `raw`.  The series keeps
-    the longdouble sums over steps 1.. (`_sums`, one entry fewer than
-    `raw`); `raw` is their float copy, built on each read.
+    `raw` holds the unnormalized float64 running sums (raw[..., 0] = 0)
+    along its last axis, one series per row for a batch, read-only;
+    `scale` is the statistic's normalization, so the series value is
+    scale * raw.  Window algebra (exact identities, moment scaling) lives
+    on `raw`.
     """
 
     level: int
-    _sums: np.ndarray
+    raw: np.ndarray
     scale: float
 
     @property
-    def raw(self) -> np.ndarray:
-        raw = np.empty(self._sums.shape[:-1] + (self._sums.shape[-1] + 1,))
-        raw[..., 0] = 0.0
-        raw[..., 1:] = self._sums
-        return raw
-
-    @property
     def times(self) -> np.ndarray:
-        return np.arange(self._sums.shape[-1] + 1) * 2.0**-self.level
+        return np.arange(self.raw.shape[-1]) * 2.0**-self.level
 
     @property
     def values(self) -> np.ndarray:
         return self.scale * self.raw
 
     def value_at(self, t):
-        """Right-continuous step evaluation: the sum over j < floor(2^n t);
-        a float for one series; for a batch, one value per row, at one time
-        or at one time per row.  The same bits as scale * raw[..., k], read
-        without building `raw`."""
-        k = _steps(t, self.level, self._sums.shape[:-1], self._sums.shape[-1], "series")
+        """Right-continuous step evaluation: the sum over j < floor(2^n t),
+        scale * raw[..., k]; a float for one series; for a batch, one value
+        per row, at one time or at one time per row."""
+        k = _steps(t, self.level, self.raw.shape[:-1], self.raw.shape[-1] - 1,
+                   "series")
         rows = np.arange(len(k)) if np.ndim(k) else Ellipsis
-        # a read at k = 0 takes the last sum, replaced by 0
-        value = self.scale * np.where(k > 0, self._sums[rows, k - 1], 0.0).astype(float)
+        value = self.scale * self.raw[rows, k]
         return float(value) if value.ndim == 0 else value
 
 
@@ -108,12 +100,13 @@ def odd_power(x: np.ndarray, r: int):
 
 
 def _series(level: int, summands: np.ndarray, scale: float) -> VariationSeries:
-    # cast, then accumulate in place along the contiguous last axis: the
-    # same bits as cumsum(dtype=longdouble), which on a 2-D array takes
-    # about twice as long
-    sums = summands.astype(np.longdouble)
-    np.cumsum(sums, axis=-1, out=sums)
-    return VariationSeries(level, sums, scale)
+    # one sequential float64 cumsum straight into the sums after the
+    # leading 0, so a batch row gets the bits of the path alone
+    raw = np.empty(summands.shape[:-1] + (summands.shape[-1] + 1,))
+    raw[..., 0] = 0.0
+    np.cumsum(summands, axis=-1, out=raw[..., 1:])
+    raw.flags.writeable = False
+    return VariationSeries(level, raw, scale)
 
 
 #: node rules of `variation`: where the weight is read on each step
@@ -175,7 +168,7 @@ def limit_quadrature(path: FbmPath, f: WeightFunction, t: float):
     x = path.values[..., path.grid.zero_index : path.grid.zero_index + k + 1]
     g = f.eval(1, x)
     steps = 0.5 * (g[..., :-1] + g[..., 1:])
-    value = (np.sum(steps.astype(np.longdouble), axis=-1) * np.longdouble(2.0**-n)).astype(float)
+    value = np.sum(steps, axis=-1) * 2.0**-n
     return float(value) if value.ndim == 0 else value
 
 
@@ -188,8 +181,8 @@ def limit_conditional_std(path: FbmPath, f: WeightFunction, sigma, t):
     one time per row."""
     zero = path.grid.zero_index
     k = _steps(t, path.grid.level, path.values.shape[:-1], path.grid.npoints - 1 - zero, "path")
-    sq = f(path.values[..., zero:]).astype(np.longdouble) ** 2
+    sq = f(path.values[..., zero:]) ** 2
     # each row sums its own prefix, as it does alone
     sq = np.array([np.sum(row[:m]) for row, m in zip(sq, k)]) if np.ndim(k) else np.sum(sq[..., :k], axis=-1)
-    std = float(getattr(sigma, "value", sigma)) * np.sqrt(sq.astype(float) * path.grid.spacing)
+    std = float(getattr(sigma, "value", sigma)) * np.sqrt(sq * path.grid.spacing)
     return float(std) if std.ndim == 0 else std

@@ -195,12 +195,12 @@ def test_identity_forms_equal_sums_over_a_direct_table(weight):
                 up, down, j_lo, j_star = _crossing_counts_per_step(sample.walk, t)
                 sites = zero + np.arange(j_lo, j_lo + len(up))
                 net = np.array(up, dtype=np.int64) - np.array(down, dtype=np.int64)
-                crossing = float(np.sum((table[sites] * net).astype(np.longdouble)))
+                crossing = float(np.sum(table[sites] * net))
                 if j_star >= 0:
                     composed_terms = table[zero : zero + j_star]
                 else:
                     composed_terms = -table[zero + j_star : zero][::-1]
-                composed = float(np.sum(composed_terms.astype(np.longdouble)))
+                composed = float(np.sum(composed_terms))
                 assert res["crossing"] == crossing
                 assert res["composed"] == composed
                 assert res["terminal_site"] == j_star
@@ -377,7 +377,7 @@ def _walk_power_variation_per_step(sample, f, r, t):
         return 0.0
     dz = 2.0 ** (sample.walk.level * sample.spatial.h.h / 2.0) * np.diff(z)
     w = 0.5 * (f(z[:-1]) + f(z[1:]))
-    return float(np.sum((w * odd_power(dz, r)).astype(np.longdouble)))
+    return float(np.sum(w * odd_power(dz, r)))
 
 
 @pytest.mark.parametrize("weight", ["one", "gauss", "sin"])

@@ -19,6 +19,7 @@ from fbmvar import (
     step_summands,
     variation,
 )
+from fbmvar.acceptance import check_a5
 from fbmvar.variations import RULES, odd_power
 from fbmvar.weights import REGISTRY
 from helpers import check_derivatives, make_path
@@ -340,11 +341,9 @@ def test_step_summands_pinned_to_per_step_reference(weight, r):
         assert np.array_equal(got, summands)
 
 
-def _old_raw(summands):
-    """Reference running sum: longdouble copy, cumsum, cast back."""
-    out = np.zeros(len(summands) + 1)
-    out[1:] = np.cumsum(summands.astype(np.longdouble)).astype(np.float64)
-    return out
+def _reference_raw(summands):
+    """Reference running sum: a leading 0, then the float64 cumsum."""
+    return np.concatenate(([0.0], np.cumsum(summands)))
 
 
 @pytest.mark.parametrize("weight", [None, "one", "gauss", "sin"])
@@ -366,7 +365,7 @@ def test_raw_sums_pinned_to_reference_formulas(weight, r):
     clt_scale, endpoint_scale = 2.0**-5, 2.0 ** (10 * path.h.h - 10)
     for rule, summands in expected.items():
         series = variation(path, f, r, rule)
-        assert np.array_equal(series.raw, _old_raw(summands))
+        assert np.array_equal(series.raw, _reference_raw(summands))
         assert series.scale == (clt_scale if rule in ("midpoint", "trapezoid") else endpoint_scale)
 
 
@@ -380,7 +379,7 @@ def test_unknown_rule_is_rejected():
 
 @pytest.mark.parametrize("rows", [None, 3])
 def test_value_at_reads_the_same_bits_as_scale_times_raw(rows):
-    # value_at reads the kept longdouble sums; raw is their float copy
+    # value_at reads the kept float64 sums `raw` at one step or one per row
     grid = GridSpec(level=7, t_min=-0.25, t_max=1.0)
     seed = SeedSpec(8, 0) if rows is None else [SeedSpec(8, i) for i in range(rows)]
     values = sample_fbm(0.3, grid, seed)
@@ -390,6 +389,7 @@ def test_value_at_reads_the_same_bits_as_scale_times_raw(rows):
         raw = series.raw
         last = raw.shape[-1] - 1
         assert raw.shape[-1] == 2**7 + 1 and np.all(raw[..., 0] == 0.0)
+        assert raw.dtype == np.float64 and not raw.flags.writeable
         for k in (0, 1, last // 2, last):
             got = series.value_at(k * 2.0**-7)
             expected = series.scale * raw[..., k]
@@ -414,3 +414,40 @@ def test_value_at_reads_the_same_bits_as_scale_times_raw(rows):
                 series.value_at(np.array(ks) * 2.0**-7)
         with pytest.raises(ValueError, match="one time, or one per row"):
             series.value_at([0.5, 0.5])
+
+
+# --- float64 summation accuracy --------------------------------------------
+# math.fsum is the correctly rounded sum, the reference the float64 sums are
+# held to.  The worst-case bound of a running sum is (N-1) u sum|x_j|, with
+# u = 2^-53; at 2^16 steps that is 7e-12 sum|x_j|, and the measured error
+# sits under 2e-16 sum|x_j|.
+
+
+@pytest.mark.parametrize("level", [12, 16])
+@pytest.mark.parametrize("weight", [None, "gauss"])
+def test_running_sums_match_the_correctly_rounded_sum(level, weight):
+    path = _path(level=level, h=0.3, seed=26)
+    f = None if weight is None else get_weight(weight)
+    for r in (1, 2, 3):
+        summands = step_summands(path, f, r)
+        raw = variation(path, f, r).raw
+        assert abs(raw[-1] - math.fsum(summands)) <= 1e-15 * math.fsum(np.abs(summands))
+
+
+@pytest.mark.parametrize("level", [12, 16])
+def test_limit_functionals_match_the_correctly_rounded_sum(level):
+    path = _path(level=level, h=0.3, seed=26)
+    x = path.values[path.grid.zero_index :]
+    expected = 1.7 * math.sqrt(math.fsum(F_GAUSS(x[:-1]) ** 2) * path.grid.spacing)
+    got = limit_conditional_std(path, F_GAUSS, 1.7, 1.0)
+    assert abs(got - expected) <= 1e-14 * expected
+    g = F_GAUSS.eval(1, x)
+    steps = 0.5 * (g[:-1] + g[1:]) * path.grid.spacing
+    got = limit_quadrature(path, F_GAUSS, 1.0)
+    assert abs(got - math.fsum(steps)) <= 1e-14 * math.fsum(np.abs(steps))
+
+
+def test_a5_residuals_stay_at_rounding_at_walk_level_20():
+    # 2^20 walk steps per sample; the gate's RESIDUAL_TOL is 1e-9
+    report = check_a5(levels=(20,), samples=10)
+    assert max(report.estimates["max_residual"].values()) <= 1e-12
