@@ -25,10 +25,9 @@ decay of the degenerate variance there instead.  A check whose KS test
 needs more samples than it is asked for (`harness.KS_MIN_SAMPLES`) refuses
 before it draws any, like every other refusal.
 
-Importing this module loads no scipy module.  A2 and A9's Donsker clause take
-their normal CDF from `scipy.special.ndtr`, imported by `_normal_cdf` on
-its first call; the summaries and KS tests load `scipy.stats` through
-`harness`, on their first call.
+Importing this module loads no scipy module.  The summaries and KS tests
+load `scipy.stats` through `harness`, on their first call; A2, A7 and A9's
+Donsker clause name their normal CDF to the KS test as "norm".
 """
 
 from __future__ import annotations
@@ -141,14 +140,6 @@ def _ks_samples(**counts: int) -> None:
     for name, count in counts.items():
         if count < KS_MIN_SAMPLES:
             raise ValueError(f"{name} must be >= {KS_MIN_SAMPLES} for a KS test, got {count}")
-
-
-def _normal_cdf(x):
-    """Standard normal CDF: `scipy.special.ndtr`, which `scipy.stats.norm.cdf`
-    wraps, so the values are the same bits without loading `scipy.stats`."""
-    from scipy.special import ndtr
-
-    return ndtr(x)
 
 
 def _paths(h, grid: GridSpec, seeds) -> FbmPath:
@@ -293,7 +284,7 @@ def check_a2(
     sigma = _positive_sigma(r, h)
     _ks_samples(replicates=replicates)
     draws = _unweighted_draws(h, r, level, 1.0, replicates, master_seed, threads)
-    _ks(report, "", ks_one_sample(draws / sigma.value, _normal_cdf), "ks_vs_standard_normal")
+    _ks(report, "", ks_one_sample(draws / sigma.value, "norm"), "ks_vs_standard_normal")
     report.wall_time_s = time.perf_counter() - start
     return report
 
@@ -498,7 +489,7 @@ def check_a7(
         _gate(report, zmax <= SE_WIDE, f"h={h}: max covariance z-score {zmax:.3g} > {SE_WIDE}",
               f"max_z h={h}", {"value": zmax, "bound": SE_WIDE})
         ks = _ks(report, f"h={h}: terminal ",
-                 ks_one_sample(np.concatenate(ends) / t_max**h, _normal_cdf))
+                 ks_one_sample(np.concatenate(ends) / t_max**h, "norm"))
         report.estimates[f"h={h}"] = {"max_z": zmax, "ks_terminal": ks}
     report.wall_time_s = time.perf_counter() - start
     return report
@@ -651,7 +642,7 @@ def check_a9(
           "donsker_mean", {"gap": mean_gap, "allowed": mean_allowed})
     _gate(report, not var_gap > var_allowed, "walk terminal variance not within tolerance of 1",
           "donsker_variance", {"gap": var_gap, "allowed": var_allowed})
-    _ks(report, "Donsker ", ks_one_sample(ys, _normal_cdf), "donsker_ks")
+    _ks(report, "Donsker ", ks_one_sample(ys, "norm"), "donsker_ks")
     report.wall_time_s = time.perf_counter() - start
     return report
 

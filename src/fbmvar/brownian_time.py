@@ -47,7 +47,7 @@ import numpy as np
 from .fbm import FbmPath, GridSpec, SeedSpec, sample_fbm
 from .gaussian import as_hurst
 from .harness import _grid_groups
-from .variations import step_summands
+from .variations import _steps, step_summands
 from .weights import WeightFunction
 
 #: spatial grids are padded to site multiples of this, to stabilize caches
@@ -99,10 +99,7 @@ class EmbeddedWalk:
 
     def horizon(self, t: float) -> int:
         """Number of steps up to time t, i.e. floor(2^n t)."""
-        k = math.floor(t * 2**self.level)
-        if not 0 <= k <= len(self.steps):
-            raise ValueError(f"horizon floor(2^{self.level} * {t}) exceeds walk length")
-        return k
+        return _steps(t, self.level, (), len(self.steps), "walk")
 
     def crossed(self, k: int) -> np.ndarray:
         """Lower site min(S_i, S_{i+1}) of the lattice interval that each of
@@ -273,7 +270,7 @@ def identity_residuals(sample: FbmbtSample, f: WeightFunction, r: int, t: float)
     is exactly sign-symmetric.  "crossing" weights the table by the net
     crossing counts; "composed" sums it along the lattice from the origin
     to the terminal site S_K, each summand negated when S_K < 0 (the walk
-    then went leftward), and raises ValueError when the table stops short.
+    then went leftward).
 
     Residuals are |a - b| / max(1, |a|, |b|); both must vanish to rounding,
     i.e. lie within RESIDUAL_TOL.
@@ -285,8 +282,6 @@ def identity_residuals(sample: FbmbtSample, f: WeightFunction, r: int, t: float)
     k, m = counts.horizon, counts.terminal
     direct = float((walk.steps[:k] * table[zero + walk.crossed(k)]).sum())
     crossing = float((table[zero + counts.sites()] * counts.net()).sum())
-    if not 0 <= zero + m <= len(table):
-        raise ValueError("spatial range insufficient for the requested t")
     terms = table[zero : zero + m] if m >= 0 else -table[zero + m : zero][::-1]
     composed = float(terms.sum())
     res_crossing = abs(direct - crossing) / max(1.0, abs(direct), abs(crossing))

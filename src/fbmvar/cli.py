@@ -12,7 +12,12 @@ from that embedded config on the same environment, whose Python, numpy and
 scipy versions it records (the FFT backend can move output bits).  A file
 that cannot be read or written is a usage error too: an --out whose
 directory is missing or not writable, or which is a directory, is refused
-with the config, before anything is computed or printed.
+with the config, before anything is computed or printed.  A refusal the
+library makes before any work (sigma's r, H and tol, a grid's level, a
+walk's parity and length) is not restated here: its ValueError becomes
+the usage error.  The CLI checks only what the library never sees or
+checks too late: a flag's name in the message, an unused --r or --f, and
+an odd --n before `verify all` runs A1.
 
 The module adds `argparse` and `json` to what `import fbmvar` loads; the
 `scipy` package loads only when an artifact records its version, and
@@ -36,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .acceptance import ACCEPTANCE, DEFAULT_MASTER_SEEDS, run_check
-from .brownian_time import RESIDUAL_TOL, _walk_steps, identity_residuals, sample_fbmbt
+from .brownian_time import RESIDUAL_TOL, identity_residuals, sample_fbmbt
 from .fbm import GridSpec, SeedSpec, sample_fbm
 from .gaussian import (
     SIGMA_TOL,
@@ -44,6 +49,7 @@ from .gaussian import (
     bivariate_odd_moment,
     double_factorial,
     fgn_correlation,
+    hermite_coeffs,
     limit_sigma,
 )
 from .variations import RULES, variation
@@ -191,28 +197,25 @@ def _fmt(v) -> str:
 def cmd_sigma(args) -> int:
     cfg = merge_config(args, "sigma")
     r, h, tol = cfg["r"], cfg["h"], cfg["tol"]
-    if r < 1:
-        raise UsageError(f"--r must be >= 1, got {r}")
-    if not 0.0 < h < 0.5:
-        raise UsageError(f"--h must lie in (0, 1/2) for the variance constant, got {h}")
-    if not tol > 0.0:
-        raise UsageError("--tol must be positive")
     try:
         sigma = limit_sigma(r, h, tol)
-    except (ConvergenceError, OverflowError) as exc:
+    except (ValueError, ConvergenceError, OverflowError) as exc:
         raise UsageError(f"sigma(r={r}, H={h}) cannot be evaluated: {exc}") from None
     print(f"{'r':>3} {'H':>8} {'sigma':>18} {'sigma^2':>18} {'tail_bound':>12}")
     print(f"{r:>3} {h:>8.4g} {sigma.value:>18.12g} {sigma.value ** 2:>18.12g} "
           f"{sigma.tail_bound:>12.3g}")
     if args.verbose:
-        print("\n  j        rho_H(j)    series term (2*E[..])   running sigma^2")
+        print(f"\n{'j':>3} {'rho_H(j)':>15} {'series term (2*E[..])':>22} {'naive partial sum':>18}")
         running = float(double_factorial(4 * r - 2))  # mu_{4r-2}, the j = 0 term
         for j in range(1, 21):
             rho = fgn_correlation(h, j)
             term = 2.0 * bivariate_odd_moment(r, rho)
             running += term
             print(f"{j:>3} {rho:>15.8g} {term:>22.10g} {running:>18.10g}")
-        print(f"  ... ({sigma.terms_used} truncated-series terms used in total)")
+        c_r = hermite_coeffs(r).c[-1]  # the coefficient of H_1 in x^(2r-1)
+        print("  ... naive partial sums of the series, rank-1 terms included; limit_sigma sums")
+        print(f"  the rank-1 part in closed form (-c_r^2 = {-c_r * c_r}) plus {sigma.terms_used} "
+              "terms of rank >= 3")
     if cfg["out"]:
         results = {"sigma": sigma.value, "sigma_sq": sigma.value**2,
                    "tail_bound": sigma.tail_bound, "terms_used": sigma.terms_used}
@@ -236,8 +239,6 @@ def _check_process(cfg: dict) -> None:
 
 def cmd_simulate_fbm(args) -> int:
     cfg = merge_config(args, "fbm")
-    if cfg["n"] < 1:
-        raise UsageError(f"--n must be >= 1, got {cfg['n']}")
     _check_process(cfg)
     try:
         grid = GridSpec(level=cfg["n"], t_min=cfg["t_min"], t_max=cfg["t"])
@@ -265,15 +266,11 @@ def cmd_simulate_fbm(args) -> int:
 
 def cmd_simulate_fbmbt(args) -> int:
     cfg = merge_config(args, "fbmbt")
-    if cfg["n"] < 2 or cfg["n"] % 2:
-        raise UsageError(f"--n must be a positive even integer, got {cfg['n']}")
     _check_process(cfg)
-    try:  # the walk sample_walk would refuse, refused before anything is drawn
-        _walk_steps(cfg["n"], cfg["t"])
+    try:  # an odd --n or an oversized walk is refused before anything is drawn
+        sample = sample_fbmbt(cfg["h"], cfg["n"], cfg["t"], SeedSpec(cfg["seed"], 0))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    seed = SeedSpec(cfg["seed"], 0)
-    sample = sample_fbmbt(cfg["h"], cfg["n"], cfg["t"], seed)
     res = identity_residuals(sample, get_weight(cfg["f"]), cfg["r"], cfg["t"])
     results = {
         "walk_variation": res["direct"],
@@ -339,7 +336,7 @@ def cmd_verify(args) -> int:
         for rep in reports:
             for msg in rep.failures:
                 print(f"    [{rep.master_seed}] {msg}")
-        checks[name] = [json.loads(rep.canonical_json()) for rep in reports]
+        checks[name] = [rep.to_dict() for rep in reports]
     if cfg["out"]:
         _emit(_artifact("verify", cfg, seeds[0], passed=all_passed, checks=checks), cfg["out"])
     return 0 if all_passed else 1
@@ -361,17 +358,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_sigma = sub.add_parser("sigma", help="variance-series constant sigma(r, H)")
     _add_common(p_sigma, "sigma")
     p_sigma.add_argument("--verbose", action="store_true", help="list the first series terms")
+    p_sigma.set_defaults(run=cmd_sigma)
 
     p_sim = sub.add_parser("simulate", help="generate paths/walks and dump statistics")
     sim_sub = p_sim.add_subparsers(dest="process", required=True)
     p_fbm = sim_sub.add_parser("fbm", help="two-sided fractional Brownian motion")
     _add_common(p_fbm, "fbm")
+    p_fbm.set_defaults(run=cmd_simulate_fbm)
     p_bt = sim_sub.add_parser("fbmbt", help="fBm in Brownian time (walk embedding)")
     _add_common(p_bt, "fbmbt")
+    p_bt.set_defaults(run=cmd_simulate_fbmbt)
 
     p_verify = sub.add_parser("verify", help="run acceptance checks")
     p_verify.add_argument("suite", help="check name (A1..A10) or 'all'")
     _add_common(p_verify, "verify")
+    p_verify.set_defaults(run=cmd_verify)
     return parser
 
 
@@ -379,15 +380,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "sigma":
-            return cmd_sigma(args)
-        if args.command == "simulate":
-            if args.process == "fbm":
-                return cmd_simulate_fbm(args)
-            return cmd_simulate_fbmbt(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -39,7 +39,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats as sps
 
 import fbmvar.acceptance as acceptance
 import fbmvar.fbm as fbm_mod
@@ -239,21 +238,6 @@ def test_checks_against_sigma_refuse_r_1_before_sampling(name, monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="r must be >= 2, got 1"):
             ACCEPTANCE[name].fn(master_seed=5, r=1, **SMALL[name])
-
-
-def test_normal_cdf_is_scipy_norm_cdf_bit_for_bit():
-    x = np.linspace(-40, 40, 200001)
-    ours, theirs = acceptance._normal_cdf(x), sps.norm.cdf(x)
-    assert ours.dtype == theirs.dtype
-    assert ours.tobytes() == theirs.tobytes()
-
-
-@pytest.mark.parametrize("name", ["A2", "A9"])
-def test_normal_cdf_leaves_reports_unchanged(name, monkeypatch):
-    fn = ACCEPTANCE[name].fn
-    ours = fn(master_seed=5, **SMALL[name]).canonical_json()
-    monkeypatch.setattr(acceptance, "_normal_cdf", sps.norm.cdf)
-    assert fn(master_seed=5, **SMALL[name]).canonical_json() == ours
 
 
 @pytest.mark.parametrize("name,overrides,match", [

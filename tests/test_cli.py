@@ -51,41 +51,59 @@ def test_sigma_verbose_lists_terms(capsys):
     assert len(out.splitlines()) > 20
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("sigma", "--r", "3", "--h", "0.45", "--tol", "1e-30"),  # tail needs too many terms
-        ("sigma", "--r", "40", "--h", "0.3"),  # likewise
-        ("sigma", "--r", "200", "--h", "0.3"),  # coefficients overflow a float
-        ("sigma", "--r", "1000000", "--h", "0.3"),  # refused before any factorial
-        ("sigma", "--h", "0.3", "--tol", "nan"),
-        ("simulate", "fbm", "--t", "inf"),
-        ("simulate", "fbm", "--seed", "-1"),
-        ("simulate", "fbmbt", "--seed", "-1"),
-        ("verify", "A1", "--seed", "-1"),  # refused before any check runs
-        ("verify", "A8", "--threads", "0"),  # would run serially
-        ("verify", "A8", "--threads", "1000000"),  # would start a thread per replicate
-        ("verify", "A1", "--n", "40"),  # would allocate 8 TiB
-        ("simulate", "fbm", "--n", "1100"),  # 2^n overflows a float
-        *(("verify", name, "--n", "2000") for name in ("A1", "A2", "A3", "A4", "A10")),
-        ("verify", "A3", "--n", "22"),  # one level above sample_fbm's cap
-        ("verify", "A4", "--n", "22"),
-        ("verify", "A10", "--n", "22"),
-        ("verify", "all", "--n", "24"),  # A9's default level, but A1's grid
-        ("verify", "A9", "--n", "64"),  # a walk too long for a 64-bit step count
-        ("verify", "A7", "--n", "14"),  # an 8.6 GB covariance above A7's dense covariance cap
-        ("verify", "A10", "--n", "3"),  # one live window: no band would be tested
-        ("verify", "all", "--n", "5", "--replicates", "200"),  # odd: refused before A1 runs
-        ("sigma", "--config", "/nonexistent.cfg"),
-        ("sigma", "--config", "/"),  # a directory
-        ("sigma", "--out", "/nonexistent-dir/x.json"),  # refused before sigma prints
-        ("simulate", "fbm", "--out", "/"),
-        ("simulate", "fbmbt", "--out", "/nonexistent-dir/x.json"),
-        ("verify", "A1", "--out", "/nonexistent-dir/x.json"),  # refused before A1 runs
-        ("verify", "A8", "--out", "/"),
-    ],
-    ids=lambda argv: " ".join(argv),
-)
+def test_sigma_verbose_says_what_limit_sigma_sums(capsys):
+    # the listed column is the naive partial sum, rank-1 terms included; at
+    # r = 2 sigma^2 adds -c_2^2 = -9 in closed form to 175 rank >= 3 terms
+    code, out, _ = run_cli(capsys, "sigma", "--r", "2", "--h", "0.25", "--verbose")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[3].split()[-3:] == ["naive", "partial", "sum"]
+    assert float(lines[-3].split()[-1]) == pytest.approx(6.690830467)  # not sigma^2 = 5.69687
+    footer = " ".join(" ".join(lines[-2:]).split())
+    assert footer.endswith("rank-1 terms included; limit_sigma sums the rank-1 part in closed "
+                           "form (-c_r^2 = -9) plus 175 terms of rank >= 3")
+
+
+#: argv that must exit 2 with one line, before anything is drawn
+BAD_ARGV = [
+    ("sigma", "--r", "3", "--h", "0.45", "--tol", "1e-30"),  # tail needs too many terms
+    ("sigma", "--r", "40", "--h", "0.3"),  # likewise
+    ("sigma", "--r", "200", "--h", "0.3"),  # coefficients overflow a float
+    ("sigma", "--r", "1000000", "--h", "0.3"),  # refused before any factorial
+    ("sigma", "--h", "0.3", "--tol", "nan"),
+    ("sigma", "--h", "0.6"),  # this and the next four: refused by the library alone
+    ("sigma", "--r", "0"),
+    ("simulate", "fbm", "--n", "0"),
+    ("simulate", "fbmbt", "--n", "7"),
+    ("simulate", "fbmbt", "--n", "0"),
+    ("simulate", "fbm", "--t", "inf"),
+    ("simulate", "fbm", "--seed", "-1"),
+    ("simulate", "fbmbt", "--seed", "-1"),
+    ("verify", "A1", "--seed", "-1"),  # refused before any check runs
+    ("verify", "A8", "--threads", "0"),  # would run serially
+    ("verify", "A8", "--threads", "1000000"),  # would start a thread per replicate
+    ("verify", "A1", "--n", "40"),  # would allocate 8 TiB
+    ("simulate", "fbm", "--n", "1100"),  # 2^n overflows a float
+    *(("verify", name, "--n", "2000") for name in ("A1", "A2", "A3", "A4", "A10")),
+    ("verify", "A3", "--n", "22"),  # one level above sample_fbm's cap
+    ("verify", "A4", "--n", "22"),
+    ("verify", "A10", "--n", "22"),
+    ("verify", "all", "--n", "24"),  # A9's default level, but A1's grid
+    ("verify", "A9", "--n", "64"),  # a walk too long for a 64-bit step count
+    ("verify", "A7", "--n", "14"),  # an 8.6 GB covariance above A7's dense covariance cap
+    ("verify", "A10", "--n", "3"),  # one live window: no band would be tested
+    ("verify", "all", "--n", "5", "--replicates", "200"),  # odd: refused before A1 runs
+    ("sigma", "--config", "/nonexistent.cfg"),
+    ("sigma", "--config", "/"),  # a directory
+    ("sigma", "--out", "/nonexistent-dir/x.json"),  # refused before sigma prints
+    ("simulate", "fbm", "--out", "/"),
+    ("simulate", "fbmbt", "--out", "/nonexistent-dir/x.json"),
+    ("verify", "A1", "--out", "/nonexistent-dir/x.json"),  # refused before A1 runs
+    ("verify", "A8", "--out", "/"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_ARGV, ids=" ".join)
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
@@ -94,6 +112,18 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_bad_input_draws_no_stream(capsys, monkeypatch):
+    # every refusal, the library's included, comes before the first stream
+    def no_stream(*args, **kwargs):
+        raise AssertionError("drew a stream for a refused input")
+
+    monkeypatch.setattr(SeedSpec, "rng", no_stream)
+    for argv in BAD_ARGV:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 @pytest.mark.skipif(not Path("/proc").is_dir(), reason="needs a /proc, where no file can be made")
@@ -266,7 +296,7 @@ def test_simulate_fbmbt_refuses_oversized_walk_before_sampling(capsys, monkeypat
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled an oversized walk")
 
-    monkeypatch.setattr(cli, "sample_fbmbt", no_sampling)
+    monkeypatch.setattr(SeedSpec, "rng", no_sampling)
     for n in ("60", "2000"):
         code, out, err = run_cli(capsys, "simulate", "fbmbt", "--n", n)
         assert code == 2

@@ -2,6 +2,7 @@
 on the replicate loop (mixture law A3, endpoint limits A6, moment scaling
 A10)."""
 
+import json
 import math
 
 import numpy as np
@@ -168,6 +169,21 @@ def test_experiment_determinism_and_thread_independence():
     r4 = check_a3(threads=4, **kwargs)
     d1, d4 = r1.to_dict(), r4.to_dict()
     assert (d1["estimates"], d1["tests"]) == (d4["estimates"], d4["tests"])
+
+
+def test_report_serializes_python_and_numpy_bools_as_json_bools():
+    # bool is an int subclass: it must not come out as 0 or 1
+    flags = {"py": True, "np": np.bool_(False), "nested": [{"py": False}, (np.True_,)],
+             "array": np.array([True, False])}
+    report = harness.McReport(kind="t", config=dict(flags), master_seed=1, estimates=flags)
+    plain = report.to_dict()["estimates"]
+    assert plain == {"py": True, "np": False, "nested": [{"py": False}, [True]],
+                     "array": [True, False]}
+    assert all(type(v) is bool for v in (plain["py"], plain["np"], plain["nested"][0]["py"],
+                                         plain["nested"][1][0], *plain["array"]))
+    encoded = json.loads(report.canonical_json())
+    assert encoded["config"] == encoded["estimates"] == plain
+    assert '"py": true' in report.canonical_json()
 
 
 def test_passed_is_derived_from_failures(monkeypatch):
