@@ -23,7 +23,7 @@ print("One composite sample at walk level n=8")
 print("--------------------------------------")
 sample = sample_fbmbt(H, 8, 1.0, SeedSpec(11, 0))
 walk = sample.walk
-cc = crossing_counts(walk, 1.0)  # also verifies the net profile below
+cc = crossing_counts(walk, 1.0)
 print(f"  walk: {len(walk.steps)} steps, range [{walk.s.min()}, {walk.s.max()}],"
       f" terminal site {cc.terminal}")
 print(f"  crossing conservation: sum(U+D) = {cc.up.sum() + cc.down.sum()} = step count")

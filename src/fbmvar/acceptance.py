@@ -10,11 +10,14 @@ A report's config is exactly the arguments of the check that made it,
 less `master_seed` (a field of the report) and `threads` (the result does
 not depend on it); `_report` builds it from the check's `locals()`, so
 `check(master_seed=report.master_seed, **report.config)` reproduces the
-canonical bytes.  The arguments are what a caller chooses; the gates
-are fixed module constants, each recorded in `tests` next to the value it
-bounds.  A5's `residual_tol` stays an argument: it bounds float rounding,
-not a statistic, and the benchmark's validator reads it from the config;
-its default is `brownian_time.RESIDUAL_TOL`.  Every clause goes through
+canonical bytes.  `_report` is each check's first statement and every
+check returns `report.stop_clock()`, so the report's `wall_time_s` times
+the whole check, its refusals, sigma and every draw included.  The
+arguments are what a caller chooses; the gates are fixed module
+constants, each recorded in `tests` next to the value it bounds.  A5's
+`residual_tol` stays an argument: it bounds float rounding, not a
+statistic, and the benchmark's validator reads it from the config; its
+default is `brownian_time.RESIDUAL_TOL`.  Every clause goes through
 the one helper `_gate`, which records it under `tests` (A6 and A10 write
 one entry for several clauses) and appends its failure text when it did
 not pass; each KS clause goes through `_ks`, the one place that compares a
@@ -33,7 +36,6 @@ Donsker clause name their normal CDF to the KS test as "norm".
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -102,7 +104,8 @@ A10_BAND_FACTOR = 10.0  # A10: window moment over its fitted bound
 
 def _report(kind: str, args: dict) -> McReport:
     """The empty report of check `kind`, called with `args` (its locals()
-    on entry): the config is the arguments less master_seed and threads."""
+    on entry), its clock started: the config is the arguments less
+    master_seed and threads."""
     config = {k: v for k, v in args.items() if k not in ("master_seed", "threads")}
     return McReport(kind=kind, config=config, master_seed=args["master_seed"])
 
@@ -183,7 +186,7 @@ def _unweighted_draws(h, r, level, t, replicates, master_seed, threads):
                      GridSpec(level=level, t_min=0.0, t_max=t), replicates, master_seed, threads)
 
 
-def _mixture_law(report, rule, threads, replicates, level, h, r, f) -> McReport:
+def _mixture_law(report, rule, threads, replicates, level, h, r, f) -> None:
     """Distributional check of the statistic at t=1 against the mixture law,
     recorded on `report`.
 
@@ -201,7 +204,6 @@ def _mixture_law(report, rule, threads, replicates, level, h, r, f) -> McReport:
     sigma = limit_sigma(r, h)
     if sigma.value != 0.0:
         _ks_samples(replicates=replicates)
-    start = time.perf_counter()
     report.estimates["sigma"] = sigma.value
 
     if sigma.value == 0.0:
@@ -241,8 +243,6 @@ def _mixture_law(report, rule, threads, replicates, level, h, r, f) -> McReport:
               "mean", {"value": desc["mean"], "allowed": mean_bound})
         _gate(report, abs(corr) < corr_bound, f"|corr| {abs(corr):.4g} >= {corr_bound:.4g}",
               "corr_with_terminal", {"value": corr, "bound": corr_bound})
-    report.wall_time_s = time.perf_counter() - start
-    return report
 
 
 def check_a1(
@@ -255,7 +255,6 @@ def check_a1(
 ) -> McReport:
     """A1: MC variance of the unweighted statistic matches sigma^2."""
     report = _report("A1", locals())
-    start = time.perf_counter()
     sigma = _positive_sigma(r, h)
     draws = _unweighted_draws(h, r, level, 1.0, replicates, master_seed, threads)
     desc = describe(draws)
@@ -266,8 +265,7 @@ def check_a1(
           f"variance {desc['variance']:.4g} vs sigma^2 {sigma.value ** 2:.4g}: "
           f"gap {gap:.4g} > {SE_NARROW} SE",
           "variance_vs_sigma_sq", {"gap": gap, "allowed": allowed})
-    report.wall_time_s = time.perf_counter() - start
-    return report
+    return report.stop_clock()
 
 
 def check_a2(
@@ -280,13 +278,11 @@ def check_a2(
 ) -> McReport:
     """A2: unweighted statistic / sigma is standard normal (KS)."""
     report = _report("A2", locals())
-    start = time.perf_counter()
     sigma = _positive_sigma(r, h)
     _ks_samples(replicates=replicates)
     draws = _unweighted_draws(h, r, level, 1.0, replicates, master_seed, threads)
     _ks(report, "", ks_one_sample(draws / sigma.value, "norm"), "ks_vs_standard_normal")
-    report.wall_time_s = time.perf_counter() - start
-    return report
+    return report.stop_clock()
 
 
 def check_a3(
@@ -300,7 +296,8 @@ def check_a3(
 ) -> McReport:
     """A3: weighted mixture law for the midpoint statistic."""
     report = _report("A3", locals())
-    return _mixture_law(report, "midpoint", threads, replicates, level, h, r, f)
+    _mixture_law(report, "midpoint", threads, replicates, level, h, r, f)
+    return report.stop_clock()
 
 
 def check_a4(
@@ -321,7 +318,6 @@ def check_a4(
     if len(decay_levels) != 2 or not decay_levels[0] < decay_levels[1]:
         raise ValueError(f"decay_levels must be two strictly increasing levels, "
                          f"got {decay_levels!r}")
-    start = time.perf_counter()
     _mixture_law(report, "trapezoid", threads, replicates, level, h, r, f)
     weight = get_weight(f)
 
@@ -342,8 +338,7 @@ def check_a4(
           f"|trapezoid-midpoint| L2 at n={hi} is {l2[hi]:.4g}, "
           f"not below {GAP_DECAY_RATIO} * {l2[lo]:.4g}",
           "gap_decay", {"ratio": ratio, "bound": GAP_DECAY_RATIO})
-    report.wall_time_s = time.perf_counter() - start
-    return report
+    return report.stop_clock()
 
 
 def check_a5(
@@ -361,7 +356,6 @@ def check_a5(
     report = _report("A5", locals())
     if not levels:
         raise ValueError("levels is empty: A5 would check no identity")
-    start = time.perf_counter()
     weight = get_weight(f)
     per_level = [samples // len(levels)] * len(levels)
     per_level[-1] += samples - sum(per_level)
@@ -378,8 +372,7 @@ def check_a5(
     report.estimates["max_residual"] = worst
     for name, value in worst.items():
         _gate(report, value <= residual_tol, f"{name} residual {value:.3e} > {residual_tol:g}")
-    report.wall_time_s = time.perf_counter() - start
-    return report
+    return report.stop_clock()
 
 
 def check_a6(
@@ -413,7 +406,6 @@ def check_a6(
                          f"got {n_list!r}")
     weight = get_weight(f)
     mu = gaussian_moment(2 * r)
-    start = time.perf_counter()
 
     def squared_errors(paths) -> np.ndarray:
         target = 0.5 * mu * limit_quadrature(paths, weight, t)
@@ -441,8 +433,7 @@ def check_a6(
     _gate(report,
           not rms[first]["trapezoid"] > min(rms[first]["left"], rms[first]["right"]) * (1 + 1e-12),
           "trapezoid RMS is not below both endpoint RMS values")
-    report.wall_time_s = time.perf_counter() - start
-    return report
+    return report.stop_clock()
 
 
 def check_a7(
@@ -470,7 +461,6 @@ def check_a7(
     if grid.npoints > A7_COVARIANCE_CAP:
         raise ValueError(f"grid has {grid.npoints} points, above A7's dense covariance cap "
                          f"{A7_COVARIANCE_CAP}")
-    start = time.perf_counter()
     pts = grid.times()
     for h in hs:
         cov = fbm_covariance(h, pts[:, None], pts[None, :])
@@ -491,8 +481,7 @@ def check_a7(
         ks = _ks(report, f"h={h}: terminal ",
                  ks_one_sample(np.concatenate(ends) / t_max**h, "norm"))
         report.estimates[f"h={h}"] = {"max_z": zmax, "ks_terminal": ks}
-    report.wall_time_s = time.perf_counter() - start
-    return report
+    return report.stop_clock()
 
 
 def check_a8(
@@ -510,7 +499,6 @@ def check_a8(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not band_hs or not band_ms:
         raise ValueError("band_hs and band_ms must be non-empty: A8 would bound no overlap sum")
-    start = time.perf_counter()
     rng = SeedSpec(master_seed, 0).rng()
     worst = 0.0
     for _ in range(trials):
@@ -538,8 +526,7 @@ def check_a8(
               f"h={h}: coarse overlap ratio spread {spread:.3g} > {A8_BAND_FACTOR}",
               f"band_spread h={h}", {"value": spread, "bound": A8_BAND_FACTOR})
     report.estimates["bands"] = bands
-    report.wall_time_s = time.perf_counter() - start
-    return report
+    return report.stop_clock()
 
 
 def _brownian_time_grid(level: int, sites: int) -> GridSpec:
@@ -599,7 +586,6 @@ def check_a9(
     except ValueError as exc:
         raise ValueError(f"donsker_level {donsker_level}: {exc}") from None
     _ks_samples(replicates=replicates, donsker_replicates=donsker_replicates)
-    start = time.perf_counter()
     sigma = _positive_sigma(r, h)
     weight = get_weight(f)
     k, spatial = 2**level, level // 2
@@ -643,8 +629,7 @@ def check_a9(
     _gate(report, not var_gap > var_allowed, "walk terminal variance not within tolerance of 1",
           "donsker_variance", {"gap": var_gap, "allowed": var_allowed})
     _ks(report, "Donsker ", ks_one_sample(ys, "norm"), "donsker_ks")
-    report.wall_time_s = time.perf_counter() - start
-    return report
+    return report.stop_clock()
 
 
 def check_a10(
@@ -679,7 +664,6 @@ def check_a10(
         raise ValueError("p must be 4 or 6")
     if not hs:
         raise ValueError("hs is empty: A10 would bound no moment")
-    start = time.perf_counter()
     weight = get_weight(f)
     grid = GridSpec(level=level, t_min=0.0, t_max=1.0)
     pairs = [(base, base + w) for w in widths]
@@ -717,8 +701,7 @@ def check_a10(
             slope = float(np.polyfit(np.log2(d[pos]), np.log2(moments[pos]), 1)[0])
         report.estimates[f"h={h}"] = {"ratios": ratios, "slope_log2": slope}
         report.tests[f"band h={h}"] = {"max_ratio": np.max(ratios[live]), "bound": A10_BAND_FACTOR}
-    report.wall_time_s = time.perf_counter() - start
-    return report
+    return report.stop_clock()
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ them.  Its "direct" entry is the walk statistic wherever one is needed.
 `simulate fbmbt`.
 
 A walk (`EmbeddedWalk`) is built from its +-1 steps alone; its sites S_k
-are their partial sums, so the two cannot disagree.  The sites, and what
+are their partial sums, and both are read-only arrays, so the two cannot
+disagree.  The sites, and what
 several readers of one walk need, are computed once, on first read: its
 extent (lowest and highest site), read by `sample_fbmbt`, `FbmbtSample`
 and `crossing_counts`, and the lower site of each step's lattice interval,
@@ -64,7 +65,9 @@ class EmbeddedWalk:
 
     A walk is its steps, a 1-D integer array of +-1 (anything else raises
     ValueError); the sites S_0 = 0, S_{k+1} = S_k + steps[k] are derived
-    from them, never given, on first read.
+    from them, never given, on first read.  Steps and sites are read-only;
+    a writable steps array is copied before it is frozen, so writing to
+    either raises.
     """
 
     level: int
@@ -72,6 +75,9 @@ class EmbeddedWalk:
 
     def __post_init__(self):
         steps = np.asarray(self.steps)
+        if steps.flags.writeable:
+            steps = steps.copy()
+            steps.flags.writeable = False
         # every entry is -1, 0 or 1, and none is 0
         if steps.ndim != 1 or steps.dtype.kind != "i" or (len(steps) and (
                 steps.min() < -1 or steps.max() > 1 or np.count_nonzero(steps) < len(steps))):
@@ -84,6 +90,7 @@ class EmbeddedWalk:
         s = np.empty(len(self.steps) + 1, dtype=np.int64)
         s[0] = 0
         np.cumsum(self.steps, out=s[1:])
+        s.flags.writeable = False
         return s
 
     @functools.cached_property
@@ -137,6 +144,7 @@ def sample_walk(n: int, t: float, seed: SeedSpec) -> EmbeddedWalk:
     steps = (words.view(np.uint32)[:k] >> 31).astype(np.int64)
     steps *= 2
     steps -= 1
+    steps.flags.writeable = False  # built here alone, so the walk need not copy it
     return EmbeddedWalk(level=n, steps=steps)
 
 
@@ -170,30 +178,20 @@ def crossing_counts(walk: EmbeddedWalk, t: float) -> CrossingCounts:
     """Single pass over the first K = floor(2^n t) steps.
 
     An up step from S_k = j and a down step from S_k = j+1 both cross
-    interval j.  The net-crossing profile is verified against the indicator
-    form it must take: net(j) = 1 for 0 <= j < S_K when S_K > 0, -1 for
-    S_K <= j < 0 when S_K < 0, and identically 0 when S_K = 0; only sites
-    changed in place after the walk was built can fail it.
+    interval j.  The net-crossing profile takes the indicator form: net(j)
+    = 1 for 0 <= j < S_K when S_K > 0, -1 for S_K <= j < 0 when S_K < 0,
+    and identically 0 when S_K = 0.
     """
     k = walk.horizon(t)
     s = walk.s[: k + 1]
     j_lo, j_hi = walk._extent if k == len(walk.steps) else (int(s.min()), int(s.max()))
-    j_star = int(s[-1])
     width = j_hi - j_lo  # number of visited intervals
     # interval offset i counts a down step at 2i and an up step at 2i + 1
     key = walk.crossed(k) - j_lo
     key *= 2
     key += walk.steps[:k] > 0
     both = np.bincount(key, minlength=2 * width).astype(np.int64, copy=False)
-    up, down = both[1::2], both[0::2]
-    # net is nonzero exactly on the block [0, S_K) or [S_K, 0), indices a:b
-    # of the profile, and there equals the sign of S_K
-    net = up - down
-    a, b = min(0, j_star) - j_lo, max(0, j_star) - j_lo
-    if (a < 0 or b > width or np.count_nonzero(net) != b - a
-            or np.count_nonzero(net[a:b] - (1 if j_star > 0 else -1))):
-        raise AssertionError("net crossing profile disagrees with the terminal site")
-    return CrossingCounts(k, j_star, j_lo, up, down)
+    return CrossingCounts(k, int(s[-1]), j_lo, both[1::2], both[0::2])
 
 
 @dataclass(frozen=True)
@@ -228,6 +226,7 @@ def sample_fbmbt(h, n: int, t: float, seed: SeedSpec | Sequence[SeedSpec]):
     """
     if n % 2:
         raise ValueError("fBm-in-Brownian-time sampling requires an even level n")
+    hp = as_hurst(h)  # refused before any walk is drawn
     seeds = [seed] if isinstance(seed, SeedSpec) else list(seed)
     walks = [sample_walk(n, t, s.substream(0)) for s in seeds]  # substream 1 drives the path
 
@@ -237,7 +236,6 @@ def sample_fbmbt(h, n: int, t: float, seed: SeedSpec | Sequence[SeedSpec]):
         hi = _SITE_PAD * math.ceil(hi / _SITE_PAD)
         return _lattice_grid(n // 2, lo, hi)
 
-    hp = as_hurst(h)
     samples = [None] * len(seeds)
     for rows, grid in _grid_groups(grid_of, [walk._extent for walk in walks]):
         values = sample_fbm(hp, grid, [seeds[i].substream(1) for i in rows])

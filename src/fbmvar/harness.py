@@ -16,6 +16,10 @@ alone stays an argument: the benchmark's validator reads it from the
 config).  Serialization has a canonical form (timing excluded) on which
 byte-reproducibility rests.
 
+A report owns its check's clock: `wall_time_s` runs from the report's
+creation, a check's first statement, to `McReport.stop_clock` as the check
+returns, so it covers the check's refusals, sigma and every draw.
+
 Imports a call needs load with that call, not with the module, so a
 process never pays for what it does not run: `scipy.stats` with the first
 `describe`, `ks_one_sample` or `ks_two_sample`, `ThreadPoolExecutor` (and
@@ -27,6 +31,7 @@ with it `logging`, `queue` and `traceback`) with the first
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,7 +79,10 @@ def _plain(obj):
 class McReport:
     """Per-experiment record: estimates, tests, failures, seeds, config.
 
-    The check passed exactly when it recorded no failure.
+    The check passed exactly when it recorded no failure.  `wall_time_s`
+    is the seconds from the report's creation to `stop_clock`, the whole
+    check that made it, and stays out of `to_dict`; the start time is a
+    private field outside `__init__`, `repr`, equality and `to_dict`.
     """
 
     kind: str
@@ -85,6 +93,14 @@ class McReport:
     failures: list = field(default_factory=list)
     wall_time_s: float = 0.0
     version: str = VERSION
+    _start: float = field(default_factory=time.perf_counter, init=False, repr=False,
+                          compare=False)
+
+    def stop_clock(self) -> McReport:
+        """Set `wall_time_s` to the seconds since the report was made, and
+        return the report: a check ends with `return report.stop_clock()`."""
+        self.wall_time_s = time.perf_counter() - self._start
+        return self
 
     @property
     def passed(self) -> bool:

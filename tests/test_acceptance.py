@@ -135,6 +135,22 @@ def test_a4_wall_time_covers_gap_decay_loop(monkeypatch):
     assert report.wall_time_s >= 2 * pause
 
 
+def test_a3_wall_time_covers_limit_sigma(monkeypatch):
+    pause = 0.25
+    real_sigma = acceptance.limit_sigma
+
+    def slow_sigma(*args, **kwargs):
+        time.sleep(pause)
+        return real_sigma(*args, **kwargs)
+
+    monkeypatch.setattr(acceptance, "limit_sigma", slow_sigma)
+    start = time.perf_counter()
+    report = acceptance.check_a3(replicates=60, level=6)
+    elapsed = time.perf_counter() - start
+    # the pause is inside the report's time, whatever else the call spends
+    assert pause <= report.wall_time_s <= elapsed < report.wall_time_s + pause
+
+
 def _defective_spectrum(last_lag=None, interior_power=1.0):
     """`fbm._circulant_spectrum` with rho_H(j) set to 0 for j > last_lag,
     and the power of the interior frequencies times interior_power."""

@@ -100,32 +100,26 @@ def test_terminal_site_matches_indicator_profile():
     assert np.array_equal(cc.net(), [-1, -1, -1])
     flat = _walk([1, -1])
     assert crossing_counts(flat, 0.5).terminal == 0
-    # the profile check runs on every random walk
+    # on every random walk the net profile is +1 on [0, S_K), -1 on [S_K, 0)
     rng = np.random.default_rng(78)
     for _ in range(25):
         walk = sample_walk(int(rng.integers(3, 10)), 1.0, SeedSpec(int(rng.integers(1 << 30)), 0))
-        assert crossing_counts(walk, 1.0).terminal == walk.s[-1]
+        cc = crossing_counts(walk, 1.0)
+        m, j = cc.terminal, cc.sites()
+        assert m == walk.s[-1]
+        assert np.array_equal(cc.net(), ((0 <= j) & (j < m)).astype(int) - ((m <= j) & (j < 0)))
 
 
-def test_profile_check_rejects_steps_that_disagree_with_sites():
-    # the steps say up, down, up (terminal 1); the sites, corrupted in
-    # place after construction, climb to 3
-    walk = _walk([1, -1, 1])
-    walk.s[:] = [0, 1, 2, 3]
-    with pytest.raises(AssertionError, match="net crossing profile"):
-        crossing_counts(walk, 0.75)
-    # a negative terminal: the sites fall to -3, the steps go down, up, down,
-    # so the block [-3, 0) nets -1, +1, -1
-    walk = _walk([-1, 1, -1])
-    walk.s[:] = [0, -1, -2, -3]
-    with pytest.raises(AssertionError, match="net crossing profile"):
-        crossing_counts(walk, 0.75)
-    # the block [0, 1) nets +1 as it must, but interval [1, 2) outside it,
-    # crossed upward twice, nets +2
-    walk = _walk([1, 1, 1])
-    walk.s[:] = [0, 1, 2, 1]
-    with pytest.raises(AssertionError, match="net crossing profile"):
-        crossing_counts(walk, 0.75)
+def test_walk_steps_and_sites_are_read_only():
+    # a built walk cannot change, so its sites stay the partial sums of its steps
+    steps = np.array([1, -1, 1])
+    walk = _walk(steps)
+    steps[0] = -1  # the caller's writable array was copied
+    assert walk.steps.tolist() == [1, -1, 1] and walk.s.tolist() == [0, 1, 0, 1]
+    for w in (walk, sample_walk(3, 1.0, SeedSpec(4, 0))):
+        for array in (w.steps, w.s):
+            with pytest.raises(ValueError, match="read-only"):
+                array[:] = 1
 
 
 def _crossing_counts_per_step(walk, t):
@@ -240,6 +234,15 @@ def test_sample_walk_moments():
 def test_sample_fbmbt_requires_even_level():
     with pytest.raises(ValueError):
         sample_fbmbt(0.25, 7, 1.0, SeedSpec(1, 0))
+
+
+def test_sample_fbmbt_refuses_a_bad_h_before_drawing_any_walk(monkeypatch):
+    def no_draw(self):
+        raise AssertionError("drew a walk before refusing h")
+
+    monkeypatch.setattr(SeedSpec, "rng", no_draw)
+    with pytest.raises(ValueError):
+        sample_fbmbt(1.5, 8, 1.0, SeedSpec(0, 0))
 
 
 def test_sample_covers_walk_range():

@@ -374,6 +374,17 @@ def test_verify_all_names_ignored_overrides(capsys, monkeypatch):
     assert taken["A8"] == {}
 
 
+def test_verify_prints_the_seconds_its_reports_record(capsys, monkeypatch):
+    def fake_run(name, master_seeds, threads, **overrides):
+        return True, [McReport(kind=name, config={}, master_seed=seed, wall_time_s=seconds)
+                      for seed, seconds in zip(master_seeds, (1.25, 2.5))]
+
+    monkeypatch.setattr(cli, "run_check", fake_run)
+    code, out, _ = run_cli(capsys, "verify", "A1")
+    assert code == 0
+    assert out.startswith("A1: PASS (majority over 2 seeds) in 3.75 s - ")
+
+
 def test_verify_exact_check_passes(tmp_path, capsys):
     out_file = tmp_path / "a8.json"
     code, out, _ = run_cli(capsys, "verify", "A8", "--seed", "1", "--out", str(out_file))
