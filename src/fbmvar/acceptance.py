@@ -22,11 +22,12 @@ the one helper `_gate`, which records it under `tests` (A6 and A10 write
 one entry for several clauses) and appends its failure text when it did
 not pass; each KS clause goes through `_ks`, the one place that compares a
 p-value with ALPHA.  A report fails exactly when one of its `_gate` calls
-failed.  A1, A2 and A9 compare with
-sigma(r, H), which is 0 at r = 1, so they refuse r < 2; A3/A4 test the
-decay of the degenerate variance there instead.  A check whose KS test
-needs more samples than it is asked for (`harness.KS_MIN_SAMPLES`) refuses
-before it draws any, like every other refusal.
+failed.  A1, A2, A3, A4 and A9 compare their draws with
+sigma(r, H), which is 0 at r = 1, so each refuses r < 2; each refuses r,
+its KS sample counts, its weight and its grid levels before it evaluates
+sigma.  A check whose KS test needs more samples than it is asked for
+(`harness.KS_MIN_SAMPLES`) refuses before it draws any, like every other
+refusal.
 
 Importing this module loads no scipy module.  The summaries and KS tests
 load `scipy.stats` through `harness`, on their first call; A2, A7 and A9's
@@ -75,12 +76,6 @@ from .weights import get_weight
 #: shipped default seeds; the first is the primary, the other two are the
 #: documented re-run seeds for the majority policy
 DEFAULT_MASTER_SEEDS = (20260809, 1115741, 902245)
-
-#: for r = 1 the mixture law is degenerate (sigma = 0); A3/A4 then assert
-#: that the variance at their level is below DEGENERATE_RATIO times its
-#: value DEGENERATE_GAP levels lower
-DEGENERATE_GAP = 4
-DEGENERATE_RATIO = 0.7
 
 #: A7 samples its replicates in batches of this many rows, batch i from
 #: stream i; the batching fixes the draws, so it is not an argument
@@ -181,9 +176,9 @@ def _mixture_draw(seeds, h, weight, r, rule, sigma, horizons, grid_of, sub) -> n
     return out
 
 
-def _unweighted_draws(h, r, level, t, replicates, master_seed, threads):
-    return _path_map(lambda paths: variation(paths, None, r).value_at(t), h,
-                     GridSpec(level=level, t_min=0.0, t_max=t), replicates, master_seed, threads)
+def _unweighted_draws(h, r, grid, replicates, master_seed, threads):
+    return _path_map(lambda paths: variation(paths, None, r).value_at(grid.t_max), h, grid,
+                     replicates, master_seed, threads)
 
 
 def _mixture_law(report, rule, threads, replicates, level, h, r, f) -> None:
@@ -194,55 +189,36 @@ def _mixture_law(report, rule, threads, replicates, level, h, r, f) -> None:
     compared (two-sample KS) with independent draws of the limit, both from
     `_mixture_draw` on [0, 1] and substreams 0, 1 and 2; the mean must vanish
     within SE_NARROW standard errors, and the correlation with the terminal
-    path value must be below SE_NARROW/sqrt(R) + CORR_SLACK.  For r = 1 the
-    limit is degenerate and the check becomes variance decay: Var at
-    `level` must be below DEGENERATE_RATIO times its value at
-    level - DEGENERATE_GAP.
+    path value must be below SE_NARROW/sqrt(R) + CORR_SLACK.  Too few
+    replicates for the KS test, an unknown weight, a bad level and r < 2
+    are refused before sigma is evaluated or anything is drawn.
     """
-    master_seed = report.master_seed
+    _ks_samples(replicates=replicates)
     weight = get_weight(f)
-    sigma = limit_sigma(r, h)
-    if sigma.value != 0.0:
-        _ks_samples(replicates=replicates)
+    grid = GridSpec(level=level, t_min=0.0, t_max=1.0)
+    sigma = _positive_sigma(r, h)
     report.estimates["sigma"] = sigma.value
 
-    if sigma.value == 0.0:
-        variances = {}
-        for n in (level - DEGENERATE_GAP, level):
-            draws = _path_map(lambda paths: variation(paths, weight, r, rule).value_at(1.0), h,
-                              GridSpec(level=n, t_min=0.0, t_max=1.0), replicates, master_seed,
-                              threads)
-            variances[str(n)] = describe(draws)
-        v_lo = variances[str(level - DEGENERATE_GAP)]["variance"]
-        v_hi = variances[str(level)]["variance"]
-        ratio = v_hi / v_lo if v_lo > 0 else math.inf
-        _gate(report, ratio < DEGENERATE_RATIO,
-              f"degenerate variance did not decay: {v_lo:.4g} -> {v_hi:.4g}",
-              "variance_decay", {"ratio": ratio, "bound": DEGENERATE_RATIO})
-        report.estimates["variances"] = variances
-    else:
-        grid = GridSpec(level=level, t_min=0.0, t_max=1.0)
+    def chunk(seeds) -> np.ndarray:
+        return _mixture_draw(seeds, h, weight, r, rule, sigma, (1.0, 1.0), lambda t: grid, 0)
 
-        def chunk(seeds) -> np.ndarray:
-            return _mixture_draw(seeds, h, weight, r, rule, sigma, (1.0, 1.0), lambda t: grid, 0)
-
-        rows = replicate_map(chunk, replicates, master_seed, threads, steps=grid.npoints - 1)
-        phi, lim, x1, x1_lim = rows.T
-        desc = describe(phi)
-        corr = float(np.corrcoef(phi, x1)[0, 1])
-        corr_bound = SE_NARROW / math.sqrt(replicates) + CORR_SLACK
-        mean_bound = SE_NARROW * desc["se_mean"]
-        report.estimates["statistic"] = desc
-        report.estimates["limit"] = describe(lim)
-        # diagnostic: on the limit side W really is independent of the path,
-        # so this correlation is exactly zero in law at every n
-        report.tests["corr_limit_side"] = {"value": float(np.corrcoef(lim, x1_lim)[0, 1])}
-        _ks(report, "mixture ", ks_two_sample(phi, lim), "ks_two_sample")
-        _gate(report, not abs(desc["mean"]) > mean_bound,
-              f"mean {desc['mean']:.4g} not within {SE_NARROW:g} SE of 0",
-              "mean", {"value": desc["mean"], "allowed": mean_bound})
-        _gate(report, abs(corr) < corr_bound, f"|corr| {abs(corr):.4g} >= {corr_bound:.4g}",
-              "corr_with_terminal", {"value": corr, "bound": corr_bound})
+    rows = replicate_map(chunk, replicates, report.master_seed, threads, steps=grid.npoints - 1)
+    phi, lim, x1, x1_lim = rows.T
+    desc = describe(phi)
+    corr = float(np.corrcoef(phi, x1)[0, 1])
+    corr_bound = SE_NARROW / math.sqrt(replicates) + CORR_SLACK
+    mean_bound = SE_NARROW * desc["se_mean"]
+    report.estimates["statistic"] = desc
+    report.estimates["limit"] = describe(lim)
+    # diagnostic: on the limit side W really is independent of the path,
+    # so this correlation is exactly zero in law at every n
+    report.tests["corr_limit_side"] = {"value": float(np.corrcoef(lim, x1_lim)[0, 1])}
+    _ks(report, "mixture ", ks_two_sample(phi, lim), "ks_two_sample")
+    _gate(report, not abs(desc["mean"]) > mean_bound,
+          f"mean {desc['mean']:.4g} not within {SE_NARROW:g} SE of 0",
+          "mean", {"value": desc["mean"], "allowed": mean_bound})
+    _gate(report, abs(corr) < corr_bound, f"|corr| {abs(corr):.4g} >= {corr_bound:.4g}",
+          "corr_with_terminal", {"value": corr, "bound": corr_bound})
 
 
 def check_a1(
@@ -255,8 +231,9 @@ def check_a1(
 ) -> McReport:
     """A1: MC variance of the unweighted statistic matches sigma^2."""
     report = _report("A1", locals())
+    grid = GridSpec(level=level, t_min=0.0, t_max=1.0)
     sigma = _positive_sigma(r, h)
-    draws = _unweighted_draws(h, r, level, 1.0, replicates, master_seed, threads)
+    draws = _unweighted_draws(h, r, grid, replicates, master_seed, threads)
     desc = describe(draws)
     gap = abs(desc["variance"] - sigma.value**2)
     allowed = SE_NARROW * desc["se_variance"]
@@ -278,9 +255,10 @@ def check_a2(
 ) -> McReport:
     """A2: unweighted statistic / sigma is standard normal (KS)."""
     report = _report("A2", locals())
-    sigma = _positive_sigma(r, h)
     _ks_samples(replicates=replicates)
-    draws = _unweighted_draws(h, r, level, 1.0, replicates, master_seed, threads)
+    grid = GridSpec(level=level, t_min=0.0, t_max=1.0)
+    sigma = _positive_sigma(r, h)
+    draws = _unweighted_draws(h, r, grid, replicates, master_seed, threads)
     _ks(report, "", ks_one_sample(draws / sigma.value, "norm"), "ks_vs_standard_normal")
     return report.stop_clock()
 
@@ -318,6 +296,7 @@ def check_a4(
     if len(decay_levels) != 2 or not decay_levels[0] < decay_levels[1]:
         raise ValueError(f"decay_levels must be two strictly increasing levels, "
                          f"got {decay_levels!r}")
+    grids = {str(n): GridSpec(level=n, t_min=0.0, t_max=1.0) for n in decay_levels}
     _mixture_law(report, "trapezoid", threads, replicates, level, h, r, f)
     weight = get_weight(f)
 
@@ -327,9 +306,8 @@ def check_a4(
         return gap * gap
 
     l2 = {}
-    for n in decay_levels:
-        grid = GridSpec(level=n, t_min=0.0, t_max=1.0)
-        l2[str(n)] = math.sqrt(
+    for n, grid in grids.items():
+        l2[n] = math.sqrt(
             _path_map(gap_sq, h, grid, decay_replicates, master_seed, threads).mean())
     report.estimates["gap_l2"] = l2
     lo, hi = str(decay_levels[0]), str(decay_levels[1])

@@ -243,13 +243,19 @@ def test_every_gate_is_recorded_in_tests(name):
     assert all({"alpha", "bound", "allowed"} & set(e) for e in entries.values())
 
 
-@pytest.mark.parametrize("name", ["A1", "A2", "A9"])
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A9"])
 def test_checks_against_sigma_refuse_r_1_before_sampling(name, monkeypatch):
-    # sigma(1, H) = 0 leaves nothing to compare the draws with
+    # sigma(1, H) = 0 leaves nothing to compare the draws with; A3 and A4
+    # used to test the decay of the degenerate variance there instead
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled at r = 1")
 
+    def no_sigma(*args, **kwargs):
+        raise AssertionError("sigma evaluated at r = 1")
+
     monkeypatch.setattr(acceptance, "replicate_map", no_sampling)
+    monkeypatch.setattr(acceptance, "SeedSpec", no_sampling)
+    monkeypatch.setattr(acceptance, "limit_sigma", no_sigma)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="r must be >= 2, got 1"):
@@ -286,12 +292,15 @@ def test_checks_against_sigma_refuse_r_1_before_sampling(name, monkeypatch):
     ("A7", {"replicates": 40}, "replicates must be >= 50 for a KS test, got 40"),
     ("A9", {"replicates": 40}, "replicates must be >= 50 for a KS test, got 40"),
     ("A9", {"donsker_replicates": 40}, "donsker_replicates must be >= 50 for a KS test, got 40"),
+    ("A1", {"level": 0}, "grid level must be a positive integer"),
+    ("A3", {"level": 0}, "grid level must be a positive integer"),
+    ("A4", {"decay_levels": (0, 6)}, "grid level must be a positive integer"),
 ], ids=["A4-one-level", "A4-decreasing", "A4-equal", "A5-levels", "A6-empty", "A6-one-level",
         "A6-repeated", "A7-hs", "A8-both", "A8-trials", "A8-band_hs", "A8-band_ms",
         "A9-gauss", "A9-sin", "A9-zero", "A9-odd-level", "A9-level-0", "A9-level-64",
         "A9-level-32", "A9-donsker-0", "A9-donsker-23", "A9-donsker-2000", "A10-hs",
         "A2-ks-replicates", "A3-ks-replicates", "A4-ks-replicates", "A7-ks-replicates",
-        "A9-ks-replicates", "A9-ks-donsker"])
+        "A9-ks-replicates", "A9-ks-donsker", "A1-level-0", "A3-level-0", "A4-decay-level-0"])
 def test_checks_refuse_work_they_cannot_check(name, overrides, match, monkeypatch):
     # empty work used to pass with nothing checked (A5 divided by zero), A4
     # sampled its whole mixture law before an IndexError or a decay read the
@@ -300,14 +309,18 @@ def test_checks_refuse_work_they_cannot_check(name, overrides, match, monkeypatc
     # from walk level 32 up A9's spatial path could pass the sampling cap
     # part-way through the replicates; too few samples for a KS test, or a
     # Donsker level with no walk or a walk above the sampling cap, were
-    # refused only after everything had been sampled
+    # refused only after everything had been sampled; A2 evaluated sigma
+    # before its KS count, so sigma could mask that refusal, and A3 and A4
+    # refused after sigma, A4's decay levels after its whole mixture law
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled")
 
-    # every draw of A4, A5, A6, A9 and A10 goes through replicate_map, and
-    # every stream of A7 and A8 starts from a SeedSpec
+    # every draw of A1-A6, A9 and A10 goes through replicate_map, every
+    # stream of A7 and A8 starts from a SeedSpec, and every check that
+    # compares with sigma evaluates it through limit_sigma
     monkeypatch.setattr(acceptance, "replicate_map", no_sampling)
     monkeypatch.setattr(acceptance, "SeedSpec", no_sampling)
+    monkeypatch.setattr(acceptance, "limit_sigma", no_sampling)
     with pytest.raises(ValueError, match=match):
         ACCEPTANCE[name].fn(master_seed=5, **{**SMALL[name], **overrides})
 

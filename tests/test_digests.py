@@ -52,8 +52,6 @@ FAILING = [
     ("5ffad7", "check_a3", SEED, {"level": 1, "replicates": 60}, "0b2e520f266bdfdc"),
     ("b57af5", "check_a3", SEED, {"level": 2, "replicates": 200, "f": "sin"},
                "74afffc3b9f63739"),
-    ("c83094", "check_a3", 29, {"level": 6, "replicates": 60, "r": 1, "f": "zero"},
-               "c83094f572be9460"),
     ("ab0ef7", "check_a4", SEED, {"level": 2, "replicates": 60, "decay_levels": (2, 3),
                                   "decay_replicates": 60}, "67ee81ee8a5f85cb"),
     ("4e335f", "check_a5", SEED, {"samples": 20, "levels": (4, 6), "residual_tol": 0.0},

@@ -277,21 +277,6 @@ def test_mixture_law_unit_weight_reduces_to_gaussian():
     assert p > 0.01
 
 
-def test_mixture_law_degenerate_r1():
-    report = check_a3(master_seed=29, replicates=400, level=10, r=1, f="one")
-    assert report.passed
-    assert report.estimates["sigma"] == 0.0
-    v = report.estimates["variances"]
-    decay = report.tests["variance_decay"]
-    assert decay == {"ratio": v["10"]["variance"] / v["6"]["variance"], "bound": 0.7}
-    # a zero weight has no variance to decay: a failure, not a ZeroDivisionError
-    zero = check_a3(master_seed=29, replicates=60, level=6, r=1, f="zero")
-    assert zero.tests["variance_decay"]["ratio"] == math.inf and not zero.passed
-    # Var at level n is 2^(n(2H-1)) for f=1, r=1: each 4 levels divide it by 4
-    ratio = v["10"]["variance"] / v["6"]["variance"]
-    assert ratio == pytest.approx(2.0 ** (4 * (2 * 0.25 - 1)), rel=0.25)
-
-
 def test_mixture_law_limit_side_is_uncorrelated():
     report = check_a3(master_seed=31, replicates=500, level=8)
     assert abs(report.tests["corr_limit_side"]["value"]) < 3.0 / math.sqrt(500) + 0.02
