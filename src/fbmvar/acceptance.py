@@ -22,12 +22,22 @@ the one helper `_gate`, which records it under `tests` (A6 and A10 write
 one entry for several clauses) and appends its failure text when it did
 not pass; each KS clause goes through `_ks`, the one place that compares a
 p-value with ALPHA.  A report fails exactly when one of its `_gate` calls
-failed.  A1, A2, A3, A4 and A9 compare their draws with
-sigma(r, H), which is 0 at r = 1, so each refuses r < 2; each refuses r,
-its KS sample counts, its weight and its grid levels before it evaluates
-sigma.  A check whose KS test needs more samples than it is asked for
-(`harness.KS_MIN_SAMPLES`) refuses before it draws any, like every other
-refusal.
+failed.
+
+Each check has one refusal pass, `_refuse_<check>`: from the check's
+config alone it makes every refusal of the check and returns what the
+body needs (grids, weight, counts).  The one rule: a check's refusal pass
+runs before sigma and before any stream.  The check calls it right after
+`_report`; `CheckSpec.refuse` is the same pass, and `CheckSpec.config`
+binds overrides to the defaults of the check's own signature, so `fbmvar
+verify` refuses every override of every check it names before any check
+runs.  A pass calls each rule's one owner: `GridSpec` for a grid's level
+and size, `harness._replicate_counts` for a replicate count, `as_hurst`
+for h, `get_weight` for a weight.  A1, A2, A3, A4 and A9 compare their
+draws with sigma(r, H), which is 0 at r = 1, so their passes refuse r < 2;
+sigma's own refusal of h >= 1/2 stays with `limit_sigma`, which those
+checks call right after the pass.  A check whose KS test needs more
+samples than it is asked for (`harness.KS_MIN_SAMPLES`) refuses them.
 
 Importing this module loads no scipy module.  The summaries and KS tests
 load `scipy.stats` through `harness`, on their first call; A2, A7 and A9's
@@ -36,6 +46,7 @@ Donsker clause name their normal CDF to the KS test as "norm".
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -44,6 +55,7 @@ import numpy as np
 
 from .brownian_time import (
     RESIDUAL_TOL,
+    _even_level,
     _lattice_grid,
     _walk_steps,
     identity_residuals,
@@ -52,7 +64,7 @@ from .brownian_time import (
 )
 from .fbm import FbmPath, GridSpec, SeedSpec, sample_fbm
 from .gaussian import (
-    LimitSigma,
+    _coarse_levels,
     as_hurst,
     coarse_increment_overlap,
     fbm_covariance,
@@ -65,13 +77,14 @@ from .harness import (
     KS_MIN_SAMPLES,
     McReport,
     _grid_groups,
+    _replicate_counts,
     describe,
     ks_one_sample,
     ks_two_sample,
     replicate_map,
 )
-from .variations import limit_conditional_std, limit_quadrature, variation
-from .weights import get_weight
+from .variations import _odd_order, limit_conditional_std, limit_quadrature, variation
+from .weights import WeightFunction, get_weight
 
 #: shipped default seeds; the first is the primary, the other two are the
 #: documented re-run seeds for the majority policy
@@ -97,12 +110,15 @@ A8_BAND_FACTOR = 4.0  # A8: spread of the coarse overlap ratios
 A10_BAND_FACTOR = 10.0  # A10: window moment over its fitted bound
 
 
+def _config(args: dict) -> dict:
+    """A check's config: its arguments `args` less master_seed and threads."""
+    return {k: v for k, v in args.items() if k not in ("master_seed", "threads")}
+
+
 def _report(kind: str, args: dict) -> McReport:
     """The empty report of check `kind`, called with `args` (its locals()
-    on entry), its clock started: the config is the arguments less
-    master_seed and threads."""
-    config = {k: v for k, v in args.items() if k not in ("master_seed", "threads")}
-    return McReport(kind=kind, config=config, master_seed=args["master_seed"])
+    on entry), its clock started."""
+    return McReport(kind=kind, config=_config(args), master_seed=args["master_seed"])
 
 
 def _gate(report: McReport, passed: bool, failure: str, name: str | None = None,
@@ -124,17 +140,15 @@ def _ks(report: McReport, label: str, result: tuple[float, float], name: str | N
     return record
 
 
-def _positive_sigma(r: int, h) -> LimitSigma:
-    """sigma(r, h) for a check that compares its draws with it; sigma(1, h)
-    is exactly 0, so r < 2 is refused before anything is sampled."""
+def _sigma_order(r: int) -> None:
+    """Refuse r < 2 for a check that compares its draws with sigma(r, H):
+    sigma(1, H) is exactly 0."""
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}: sigma(1, H) = 0 leaves no limit law")
-    return limit_sigma(r, h)
 
 
 def _ks_samples(**counts: int) -> None:
-    """Refuse, before anything is drawn, a sample count too small for the
-    asymptotic KS p-value."""
+    """Refuse a sample count too small for the asymptotic KS p-value."""
     for name, count in counts.items():
         if count < KS_MIN_SAMPLES:
             raise ValueError(f"{name} must be >= {KS_MIN_SAMPLES} for a KS test, got {count}")
@@ -181,22 +195,18 @@ def _unweighted_draws(h, r, grid, replicates, master_seed, threads):
                      replicates, master_seed, threads)
 
 
-def _mixture_law(report, rule, threads, replicates, level, h, r, f) -> None:
+def _mixture_law(report, rule, threads, replicates, weight, grid, h, r) -> None:
     """Distributional check of the statistic at t=1 against the mixture law,
     recorded on `report`.
 
-    The statistic is `variation` under the node rule `rule`.  Its draws are
-    compared (two-sample KS) with independent draws of the limit, both from
-    `_mixture_draw` on [0, 1] and substreams 0, 1 and 2; the mean must vanish
-    within SE_NARROW standard errors, and the correlation with the terminal
-    path value must be below SE_NARROW/sqrt(R) + CORR_SLACK.  Too few
-    replicates for the KS test, an unknown weight, a bad level and r < 2
-    are refused before sigma is evaluated or anything is drawn.
+    The statistic is `variation` under the node rule `rule`, on `grid` over
+    [0, 1].  Its draws are compared (two-sample KS) with independent draws
+    of the limit, both from `_mixture_draw` on substreams 0, 1 and 2; the
+    mean must vanish within SE_NARROW standard errors, and the correlation
+    with the terminal path value must be below SE_NARROW/sqrt(R) +
+    CORR_SLACK.
     """
-    _ks_samples(replicates=replicates)
-    weight = get_weight(f)
-    grid = GridSpec(level=level, t_min=0.0, t_max=1.0)
-    sigma = _positive_sigma(r, h)
+    sigma = limit_sigma(r, h)
     report.estimates["sigma"] = sigma.value
 
     def chunk(seeds) -> np.ndarray:
@@ -221,6 +231,12 @@ def _mixture_law(report, rule, threads, replicates, level, h, r, f) -> None:
           "corr_with_terminal", {"value": corr, "bound": corr_bound})
 
 
+def _refuse_a1(replicates, level, r, **_) -> GridSpec:
+    _replicate_counts(replicates=replicates)
+    _sigma_order(r)
+    return GridSpec(level=level, t_min=0.0, t_max=1.0)
+
+
 def check_a1(
     master_seed: int = DEFAULT_MASTER_SEEDS[0],
     threads: int = 1,
@@ -231,8 +247,8 @@ def check_a1(
 ) -> McReport:
     """A1: MC variance of the unweighted statistic matches sigma^2."""
     report = _report("A1", locals())
-    grid = GridSpec(level=level, t_min=0.0, t_max=1.0)
-    sigma = _positive_sigma(r, h)
+    grid = _refuse_a1(**report.config)
+    sigma = limit_sigma(r, h)
     draws = _unweighted_draws(h, r, grid, replicates, master_seed, threads)
     desc = describe(draws)
     gap = abs(desc["variance"] - sigma.value**2)
@@ -245,6 +261,12 @@ def check_a1(
     return report.stop_clock()
 
 
+def _refuse_a2(replicates, level, r, **_) -> GridSpec:
+    _ks_samples(replicates=replicates)
+    _sigma_order(r)
+    return GridSpec(level=level, t_min=0.0, t_max=1.0)
+
+
 def check_a2(
     master_seed: int = DEFAULT_MASTER_SEEDS[0],
     threads: int = 1,
@@ -255,12 +277,18 @@ def check_a2(
 ) -> McReport:
     """A2: unweighted statistic / sigma is standard normal (KS)."""
     report = _report("A2", locals())
-    _ks_samples(replicates=replicates)
-    grid = GridSpec(level=level, t_min=0.0, t_max=1.0)
-    sigma = _positive_sigma(r, h)
+    grid = _refuse_a2(**report.config)
+    sigma = limit_sigma(r, h)
     draws = _unweighted_draws(h, r, grid, replicates, master_seed, threads)
     _ks(report, "", ks_one_sample(draws / sigma.value, "norm"), "ks_vs_standard_normal")
     return report.stop_clock()
+
+
+def _refuse_a3(replicates, level, r, f, **_) -> tuple[WeightFunction, GridSpec]:
+    """A3's refusals, A4's mixture law's too: its weight and grid."""
+    _ks_samples(replicates=replicates)
+    _sigma_order(r)
+    return get_weight(f), GridSpec(level=level, t_min=0.0, t_max=1.0)
 
 
 def check_a3(
@@ -274,8 +302,20 @@ def check_a3(
 ) -> McReport:
     """A3: weighted mixture law for the midpoint statistic."""
     report = _report("A3", locals())
-    _mixture_law(report, "midpoint", threads, replicates, level, h, r, f)
+    weight, grid = _refuse_a3(**report.config)
+    _mixture_law(report, "midpoint", threads, replicates, weight, grid, h, r)
     return report.stop_clock()
+
+
+def _refuse_a4(decay_levels, decay_replicates, **config):
+    """A3's refusals, then the decay loop's: A3's weight and grid and the
+    decay grids by level."""
+    if len(decay_levels) != 2 or not decay_levels[0] < decay_levels[1]:
+        raise ValueError(f"decay_levels must be two strictly increasing levels, "
+                         f"got {decay_levels!r}")
+    decay_grids = {str(n): GridSpec(level=n, t_min=0.0, t_max=1.0) for n in decay_levels}
+    _replicate_counts(decay_replicates=decay_replicates)
+    return *_refuse_a3(**config), decay_grids
 
 
 def check_a4(
@@ -293,12 +333,8 @@ def check_a4(
     trapezoid-midpoint gap decays in L2 between the two decay levels, which
     must be two strictly increasing levels."""
     report = _report("A4", locals())
-    if len(decay_levels) != 2 or not decay_levels[0] < decay_levels[1]:
-        raise ValueError(f"decay_levels must be two strictly increasing levels, "
-                         f"got {decay_levels!r}")
-    grids = {str(n): GridSpec(level=n, t_min=0.0, t_max=1.0) for n in decay_levels}
-    _mixture_law(report, "trapezoid", threads, replicates, level, h, r, f)
-    weight = get_weight(f)
+    weight, grid, decay_grids = _refuse_a4(**report.config)
+    _mixture_law(report, "trapezoid", threads, replicates, weight, grid, h, r)
 
     def gap_sq(paths) -> np.ndarray:
         gap = (variation(paths, weight, r, "trapezoid").value_at(1.0)
@@ -306,9 +342,9 @@ def check_a4(
         return gap * gap
 
     l2 = {}
-    for n, grid in grids.items():
+    for n, decay_grid in decay_grids.items():
         l2[n] = math.sqrt(
-            _path_map(gap_sq, h, grid, decay_replicates, master_seed, threads).mean())
+            _path_map(gap_sq, h, decay_grid, decay_replicates, master_seed, threads).mean())
     report.estimates["gap_l2"] = l2
     lo, hi = str(decay_levels[0]), str(decay_levels[1])
     ratio = l2[hi] / l2[lo] if l2[lo] > 0 else math.inf
@@ -317,6 +353,23 @@ def check_a4(
           f"not below {GAP_DECAY_RATIO} * {l2[lo]:.4g}",
           "gap_decay", {"ratio": ratio, "bound": GAP_DECAY_RATIO})
     return report.stop_clock()
+
+
+def _refuse_a5(samples, levels, h, r, f, **_) -> tuple[WeightFunction, list[int]]:
+    """A5's refusals: its weight and the samples of each level."""
+    if not levels:
+        raise ValueError("levels is empty: A5 would check no identity")
+    if samples < len(levels):
+        raise ValueError(f"samples must be >= len(levels) = {len(levels)}, got {samples}: "
+                         "A5 would check no identity at some level")
+    for n in levels:
+        _even_level(n)
+        _walk_steps(n, 1.0)
+    as_hurst(h)
+    _odd_order(r)
+    per_level = [samples // len(levels)] * len(levels)
+    per_level[-1] += samples - sum(per_level)
+    return get_weight(f), per_level
 
 
 def check_a5(
@@ -332,11 +385,7 @@ def check_a5(
     """A5: exact identities — direct vs crossing form, and composition
     through the walk's terminal site."""
     report = _report("A5", locals())
-    if not levels:
-        raise ValueError("levels is empty: A5 would check no identity")
-    weight = get_weight(f)
-    per_level = [samples // len(levels)] * len(levels)
-    per_level[-1] += samples - sum(per_level)
+    weight, per_level = _refuse_a5(**report.config)
     blocks = []
     for idx, (n, count) in enumerate(zip(levels, per_level)):
         def chunk(seeds, n=n) -> np.ndarray:
@@ -351,6 +400,18 @@ def check_a5(
     for name, value in worst.items():
         _gate(report, value <= residual_tol, f"{name} residual {value:.3e} > {residual_tol:g}")
     return report.stop_clock()
+
+
+def _refuse_a6(replicates, h, r, f, n_list, t) -> tuple[WeightFunction, list[GridSpec]]:
+    """A6's refusals: its weight and its grids, one per level of n_list."""
+    if r < 2:
+        raise ValueError("the endpoint limits require r >= 2")
+    if len(n_list) < 2 or any(a >= b for a, b in zip(n_list, n_list[1:])):
+        raise ValueError(f"n_list must hold at least two strictly increasing levels, "
+                         f"got {n_list!r}")
+    _replicate_counts(replicates=replicates)
+    as_hurst(h)
+    return get_weight(f), [GridSpec(level=n, t_min=0.0, t_max=t) for n in n_list]
 
 
 def check_a6(
@@ -377,12 +438,7 @@ def check_a6(
     `n_list` must hold at least two strictly increasing levels.
     """
     report = _report("A6", locals())
-    if r < 2:
-        raise ValueError("the endpoint limits require r >= 2")
-    if len(n_list) < 2 or any(a >= b for a, b in zip(n_list, n_list[1:])):
-        raise ValueError(f"n_list must hold at least two strictly increasing levels, "
-                         f"got {n_list!r}")
-    weight = get_weight(f)
+    weight, grids = _refuse_a6(**report.config)
     mu = gaussian_moment(2 * r)
 
     def squared_errors(paths) -> np.ndarray:
@@ -394,10 +450,9 @@ def check_a6(
                          for a, b, c in zip(left.tolist(), right.tolist(), target.tolist())])
 
     rms = {}
-    for n in n_list:
-        grid = GridSpec(level=n, t_min=0.0, t_max=t)
+    for grid in grids:
         sq = _path_map(squared_errors, h, grid, replicates, master_seed, threads).mean(axis=0)
-        rms[str(n)] = dict(zip(("left", "right", "trapezoid"), np.sqrt(sq).tolist()))
+        rms[str(grid.level)] = dict(zip(("left", "right", "trapezoid"), np.sqrt(sq).tolist()))
     report.estimates.update(rms=rms, mu_2r_half=0.5 * mu)
     first, last = str(n_list[0]), str(n_list[-1])
     report.tests["rms_at_last_level"] = {
@@ -412,6 +467,19 @@ def check_a6(
           not rms[first]["trapezoid"] > min(rms[first]["left"], rms[first]["right"]) * (1 + 1e-12),
           "trapezoid RMS is not below both endpoint RMS values")
     return report.stop_clock()
+
+
+def _refuse_a7(replicates, level, t_min, t_max, hs) -> GridSpec:
+    _ks_samples(replicates=replicates)
+    if not hs:
+        raise ValueError("hs is empty: A7 would compare no generator")
+    for h in hs:
+        as_hurst(h)
+    grid = GridSpec(level=level, t_min=t_min, t_max=t_max)
+    if grid.npoints > A7_COVARIANCE_CAP:
+        raise ValueError(f"grid has {grid.npoints} points, above A7's dense covariance cap "
+                         f"{A7_COVARIANCE_CAP}")
+    return grid
 
 
 def check_a7(
@@ -429,16 +497,10 @@ def check_a7(
     batches, batch i from stream i.  Their empirical covariance must match
     C_H entrywise: the largest z-score must be at most SE_WIDE.  Their
     terminal values X(t_max) / t_max^H must be standard normal (one-sample
-    KS).  A grid above A7_COVARIANCE_CAP points is refused before any
+    KS).  A grid above A7_COVARIANCE_CAP points is refused, so that no
     (points x points) array is built."""
     report = _report("A7", locals())
-    _ks_samples(replicates=replicates)
-    if not hs:
-        raise ValueError("hs is empty: A7 would compare no generator")
-    grid = GridSpec(level=level, t_min=t_min, t_max=t_max)
-    if grid.npoints > A7_COVARIANCE_CAP:
-        raise ValueError(f"grid has {grid.npoints} points, above A7's dense covariance cap "
-                         f"{A7_COVARIANCE_CAP}")
+    grid = _refuse_a7(**report.config)
     pts = grid.times()
     for h in hs:
         cov = fbm_covariance(h, pts[:, None], pts[None, :])
@@ -462,6 +524,17 @@ def check_a7(
     return report.stop_clock()
 
 
+def _refuse_a8(trials, band_ms, band_n, band_hs) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not band_hs or not band_ms:
+        raise ValueError("band_hs and band_ms must be non-empty: A8 would bound no overlap sum")
+    for h in band_hs:
+        as_hurst(h)
+    for m in band_ms:
+        _coarse_levels(band_n, m)
+
+
 def check_a8(
     master_seed: int = DEFAULT_MASTER_SEEDS[0],
     threads: int = 1,
@@ -473,10 +546,7 @@ def check_a8(
     """A8: overlap-sum identity (direct vs telescoped closed form) on random
     inputs, and boundedness of the coarse overlap sum against 2^(m(1-2H))."""
     report = _report("A8", locals())
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not band_hs or not band_ms:
-        raise ValueError("band_hs and band_ms must be non-empty: A8 would bound no overlap sum")
+    _refuse_a8(**report.config)
     rng = SeedSpec(master_seed, 0).rng()
     worst = 0.0
     for _ in range(trials):
@@ -515,6 +585,25 @@ def _brownian_time_grid(level: int, sites: int) -> GridSpec:
     return _lattice_grid(level // 2, 0, max(8, 1 << (sites - 1).bit_length()))
 
 
+def _refuse_a9(replicates, level, r, f, donsker_level, donsker_replicates,
+               **_) -> WeightFunction:
+    """A9's refusals: its weight."""
+    if f != "one":
+        raise ValueError(f"f must be 'one', got {f!r}: A9's variance target "
+                         "assumes a constant weight")
+    if level < 2 or level % 2 or level > 30:
+        raise ValueError(f"level must be a positive even integer <= 30, got {level}: the spatial "
+                         "lattice has level n/2, and a path covering 2^(6+n/2) sites (|S_K| at "
+                         "64 sd) must stay within the sampling cap")
+    try:  # the Donsker walks sample_walk would refuse
+        _walk_steps(donsker_level, 1.0)
+    except ValueError as exc:
+        raise ValueError(f"donsker_level {donsker_level}: {exc}") from None
+    _ks_samples(replicates=replicates, donsker_replicates=donsker_replicates)
+    _sigma_order(r)
+    return get_weight(f)
+
+
 def check_a9(
     master_seed: int = DEFAULT_MASTER_SEEDS[0],
     threads: int = 1,
@@ -546,26 +635,14 @@ def check_a9(
     A replicate's two |S_K| come from its substream 0; both sides are
     A3/A4's draw, `_mixture_draw`, at one horizon per row on the grid
     `_brownian_time_grid` gives it: the statistic's path from substream 1,
-    the limit side's from 2 and its normal from 3.  Refused before anything
-    is drawn: walk levels above 30 (|S_K| reaches 2^(6+n/2) sites at 64 sd,
-    and the path covering them must stay within `fbm.SAMPLE_FBM_CAP`
-    points) and Donsker levels `sample_walk` would refuse.
+    the limit side's from 2 and its normal from 3.  Walk levels above 30
+    are refused (|S_K| reaches 2^(6+n/2) sites at 64 sd, and the path
+    covering them must stay within `fbm.SAMPLE_FBM_CAP` points), and so are
+    Donsker levels `sample_walk` would refuse.
     """
     report = _report("A9", locals())
-    if f != "one":
-        raise ValueError(f"f must be 'one', got {f!r}: A9's variance target "
-                         "assumes a constant weight")
-    if level < 2 or level % 2 or level > 30:
-        raise ValueError(f"level must be a positive even integer <= 30, got {level}: the spatial "
-                         "lattice has level n/2, and a path covering 2^(6+n/2) sites (|S_K| at "
-                         "64 sd) must stay within the sampling cap")
-    try:  # the Donsker walks sample_walk would refuse, refused before any draw
-        _walk_steps(donsker_level, 1.0)
-    except ValueError as exc:
-        raise ValueError(f"donsker_level {donsker_level}: {exc}") from None
-    _ks_samples(replicates=replicates, donsker_replicates=donsker_replicates)
-    sigma = _positive_sigma(r, h)
-    weight = get_weight(f)
+    weight = _refuse_a9(**report.config)
+    sigma = limit_sigma(r, h)
     k, spatial = 2**level, level // 2
 
     def grid_of(tau):
@@ -610,6 +687,32 @@ def check_a9(
     return report.stop_clock()
 
 
+def _refuse_a10(replicates, level, hs, r, f, p, base, widths):
+    """A10's refusals: its weight, grid, windows and their index spans and
+    widths d at `level`."""
+    if p not in (4, 6):
+        raise ValueError("p must be 4 or 6")
+    if not hs:
+        raise ValueError("hs is empty: A10 would bound no moment")
+    for h in hs:
+        as_hurst(h)
+    _odd_order(r)
+    _replicate_counts(replicates=replicates)
+    weight = get_weight(f)
+    grid = GridSpec(level=level, t_min=0.0, t_max=1.0)
+    pairs = [(base, base + w) for w in widths]
+    spans = []
+    for s, t in pairs:
+        ks, kt = math.floor(s * 2**level), math.floor(t * 2**level)
+        if not 0 <= ks <= kt <= 2**level:
+            raise ValueError(f"pair ({s}, {t}) not inside [0, 1]")
+        spans.append((ks, kt))
+    d = np.array([(kt - ks) / 2.0**level for ks, kt in spans])
+    if (d > 0).sum() < 2:
+        raise ValueError(f"{(d > 0).sum()} window(s) of positive width at level {level}; need 2")
+    return weight, grid, pairs, spans, d
+
+
 def check_a10(
     master_seed: int = DEFAULT_MASTER_SEEDS[0],
     threads: int = 1,
@@ -638,23 +741,8 @@ def check_a10(
     fitted exponent of d: the moment behaves like d^slope_log2.
     """
     report = _report("A10", locals())
-    if p not in (4, 6):
-        raise ValueError("p must be 4 or 6")
-    if not hs:
-        raise ValueError("hs is empty: A10 would bound no moment")
-    weight = get_weight(f)
-    grid = GridSpec(level=level, t_min=0.0, t_max=1.0)
-    pairs = [(base, base + w) for w in widths]
-    spans = []
-    for s, t in pairs:
-        ks, kt = math.floor(s * 2**level), math.floor(t * 2**level)
-        if not 0 <= ks <= kt <= 2**level:
-            raise ValueError(f"pair ({s}, {t}) not inside [0, 1]")
-        spans.append((ks, kt))
-    d = np.array([(kt - ks) / 2.0**level for ks, kt in spans])
+    weight, grid, pairs, spans, d = _refuse_a10(**report.config)
     live = d > 0
-    if live.sum() < 2:
-        raise ValueError(f"{live.sum()} window(s) of positive width at level {level}; need 2")
 
     def window_moments(paths) -> np.ndarray:
         vals = variation(paths, weight, r).values
@@ -684,24 +772,38 @@ def check_a10(
 
 @dataclass(frozen=True)
 class CheckSpec:
+    """A named check: `fn` runs it, `refuse` is its refusal pass, which
+    takes the check's whole config."""
+
     name: str
     fn: Callable[..., McReport]
+    refuse: Callable[..., object]
     statistical: bool
     summary: str
 
+    def config(self, **overrides) -> dict:
+        """The check's config under `overrides`: its arguments less
+        master_seed and threads, each one not overridden at the default of
+        the check's own signature.  An argument the check does not have
+        raises TypeError."""
+        bound = inspect.signature(self.fn).bind(**overrides)
+        bound.apply_defaults()
+        return _config(bound.arguments)
 
-ACCEPTANCE: dict[str, CheckSpec] = {
-    "A1": CheckSpec("A1", check_a1, True, "variance of the unweighted statistic vs sigma^2"),
-    "A2": CheckSpec("A2", check_a2, True, "unweighted statistic / sigma is standard normal"),
-    "A3": CheckSpec("A3", check_a3, True, "weighted mixture law (midpoint weights)"),
-    "A4": CheckSpec("A4", check_a4, True, "trapezoid mixture law + gap decay"),
-    "A5": CheckSpec("A5", check_a5, False, "exact crossing/composition identities"),
-    "A6": CheckSpec("A6", check_a6, True, "endpoint statistics converge to the derivative integral"),
-    "A7": CheckSpec("A7", check_a7, True, "circulant generator vs the exact fBm law"),
-    "A8": CheckSpec("A8", check_a8, False, "overlap-sum identity and coarse boundedness"),
-    "A9": CheckSpec("A9", check_a9, True, "Brownian-time variance, mixture law, walk CLT"),
-    "A10": CheckSpec("A10", check_a10, True, "window moment scaling band"),
-}
+
+ACCEPTANCE: dict[str, CheckSpec] = {spec.name: spec for spec in (
+    CheckSpec("A1", check_a1, _refuse_a1, True, "variance of the unweighted statistic vs sigma^2"),
+    CheckSpec("A2", check_a2, _refuse_a2, True, "unweighted statistic / sigma is standard normal"),
+    CheckSpec("A3", check_a3, _refuse_a3, True, "weighted mixture law (midpoint weights)"),
+    CheckSpec("A4", check_a4, _refuse_a4, True, "trapezoid mixture law + gap decay"),
+    CheckSpec("A5", check_a5, _refuse_a5, False, "exact crossing/composition identities"),
+    CheckSpec("A6", check_a6, _refuse_a6, True,
+              "endpoint statistics converge to the derivative integral"),
+    CheckSpec("A7", check_a7, _refuse_a7, True, "circulant generator vs the exact fBm law"),
+    CheckSpec("A8", check_a8, _refuse_a8, False, "overlap-sum identity and coarse boundedness"),
+    CheckSpec("A9", check_a9, _refuse_a9, True, "Brownian-time variance, mixture law, walk CLT"),
+    CheckSpec("A10", check_a10, _refuse_a10, True, "window moment scaling band"),
+)}
 
 
 def run_check(

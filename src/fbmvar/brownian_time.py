@@ -214,6 +214,13 @@ class FbmbtSample:
         return self.spatial.values[self.spatial.grid.zero_index + self.walk.s]
 
 
+def _even_level(n: int) -> None:
+    """Refuse an odd walk level n: the spatial lattice 2^(-n/2) Z is a
+    dyadic grid, of level n/2, for even n alone."""
+    if n % 2:
+        raise ValueError(f"fBm-in-Brownian-time sampling requires an even level n, got {n}")
+
+
 def sample_fbmbt(h, n: int, t: float, seed: SeedSpec | Sequence[SeedSpec]):
     """Walk plus independent spatial fBm covering the walk's range.
 
@@ -224,8 +231,7 @@ def sample_fbmbt(h, n: int, t: float, seed: SeedSpec | Sequence[SeedSpec]):
     seed, and the spatial paths in one `sample_fbm` batch per grid
     (`harness._grid_groups`).
     """
-    if n % 2:
-        raise ValueError("fBm-in-Brownian-time sampling requires an even level n")
+    _even_level(n)
     hp = as_hurst(h)  # refused before any walk is drawn
     seeds = [seed] if isinstance(seed, SeedSpec) else list(seed)
     walks = [sample_walk(n, t, s.substream(0)) for s in seeds]  # substream 1 drives the path

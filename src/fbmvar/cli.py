@@ -16,8 +16,9 @@ with the config, before anything is computed or printed.  A refusal the
 library makes before any work (sigma's r, H and tol, a grid's level, a
 walk's parity and length) is not restated here: its ValueError becomes
 the usage error.  The CLI checks only what the library never sees or
-checks too late: a flag's name in the message, an unused --r or --f, and
-an odd --n before `verify all` runs A1.
+checks too late: a flag's name in the message and an unused --r or --f.
+`verify` runs the refusal pass of every check it names, with its
+overrides, before any check runs, so a refused override prints nothing.
 
 The module adds `argparse` and `json` to what `import fbmvar` loads; the
 `scipy` package loads only when an artifact records its version, and
@@ -30,7 +31,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -303,28 +303,29 @@ def cmd_verify(args) -> int:
             raise UsageError(f"unknown check '{name}'; known: {', '.join(ACCEPTANCE)} or 'all'")
     if cfg["seed"] is not None and cfg["seed"] < 0:
         raise UsageError(f"--seed must be >= 0, got {cfg['seed']}")
-    if cfg["n"] is not None and cfg["n"] % 2 and "A9" in names:
-        raise UsageError(f"--n must be even for A9, whose spatial lattice has level n/2, "
-                         f"got {cfg['n']}")
     seeds = DEFAULT_MASTER_SEEDS if cfg["seed"] is None else (
         (cfg["seed"],) + tuple(s for s in DEFAULT_MASTER_SEEDS if s != cfg["seed"])[:2]
     )
     # flag -> (check parameter it sets, value), for the overrides given
     given = {"--replicates": ("replicates", cfg["replicates"]), "--n": ("level", cfg["n"])}
     given = {flag: pv for flag, pv in given.items() if pv[1] is not None}
-    checks = {}
-    all_passed = True
+    runs = {}  # name -> (overrides, ignored flags): every pass runs before any check
     for name in names:
-        params = inspect.signature(ACCEPTANCE[name].fn).parameters
+        spec = ACCEPTANCE[name]
+        params = spec.config()
         overrides = {param: value for param, value in given.values() if param in params}
         ignored = [flag for flag, (param, _) in given.items() if param not in params]
         if ignored and args.suite != "all":
             raise UsageError(f"{name} has no parameter for {', '.join(ignored)}")
         try:
-            passed, reports = run_check(name, master_seeds=seeds, threads=cfg["threads"],
-                                        **overrides)
+            spec.refuse(**spec.config(**overrides))
         except ValueError as exc:
             raise UsageError(f"{name}: {exc}") from None
+        runs[name] = overrides, ignored
+    checks = {}
+    all_passed = True
+    for name, (overrides, ignored) in runs.items():
+        passed, reports = run_check(name, master_seeds=seeds, threads=cfg["threads"], **overrides)
         seconds = sum(rep.wall_time_s for rep in reports)  # every seed run; not in the artifact
         all_passed &= passed
         status = "PASS" if passed else "FAIL"

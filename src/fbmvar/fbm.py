@@ -47,8 +47,9 @@ class SpectralError(RuntimeError):
 #: tiny negatives above it are clamped to zero.
 EIGENVALUE_FLOOR = -1e-9
 
-#: point-count cap for `sample_fbm` (level 21 over [0, 1] fits); the
-#: circulant sampler's buffers take about 64 bytes per point
+#: most points of a `GridSpec` (level 21 over [0, 1] fits), so that every
+#: grid can be sampled; the circulant sampler's buffers take about 64 bytes
+#: per point
 SAMPLE_FBM_CAP = 1 << 22
 
 #: most points (rows * count) of a draw whose work buffers come from its
@@ -193,7 +194,8 @@ class GridSpec:
     t_min <= 0 < t_max, both multiples of 2^-n.
 
     Its integer index range (i_min, i_max, npoints, zero_index) is worked
-    out once, when the grid is built."""
+    out once, when the grid is built.  A grid above SAMPLE_FBM_CAP points
+    is refused then, before anything is sampled on it."""
 
     level: int
     t_min: float
@@ -219,8 +221,11 @@ class GridSpec:
             if abs(val - round(val)) > 1e-9:
                 raise ValueError(f"{name} must be a multiple of 2^-level")
         i_min, i_max = (round(val) for val in ends)
+        npoints = i_max - i_min + 1
+        if npoints > SAMPLE_FBM_CAP:
+            raise ValueError(f"grid has {npoints} points, above the sampling cap {SAMPLE_FBM_CAP}")
         for name, value in (("i_min", i_min), ("i_max", i_max),
-                            ("npoints", i_max - i_min + 1), ("zero_index", -i_min)):
+                            ("npoints", npoints), ("zero_index", -i_min)):
             object.__setattr__(self, name, value)
 
     @property
@@ -371,10 +376,8 @@ def sample_fbm(h, grid: GridSpec, seed: SeedSpec | Sequence[SeedSpec], size: int
     a sequence of SeedSpecs it is a plain (len(seed), npoints) array, drawn
     as one batch (one spectrum scaling, one FFT, one cumulative sum, one
     anchoring), whose row i is bit-identical to the values of the path of
-    seed[i] alone.  A grid above SAMPLE_FBM_CAP points raises ValueError.
+    seed[i] alone.
     """
-    if grid.npoints > SAMPLE_FBM_CAP:
-        raise ValueError(f"grid has {grid.npoints} points, above the sampling cap {SAMPLE_FBM_CAP}")
     hp = as_hurst(h)
     fgn = sample_fgn_circulant(hp, grid.npoints - 1, grid.spacing, seed, size=size)
     fgn = np.atleast_2d(fgn)

@@ -335,6 +335,12 @@ def midpoint_increment_overlap_closed(h, n: int, s: float, t: float) -> float:
     return 0.5 * 2.0 ** (-2 * n * hp.h) * (hi ** (2 * hp.h) - lo ** (2 * hp.h))
 
 
+def _coarse_levels(n: int, m: int) -> None:
+    """Refuse the levels of `coarse_increment_overlap` unless n > m >= 2."""
+    if m < 2 or n <= m:
+        raise ValueError("need n > m >= 2")
+
+
 def coarse_increment_overlap(h, n: int, m: int, t_max: float) -> float:
     """Sum over j < floor(2^n T) of |Cov(fine increment, coarse midpoint avg)|.
 
@@ -342,8 +348,7 @@ def coarse_increment_overlap(h, n: int, m: int, t_max: float) -> float:
     grid point at or below j 2^-n.  No closed form exists; the value is used
     for empirical boundedness checks against 2^(m(1-2H)).
     """
-    if m < 2 or n <= m:
-        raise ValueError("need n > m >= 2")
+    _coarse_levels(n, m)
     hp = as_hurst(h)
     count = math.floor((2**n) * t_max)
     if count <= 0:

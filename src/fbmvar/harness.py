@@ -128,6 +128,14 @@ class McReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1)
 
 
+def _replicate_counts(**counts: int) -> None:
+    """Refuse a replicate count below 1 under its name: `replicate_map`
+    would draw nothing for it."""
+    for name, count in counts.items():
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
+
+
 def replicate_map(
     fn, replicates: int, master_seed: int, threads: int = 1, steps: int = 1
 ) -> np.ndarray:
@@ -143,8 +151,7 @@ def replicate_map(
     gets work.  Chunks are concatenated in replicate order, so the result
     is independent of the chunk size and the worker count.
     """
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
+    _replicate_counts(replicates=replicates)
     seeds = [SeedSpec(master_seed, i) for i in range(replicates)]
     size = max(1, min(CHUNK_STEPS // max(steps, 1), -(-replicates // max(threads, 1))))
     chunks = [seeds[i : i + size] for i in range(0, replicates, size)]

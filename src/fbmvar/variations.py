@@ -90,6 +90,12 @@ def _steps(t, level: int, rows: tuple, last: int, what: str):
     return np.array(k) if np.ndim(t) else k[0]
 
 
+def _odd_order(r: int) -> None:
+    """Refuse r < 1: the power 2r-1 of an odd-power variation is positive."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
+
+
 def odd_power(x: np.ndarray, r: int):
     """x^(2r-1) computed as x * (x*x)^(r-1).
 
@@ -125,8 +131,7 @@ def step_summands(
     (of the last axis, for a batch) belongs to the step that starts at grid
     index i.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    _odd_order(r)
     if rule not in RULES:
         raise ValueError(f"unknown rule '{rule}'; known: {', '.join(RULES)}")
     x = path.values

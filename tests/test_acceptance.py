@@ -262,7 +262,8 @@ def test_checks_against_sigma_refuse_r_1_before_sampling(name, monkeypatch):
             ACCEPTANCE[name].fn(master_seed=5, r=1, **SMALL[name])
 
 
-@pytest.mark.parametrize("name,overrides,match", [
+#: (check, overrides of its SMALL config, the refusal it must make)
+REFUSED = [
     ("A4", {"decay_levels": (4,)}, "decay_levels must be two strictly increasing"),
     ("A4", {"decay_levels": (6, 4)}, "decay_levels must be two strictly increasing"),
     ("A4", {"decay_levels": (4, 4)}, "decay_levels must be two strictly increasing"),
@@ -295,12 +296,31 @@ def test_checks_against_sigma_refuse_r_1_before_sampling(name, monkeypatch):
     ("A1", {"level": 0}, "grid level must be a positive integer"),
     ("A3", {"level": 0}, "grid level must be a positive integer"),
     ("A4", {"decay_levels": (0, 6)}, "grid level must be a positive integer"),
-], ids=["A4-one-level", "A4-decreasing", "A4-equal", "A5-levels", "A6-empty", "A6-one-level",
+    ("A1", {"replicates": 0}, "replicates must be >= 1, got 0"),
+    ("A1", {"level": 22}, "grid has 4194305 points, above the sampling cap 4194304"),
+    ("A3", {"level": 22}, "grid has 4194305 points, above the sampling cap 4194304"),
+    ("A4", {"decay_replicates": 0}, "decay_replicates must be >= 1, got 0"),
+    ("A4", {"decay_levels": (8, 22)}, "grid has 4194305 points, above the sampling cap"),
+    ("A5", {"samples": 2, "levels": (2, 4, 6)}, r"samples must be >= len\(levels\) = 3, got 2"),
+    ("A5", {"levels": (4, 7)}, "requires an even level n, got 7"),
+    ("A6", {"replicates": 0}, "replicates must be >= 1, got 0"),
+    ("A6", {"n_list": (10, 40)}, "grid has 549755813889 points, above the sampling cap"),
+    ("A7", {"hs": (0.25, 1.5)}, r"Hurst parameter must lie in \(0, 1\), got 1.5"),
+    ("A10", {"hs": (0.25, 1.5)}, r"Hurst parameter must lie in \(0, 1\), got 1.5"),
+    ("A10", {"replicates": 0}, "replicates must be >= 1, got 0"),
+]
+REFUSED_IDS = ["A4-one-level", "A4-decreasing", "A4-equal", "A5-levels", "A6-empty", "A6-one-level",
         "A6-repeated", "A7-hs", "A8-both", "A8-trials", "A8-band_hs", "A8-band_ms",
         "A9-gauss", "A9-sin", "A9-zero", "A9-odd-level", "A9-level-0", "A9-level-64",
         "A9-level-32", "A9-donsker-0", "A9-donsker-23", "A9-donsker-2000", "A10-hs",
         "A2-ks-replicates", "A3-ks-replicates", "A4-ks-replicates", "A7-ks-replicates",
-        "A9-ks-replicates", "A9-ks-donsker", "A1-level-0", "A3-level-0", "A4-decay-level-0"])
+        "A9-ks-replicates", "A9-ks-donsker", "A1-level-0", "A3-level-0", "A4-decay-level-0",
+        "A1-replicates-0", "A1-level-22", "A3-level-22", "A4-decay-replicates-0",
+        "A4-decay-level-22", "A5-samples-below-levels", "A5-odd-level", "A6-replicates-0",
+        "A6-level-40", "A7-hs-1.5", "A10-hs-1.5", "A10-replicates-0"]
+
+
+@pytest.mark.parametrize("name,overrides,match", REFUSED, ids=REFUSED_IDS)
 def test_checks_refuse_work_they_cannot_check(name, overrides, match, monkeypatch):
     # empty work used to pass with nothing checked (A5 divided by zero), A4
     # sampled its whole mixture law before an IndexError or a decay read the
@@ -311,7 +331,9 @@ def test_checks_refuse_work_they_cannot_check(name, overrides, match, monkeypatc
     # Donsker level with no walk or a walk above the sampling cap, were
     # refused only after everything had been sampled; A2 evaluated sigma
     # before its KS count, so sigma could mask that refusal, and A3 and A4
-    # refused after sigma, A4's decay levels after its whole mixture law
+    # refused after sigma, A4's decay levels after its whole mixture law; a
+    # zero replicate count, a grid above the sampling cap, an odd A5 level
+    # and the second h of A7 or A10 were refused after sigma or a draw
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled")
 
@@ -323,6 +345,37 @@ def test_checks_refuse_work_they_cannot_check(name, overrides, match, monkeypatc
     monkeypatch.setattr(acceptance, "limit_sigma", no_sampling)
     with pytest.raises(ValueError, match=match):
         ACCEPTANCE[name].fn(master_seed=5, **{**SMALL[name], **overrides})
+
+
+@pytest.mark.parametrize("name,overrides,match", REFUSED, ids=REFUSED_IDS)
+def test_the_refusal_pass_verify_runs_refuses_what_its_check_refuses(name, overrides, match,
+                                                                     monkeypatch):
+    # `verify` runs each check's pass before any check; the pass is the one
+    # the check calls, so the two entry points cannot drift apart
+    def no_stream(*args, **kwargs):
+        raise AssertionError("drew a stream or evaluated sigma")
+
+    monkeypatch.setattr(SeedSpec, "rng", no_stream)
+    monkeypatch.setattr(acceptance, "limit_sigma", no_stream)
+    spec = ACCEPTANCE[name]
+    with pytest.raises(ValueError, match=match):
+        spec.refuse(**spec.config(**{**SMALL[name], **overrides}))
+
+
+@pytest.mark.parametrize("name", ACCEPTANCE)
+def test_each_check_calls_its_refusal_pass_first(name, monkeypatch):
+    # right after `_report`, with the report's config: the whole config,
+    # every argument the caller left out at its default
+    spec, seen = ACCEPTANCE[name], []
+
+    def stop(**config):
+        seen.append(config)
+        raise ValueError("refused")
+
+    monkeypatch.setattr(acceptance, spec.refuse.__name__, stop)
+    with pytest.raises(ValueError, match="refused"):
+        spec.fn(master_seed=5, **SMALL[name])
+    assert seen == [spec.config(**SMALL[name])]
 
 
 @pytest.mark.parametrize("weight", ["one", "gauss"])
@@ -437,7 +490,7 @@ def test_run_check_refuses_empty_or_repeated_seeds(seeds, monkeypatch):
     def no_check(**kwargs):
         raise AssertionError("a check ran")
 
-    monkeypatch.setitem(ACCEPTANCE, "A8", acceptance.CheckSpec("A8", no_check, True, "stub"))
+    monkeypatch.setitem(ACCEPTANCE, "A8", acceptance.CheckSpec("A8", no_check, no_check, True, "stub"))
     with pytest.raises(ValueError, match="master_seeds must be non-empty and distinct"):
         run_check("A8", master_seeds=seeds)
 

@@ -85,7 +85,7 @@ BAD_ARGV = [
     ("verify", "A1", "--n", "40"),  # would allocate 8 TiB
     ("simulate", "fbm", "--n", "1100"),  # 2^n overflows a float
     *(("verify", name, "--n", "2000") for name in ("A1", "A2", "A3", "A4", "A10")),
-    ("verify", "A3", "--n", "22"),  # one level above sample_fbm's cap
+    ("verify", "A3", "--n", "22"),  # one level above GridSpec's sampling cap
     ("verify", "A4", "--n", "22"),
     ("verify", "A10", "--n", "22"),
     ("verify", "all", "--n", "24"),  # A9's default level, but A1's grid
@@ -93,6 +93,8 @@ BAD_ARGV = [
     ("verify", "A7", "--n", "14"),  # an 8.6 GB covariance above A7's dense covariance cap
     ("verify", "A10", "--n", "3"),  # one live window: no band would be tested
     ("verify", "all", "--n", "5", "--replicates", "200"),  # odd: refused before A1 runs
+    ("verify", "all", "--n", "12", "--replicates", "60"),  # A7's cap, refused before A1 runs
+    ("verify", "all", "--replicates", "10"),  # A2's KS count, refused before A1 runs
     ("sigma", "--config", "/nonexistent.cfg"),
     ("sigma", "--config", "/"),  # a directory
     ("sigma", "--out", "/nonexistent-dir/x.json"),  # refused before sigma prints
@@ -320,7 +322,7 @@ def test_verify_rejected_override_exits_2(capsys):
 
 
 def test_verify_rejects_zero_replicates(capsys):
-    # A1 through replicate_map, A7 through its own chunked loop
+    # A1 through its replicate count, A7 through its KS count
     for name in ("A1", "A7"):
         code, out, err = run_cli(capsys, "verify", name, "--replicates", "0")
         assert code == 2

@@ -240,17 +240,15 @@ def test_spectral_failure_aborts(monkeypatch):
     fbm_mod._circulant_spectrum.cache_clear()
 
 
-def test_sample_fbm_refuses_oversized_grid_before_drawing(monkeypatch):
-    def no_draw(*args, **kwargs):
-        raise AssertionError("drew for an oversized grid")
-
-    monkeypatch.setattr(SeedSpec, "rng", no_draw)
-    monkeypatch.setattr(fbm_mod, "_circulant_spectrum", no_draw)
-    big = GridSpec(level=22, t_min=0.0, t_max=1.0)
-    assert big.npoints == fbm_mod.SAMPLE_FBM_CAP + 1
-    for seed in (SeedSpec(5, 0), [SeedSpec(5, 0), SeedSpec(5, 1)]):
-        with pytest.raises(ValueError, match=str(fbm_mod.SAMPLE_FBM_CAP)):
-            sample_fbm(0.3, big, seed)
+def test_gridspec_refuses_more_points_than_the_sampling_cap():
+    # refused when the grid is built, before anything is sampled on it:
+    # SAMPLE_FBM_CAP points fit, one more does not
+    cap = fbm_mod.SAMPLE_FBM_CAP
+    assert GridSpec(level=22, t_min=-0.5, t_max=0.5 - 2.0**-22).npoints == cap
+    for level, t_min, t_max in ((22, 0.0, 1.0), (21, -1.0, 1.0), (40, 0.0, 0.5)):
+        npoints = round((t_max - t_min) * 2**level) + 1
+        with pytest.raises(ValueError, match=f"grid has {npoints} points, above the sampling cap {cap}"):
+            GridSpec(level=level, t_min=t_min, t_max=t_max)
 
 
 def test_two_sided_halves_are_correlated():
