@@ -445,9 +445,8 @@ def check_a6(
         target = 0.5 * mu * limit_quadrature(paths, weight, t)
         left = variation(paths, weight, r, "left").value_at(t)
         right = variation(paths, weight, r, "right").value_at(t)
-        # float arithmetic row by row: Python's x ** 2 is libm's pow, not x * x
-        return np.array([[(a + c) ** 2, (b - c) ** 2, (0.5 * (a + b)) ** 2]
-                         for a, b, c in zip(left.tolist(), right.tolist(), target.tolist())])
+        return np.stack([(left + target) ** 2, (right - target) ** 2,
+                         (0.5 * (left + right)) ** 2], axis=-1)
 
     rms = {}
     for grid in grids:
@@ -533,6 +532,7 @@ def _refuse_a8(trials, band_ms, band_n, band_hs) -> None:
         as_hurst(h)
     for m in band_ms:
         _coarse_levels(band_n, m)
+    GridSpec(level=band_n, t_min=0.0, t_max=1.0)  # the grid coarse_increment_overlap sums
 
 
 def check_a8(
@@ -591,10 +591,11 @@ def _refuse_a9(replicates, level, r, f, donsker_level, donsker_replicates,
     if f != "one":
         raise ValueError(f"f must be 'one', got {f!r}: A9's variance target "
                          "assumes a constant weight")
-    if level < 2 or level % 2 or level > 30:
-        raise ValueError(f"level must be a positive even integer <= 30, got {level}: the spatial "
-                         "lattice has level n/2, and a path covering 2^(6+n/2) sites (|S_K| at "
-                         "64 sd) must stay within the sampling cap")
+    _even_level(level)
+    # the widest grid A9 draws, [0, 64] at level n/2: `_brownian_time_grid`
+    # at |S_K| = 64 sd = 2^(6+n/2) sites, built here without that integer
+    # power, which no cap bounds for a huge or negative n
+    GridSpec(level=level // 2, t_min=0.0, t_max=64.0)
     try:  # the Donsker walks sample_walk would refuse
         _walk_steps(donsker_level, 1.0)
     except ValueError as exc:

@@ -48,7 +48,7 @@ import numpy as np
 from .fbm import FbmPath, GridSpec, SeedSpec, sample_fbm
 from .gaussian import as_hurst
 from .harness import _grid_groups
-from .variations import _steps, step_summands
+from .variations import _series, _steps, step_summands
 from .weights import WeightFunction
 
 #: spatial grids are padded to site multiples of this, to stabilize caches
@@ -272,9 +272,11 @@ def identity_residuals(sample: FbmbtSample, f: WeightFunction, r: int, t: float)
     is bit-identical to evaluating each step: the weight sum commutes
     exactly, the reversed increment is the exact negation, and odd_power
     is exactly sign-symmetric.  "crossing" weights the table by the net
-    crossing counts; "composed" sums it along the lattice from the origin
-    to the terminal site S_K, each summand negated when S_K < 0 (the walk
-    then went leftward).
+    crossing counts; "composed" is the table's sum along the lattice from
+    the origin to the terminal site S_K, the window raw[zero + S_K] -
+    raw[zero] of the table's running sum over the whole lattice, zero the
+    origin's index.  One expression serves both signs: when S_K < 0 (the
+    walk went leftward) the window is minus the sum over [S_K, 0).
 
     Residuals are |a - b| / max(1, |a|, |b|); both must vanish to rounding,
     i.e. lie within RESIDUAL_TOL.
@@ -286,8 +288,8 @@ def identity_residuals(sample: FbmbtSample, f: WeightFunction, r: int, t: float)
     k, m = counts.horizon, counts.terminal
     direct = float((walk.steps[:k] * table[zero + walk.crossed(k)]).sum())
     crossing = float((table[zero + counts.sites()] * counts.net()).sum())
-    terms = table[zero : zero + m] if m >= 0 else -table[zero + m : zero][::-1]
-    composed = float(terms.sum())
+    raw = _series(sample.spatial.grid.level, table, 1.0).raw
+    composed = float(raw[zero + m] - raw[zero])
     res_crossing = abs(direct - crossing) / max(1.0, abs(direct), abs(crossing))
     res_composed = abs(direct - composed) / max(1.0, abs(direct), abs(composed))
     return {

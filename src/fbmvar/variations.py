@@ -25,13 +25,14 @@ sums, one sequential add per step, so window increments are one
 subtraction; their rounding error is at most (N-1) u sum|x_j| (u = 2^-53),
 far below any Monte Carlo error, and their bits do not depend on the
 platform's long double.  A series keeps the sums as one read-only array
-`raw`, and `value_at` reads it directly.  For a batch, `value_at` and
-`limit_conditional_std` also take one time per row.
+`raw`, and `value_at` reads it directly: at floor(2^n t), so an off-grid
+t floors, and, for a batch, at one time or at one time per row.
 The remaining functions give the path functionals of the limits: the
 quadrature of f' that the endpoint rules converge to, and the conditional
-std of the mixture law given the path.  The trapezoid-midpoint gap has no
-function of its own; it is the difference of the two rules' series, whose
-decay check A4 gates.
+std of the mixture law given the path.  Each is the same kind of running
+sum, of its own per-step terms, read by `value_at`.  The trapezoid-midpoint
+gap has no function of its own; it is the difference of the two rules'
+series, whose decay check A4 gates.
 """
 
 from __future__ import annotations
@@ -163,31 +164,25 @@ def variation(
     return _series(n, summands, scale)
 
 
-def limit_quadrature(path: FbmPath, f: WeightFunction, t: float):
-    """Trapezoid-rule quadrature of f'(X_s) over [0, t]: a float, or one
-    value per row for a batch."""
-    n = path.grid.level
-    k = path.grid.index_of(t) - path.grid.zero_index
-    if k < 0:
-        raise ValueError("t must be >= 0")
-    x = path.values[..., path.grid.zero_index : path.grid.zero_index + k + 1]
-    g = f.eval(1, x)
-    steps = 0.5 * (g[..., :-1] + g[..., 1:])
-    value = np.sum(steps, axis=-1) * 2.0**-n
-    return float(value) if value.ndim == 0 else value
+def limit_quadrature(path: FbmPath, f: WeightFunction, t):
+    """Trapezoid-rule quadrature of f'(X_s) over the floor(2^n t) steps of
+    [0, t]: the running sum of (f'(X_j) + f'(X_{j+1}))/2 2^-n read by
+    `value_at`, so an off-grid t floors.  A float; or, for a batch, one
+    value per row, at one time or at one time per row."""
+    g = f.eval(1, path.values[..., path.grid.zero_index :])
+    return _series(path.grid.level, 0.5 * (g[..., :-1] + g[..., 1:]), path.grid.spacing).value_at(t)
 
 
 def limit_conditional_std(path: FbmPath, f: WeightFunction, sigma, t):
     """Conditional std of the mixture-law limit at t given the path:
     sigma * sqrt(sum_j f(X_j)^2 2^-n) over the floor(2^n t) steps of [0, t],
-    the weight read at each step's left end.  Given the path, the limit is
+    the weight read at each step's left end; the sum is a running sum read
+    by `value_at`, so an off-grid t floors.  Given the path, the limit is
     exactly normal with this std, so one draw is this std times a standard
     normal.  A float; or, for a batch, one std per row, at one time or at
     one time per row."""
-    zero = path.grid.zero_index
-    k = _steps(t, path.grid.level, path.values.shape[:-1], path.grid.npoints - 1 - zero, "path")
-    sq = f(path.values[..., zero:]) ** 2
-    # each row sums its own prefix, as it does alone
-    sq = np.array([np.sum(row[:m]) for row, m in zip(sq, k)]) if np.ndim(k) else np.sum(sq[..., :k], axis=-1)
-    std = float(getattr(sigma, "value", sigma)) * np.sqrt(sq * path.grid.spacing)
+    # f on whole rows, then the last column dropped: f is slower on a strided view
+    sq = f(path.values[..., path.grid.zero_index :]) ** 2
+    std = float(getattr(sigma, "value", sigma)) * np.sqrt(
+        _series(path.grid.level, sq[..., :-1], path.grid.spacing).value_at(t))
     return float(std) if std.ndim == 0 else std

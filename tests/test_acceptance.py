@@ -44,7 +44,7 @@ import fbmvar.acceptance as acceptance
 import fbmvar.fbm as fbm_mod
 import fbmvar.harness as harness
 from fbmvar import (
-    SeedSpec, fgn_correlation, get_weight, identity_residuals, ks_two_sample,
+    GridSpec, SeedSpec, fgn_correlation, get_weight, identity_residuals, ks_two_sample,
     limit_conditional_std, limit_sigma, sample_fbm, sample_fbmbt, variation,
 )
 from fbmvar.acceptance import ACCEPTANCE, run_check
@@ -279,10 +279,10 @@ REFUSED = [
     ("A9", {"f": "gauss"}, "f must be 'one'"),
     ("A9", {"f": "sin"}, "f must be 'one'"),
     ("A9", {"f": "zero"}, "f must be 'one'"),
-    ("A9", {"level": 5}, "level must be a positive even integer"),
-    ("A9", {"level": 0}, "level must be a positive even integer"),
-    ("A9", {"level": 64}, "level must be a positive even integer <= 30"),
-    ("A9", {"level": 32}, "level must be a positive even integer <= 30"),
+    ("A9", {"level": 5}, "requires an even level n, got 5"),
+    ("A9", {"level": 0}, "grid level must be a positive integer"),
+    ("A9", {"level": 64}, "grid has 274877906945 points, above the sampling cap 4194304"),
+    ("A9", {"level": 32}, "grid has 4194305 points, above the sampling cap 4194304"),
     ("A9", {"donsker_level": 0}, "donsker_level 0: n must be a positive integer"),
     ("A9", {"donsker_level": 23}, "donsker_level 23: walk has 8388608 steps, not between 1 and"),
     ("A9", {"donsker_level": 2000}, "donsker_level 2000: walk has inf steps, not between 1 and"),
@@ -308,6 +308,8 @@ REFUSED = [
     ("A7", {"hs": (0.25, 1.5)}, r"Hurst parameter must lie in \(0, 1\), got 1.5"),
     ("A10", {"hs": (0.25, 1.5)}, r"Hurst parameter must lie in \(0, 1\), got 1.5"),
     ("A10", {"replicates": 0}, "replicates must be >= 1, got 0"),
+    ("A8", {"band_n": 22}, "grid has 4194305 points, above the sampling cap 4194304"),
+    ("A8", {"band_n": 30}, "grid has 1073741825 points, above the sampling cap 4194304"),
 ]
 REFUSED_IDS = ["A4-one-level", "A4-decreasing", "A4-equal", "A5-levels", "A6-empty", "A6-one-level",
         "A6-repeated", "A7-hs", "A8-both", "A8-trials", "A8-band_hs", "A8-band_ms",
@@ -317,7 +319,8 @@ REFUSED_IDS = ["A4-one-level", "A4-decreasing", "A4-equal", "A5-levels", "A6-emp
         "A9-ks-replicates", "A9-ks-donsker", "A1-level-0", "A3-level-0", "A4-decay-level-0",
         "A1-replicates-0", "A1-level-22", "A3-level-22", "A4-decay-replicates-0",
         "A4-decay-level-22", "A5-samples-below-levels", "A5-odd-level", "A6-replicates-0",
-        "A6-level-40", "A7-hs-1.5", "A10-hs-1.5", "A10-replicates-0"]
+        "A6-level-40", "A7-hs-1.5", "A10-hs-1.5", "A10-replicates-0",
+        "A8-band-n-22", "A8-band-n-30"]
 
 
 @pytest.mark.parametrize("name,overrides,match", REFUSED, ids=REFUSED_IDS)
@@ -333,7 +336,8 @@ def test_checks_refuse_work_they_cannot_check(name, overrides, match, monkeypatc
     # before its KS count, so sigma could mask that refusal, and A3 and A4
     # refused after sigma, A4's decay levels after its whole mixture law; a
     # zero replicate count, a grid above the sampling cap, an odd A5 level
-    # and the second h of A7 or A10 were refused after sigma or a draw
+    # and the second h of A7 or A10 were refused after sigma or a draw; A8
+    # built arrays of 2^band_n entries for any band_n
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled")
 
@@ -360,6 +364,16 @@ def test_the_refusal_pass_verify_runs_refuses_what_its_check_refuses(name, overr
     spec = ACCEPTANCE[name]
     with pytest.raises(ValueError, match=match):
         spec.refuse(**spec.config(**{**SMALL[name], **overrides}))
+
+
+def test_a9_refuses_by_the_widest_grid_it_draws():
+    # A9's pass builds [0, 64] at level n/2, the grid `_brownian_time_grid`
+    # gives |S_K| at 64 sd, 2^(6+n/2) sites; from n = 32 that grid is above
+    # the sampling cap
+    for n in range(2, 31, 2):
+        assert acceptance._brownian_time_grid(n, 2 ** (6 + n // 2)) == GridSpec(n // 2, 0.0, 64.0)
+    with pytest.raises(ValueError, match="above the sampling cap"):
+        acceptance._brownian_time_grid(32, 2**22)
 
 
 @pytest.mark.parametrize("name", ACCEPTANCE)

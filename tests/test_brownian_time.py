@@ -190,11 +190,10 @@ def test_identity_forms_equal_sums_over_a_direct_table(weight):
                 sites = zero + np.arange(j_lo, j_lo + len(up))
                 net = np.array(up, dtype=np.int64) - np.array(down, dtype=np.int64)
                 crossing = float(np.sum(table[sites] * net))
-                if j_star >= 0:
-                    composed_terms = table[zero : zero + j_star]
-                else:
-                    composed_terms = -table[zero + j_star : zero][::-1]
-                composed = float(np.sum(composed_terms))
+                # the window of the table's running sum from the origin to
+                # the terminal site, for either sign of it
+                raw = np.concatenate(([0.0], np.cumsum(table)))
+                composed = float(raw[zero + j_star] - raw[zero])
                 assert res["crossing"] == crossing
                 assert res["composed"] == composed
                 assert res["terminal_site"] == j_star

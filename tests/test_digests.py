@@ -25,13 +25,13 @@ SEED = 20260809
 PINNED = [
     ("check_a1", {"replicates": 500}, "088f84e6624154a3"),
     ("check_a2", {"replicates": 500}, "fba5d51d48025ff9"),
-    ("check_a3", {"replicates": 500}, "6e731388ae8d6751"),
-    ("check_a4", {"replicates": 500, "decay_replicates": 100}, "b3b712173c40f648"),
+    ("check_a3", {"replicates": 500}, "22ddfeea0158575a"),
+    ("check_a4", {"replicates": 500, "decay_replicates": 100}, "6f92c1fe414f231e"),
     ("check_a10", {"replicates": 200}, "4c18be2b341e0710"),
-    ("check_a5", {}, "fade5357abedfcb2"),
+    ("check_a5", {}, "f9669a9439b2dc86"),
     ("check_a9", {"level": 14, "replicates": 1000, "donsker_replicates": 2000},
      "bac7944553da456d"),
-    ("check_a6", {}, "39143203151edaff"),
+    ("check_a6", {}, "efc6985084e9851d"),
     ("check_a7", {}, "df9396be87d7851a"),
     ("check_a8", {}, "71f39894791be438"),
 ]
@@ -55,7 +55,7 @@ FAILING = [
     ("ab0ef7", "check_a4", SEED, {"level": 2, "replicates": 60, "decay_levels": (2, 3),
                                   "decay_replicates": 60}, "67ee81ee8a5f85cb"),
     ("4e335f", "check_a5", SEED, {"samples": 20, "levels": (4, 6), "residual_tol": 0.0},
-               "e93fb194f1380461"),
+               "c8403eb1ebd05038"),
     ("af7e78", "check_a6", SEED, {"replicates": 50, "n_list": (2, 3)}, "c6601f2df6f087c9"),
     ("021323", "check_a7", 413, {"replicates": 50, "level": 1, "hs": (0.25,)},
                "021323dce9c892e4"),

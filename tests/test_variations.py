@@ -12,10 +12,12 @@ from fbmvar import (
     WeightFunction,
     as_hurst,
     get_weight,
+    identity_residuals,
     limit_conditional_std,
     limit_quadrature,
     limit_sigma,
     sample_fbm,
+    sample_fbmbt,
     step_summands,
     variation,
 )
@@ -304,7 +306,7 @@ def test_limit_conditional_std_reads_one_time_per_row(weight):
             assert limit_conditional_std(batch, f, sigma, s).tobytes() == np.array(want).tobytes()
     # a time outside the path in any one row is refused
     for bad in (last + 1, -1):
-        with pytest.raises(ValueError, match="outside the path range"):
+        with pytest.raises(ValueError, match="outside the series range"):
             limit_conditional_std(batch, f, sigma, np.array([0, 1, bad, last]) * 2.0**-7)
     for times in ([0.5, 0.5], [0.5] * 5):
         with pytest.raises(ValueError, match="one time, or one per row"):
@@ -314,7 +316,7 @@ def test_limit_conditional_std_reads_one_time_per_row(weight):
 def test_limit_conditional_std_rejects_t_outside_the_path():
     path = _path(level=6)
     for t in (4.0, -1.0):
-        with pytest.raises(ValueError, match="outside the path range"):
+        with pytest.raises(ValueError, match="outside the series range"):
             limit_conditional_std(path, F_GAUSS, 2.0, t)
 
 
@@ -445,6 +447,34 @@ def test_limit_functionals_match_the_correctly_rounded_sum(level):
     steps = 0.5 * (g[:-1] + g[1:]) * path.grid.spacing
     got = limit_quadrature(path, F_GAUSS, 1.0)
     assert abs(got - math.fsum(steps)) <= 1e-14 * math.fsum(np.abs(steps))
+    # an off-grid t floors: 0.3 reads the first floor(0.3 2^n) steps
+    k = math.floor(0.3 * 2**level)
+    got = limit_quadrature(path, F_GAUSS, 0.3)
+    assert abs(got - math.fsum(steps[:k])) <= 1e-14 * math.fsum(np.abs(steps[:k]))
+    # one time per row: each row's prefix of its own length
+    grid = GridSpec(level=level, t_min=0.0, t_max=1.0)
+    batch = FbmPath(grid, as_hurst(0.3), sample_fbm(0.3, grid, [SeedSpec(26, i) for i in range(4)]))
+    ks = (1, 2**level // 3, 2**level - 1, 2**level)
+    t = np.array(ks) * grid.spacing
+    stds = limit_conditional_std(batch, F_GAUSS, 1.7, t)
+    quads = limit_quadrature(batch, F_GAUSS, t)
+    for row, k, std, quad in zip(batch.values, ks, stds, quads):
+        sq = F_GAUSS(row[:k]) ** 2 * grid.spacing
+        assert abs(std - 1.7 * math.sqrt(math.fsum(sq))) <= 1e-14 * std
+        g = F_GAUSS.eval(1, row[: k + 1])
+        steps = 0.5 * (g[:-1] + g[1:]) * grid.spacing
+        assert abs(quad - math.fsum(steps)) <= 1e-14 * math.fsum(np.abs(steps))
+    # the composition form at a negative terminal site S_K: minus the sum
+    # over [S_K, 0), a window of a running sum that starts at the lattice's
+    # left end, so its bound counts every term left of the origin
+    samples = sample_fbmbt(0.3, level, 1.0, [SeedSpec(27, i) for i in range(8)])
+    sample = next(s for s in samples if s.walk.s[-1] < 0)
+    res = identity_residuals(sample, F_GAUSS, 2, 1.0)
+    table = step_summands(sample.spatial, F_GAUSS, 2, "trapezoid")
+    zero, m = sample.spatial.grid.zero_index, res["terminal_site"]
+    assert m == sample.walk.s[-1] < 0
+    want = -math.fsum(table[zero + m : zero])
+    assert abs(res["composed"] - want) <= 1e-14 * math.fsum(np.abs(table[:zero]))
 
 
 def test_a5_residuals_stay_at_rounding_at_walk_level_20():
