@@ -39,8 +39,9 @@ sigma's own refusal of h >= 1/2 stays with `limit_sigma`, which those
 checks call right after the pass.  A check whose KS test needs more
 samples than it is asked for (`harness.KS_MIN_SAMPLES`) refuses them.
 
-Importing this module loads no scipy module.  The summaries and KS tests
-load `scipy.stats` through `harness`, on their first call; A2, A7 and A9's
+Importing this module loads no scipy module, and no check loads scipy's
+statistics package.  The KS tests load `scipy.special` through `harness`,
+on their first call, and the summaries load no scipy; A2, A7 and A9's
 Donsker clause name their normal CDF to the KS test as "norm".
 """
 

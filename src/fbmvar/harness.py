@@ -20,12 +20,16 @@ A report owns its check's clock: `wall_time_s` runs from the report's
 creation, a check's first statement, to `McReport.stop_clock` as the check
 returns, so it covers the check's refusals, sigma and every draw.
 
+The summaries and KS tests give the bits of scipy's statistics package
+without loading it: `describe` computes its moments in numpy,
+`ks_one_sample` reads Kolmogorov's limit law from `scipy.special`, and
+`ks_two_sample` its finite-n law from `_kolmogorov`, a port of scipy's.
 Imports a call needs load with that call, not with the module, so a
-process never pays for what it does not run: `scipy.stats` with the first
-`describe`, `ks_one_sample` or `ks_two_sample`, `ThreadPoolExecutor` (and
-with it `logging`, `queue` and `traceback`) with the first
-`replicate_map` on more than one thread, and `json` with the first
-`McReport.canonical_json`.
+process never pays for what it does not run: `scipy.special` with the
+first `ks_one_sample` or `ks_two_sample` (`describe` loads no scipy),
+`ThreadPoolExecutor` (and with it `logging`, `queue` and `traceback`) with
+the first `replicate_map` on more than one thread, and `json` with the
+first `McReport.canonical_json`.
 """
 
 from __future__ import annotations
@@ -179,46 +183,94 @@ def _grid_groups(grid_of, horizons):
             yield rows[lo : lo + cap], grid
 
 
-def describe(x: np.ndarray) -> dict:
-    """Summary estimates with standard errors for mean and variance."""
-    from scipy import stats as sps
+def _shape(centered: np.ndarray, mean) -> tuple[float, float]:
+    """Skewness and excess kurtosis of a sample from its centered array and
+    its mean: scipy's `skew` and `kurtosis` (biased, Fisher), bit for bit,
+    both NaN where scipy's guard finds the sample constant."""
+    d2 = centered**2
+    m2 = np.mean(d2)
+    m3 = np.mean(d2 * centered)
+    m4 = np.mean(d2**2)
+    with np.errstate(all="ignore"):
+        if m2 <= (np.finfo(float).eps * mean)**2:
+            return math.nan, math.nan
+        return float(m3 / m2**1.5), float(m4 / m2**2.0 - 3)
 
+
+def describe(x: np.ndarray) -> dict:
+    """Summary estimates with standard errors for mean and variance, and
+    the sample's skewness (0.0 below 3 samples) and excess kurtosis (0.0
+    below 4)."""
     x = np.asarray(x, dtype=float)
     n = len(x)
-    mean = float(np.mean(x))
+    mean = np.mean(x)
     var = float(np.var(x, ddof=1)) if n > 1 else 0.0
     centered = x - mean
     m4 = float(np.mean(centered**4))
     se_var = math.sqrt(max(m4 - var**2, 0.0) / n) if n > 1 else 0.0
+    skewness, ex_kurtosis = _shape(centered, mean) if n > 2 else (0.0, 0.0)
     return {
         "n": n,
-        "mean": mean,
+        "mean": float(mean),
         "variance": var,
         "se_mean": math.sqrt(var / n) if n else 0.0,
         "se_variance": se_var,
-        "skewness": float(sps.skew(x)) if n > 2 else 0.0,
-        "ex_kurtosis": float(sps.kurtosis(x)) if n > 3 else 0.0,
+        "skewness": skewness,
+        "ex_kurtosis": ex_kurtosis if n > 3 else 0.0,
     }
 
 
+def _has_nan(*batches: np.ndarray) -> bool:
+    """Whether a batch holds a NaN: then scipy's KS tests, under their
+    default `nan_policy="propagate"`, return (nan, nan), and so do these."""
+    return any(np.isnan(b).any() for b in batches)
+
+
 def ks_one_sample(samples, cdf) -> tuple[float, float]:
-    """Two-sided one-sample Kolmogorov-Smirnov test with asymptotic p-value."""
-    from scipy import stats as sps
+    """Two-sided one-sample Kolmogorov-Smirnov test with asymptotic p-value:
+    scipy's `kstest(samples, cdf, method="asymp")`, bit for bit.
+
+    `cdf` is "norm" (the standard normal) or a callable CDF, which is
+    called once on the sorted samples.  The p-value is Kolmogorov's limit
+    law at D sqrt(n).
+    """
+    from scipy.special import kolmogorov, ndtr
 
     samples = np.asarray(samples, dtype=float)
-    if len(samples) < KS_MIN_SAMPLES:
-        raise ValueError(f"need >= {KS_MIN_SAMPLES} samples, got {len(samples)}")
-    res = sps.kstest(samples, cdf, method="asymp")
-    return float(res.statistic), float(res.pvalue)
+    n = len(samples)
+    if n < KS_MIN_SAMPLES:
+        raise ValueError(f"need >= {KS_MIN_SAMPLES} samples, got {n}")
+    if isinstance(cdf, str):
+        if cdf != "norm":
+            raise ValueError(f'cdf must be "norm" or a callable, got {cdf!r}')
+        cdf = ndtr
+    if _has_nan(samples):
+        return math.nan, math.nan
+    x = np.sort(samples)
+    c = cdf(x)
+    d = max(np.max(c - np.arange(0.0, n) / n), np.max(np.arange(1.0, n + 1) / n - c))
+    return float(d), float(np.clip(kolmogorov(d * math.sqrt(n)), 0.0, 1.0))
 
 
 def ks_two_sample(a, b) -> tuple[float, float]:
-    """Two-sided two-sample Kolmogorov-Smirnov test with asymptotic p-value."""
-    from scipy import stats as sps
+    """Two-sided two-sample Kolmogorov-Smirnov test:
+    scipy's `ks_2samp(a, b, method="asymp")`, bit for bit.
+
+    The p-value is Kolmogorov's finite-n distribution, Pr(D_n > d) at
+    n = round(mn / (m + n)) for batch sizes m and n (`_kolmogorov`).
+    """
+    from ._kolmogorov import kstwo_sf
 
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if len(a) < KS_MIN_SAMPLES or len(b) < KS_MIN_SAMPLES:
         raise ValueError(f"need >= {KS_MIN_SAMPLES} samples in each batch")
-    res = sps.ks_2samp(a, b, method="asymp")
-    return float(res.statistic), float(res.pvalue)
+    if _has_nan(a, b):
+        return math.nan, math.nan
+    a = np.sort(a)
+    b = np.sort(b)
+    both = np.concatenate([a, b])
+    ecdf_a = np.searchsorted(a, both, side="right") / len(a)
+    diffs = ecdf_a - np.searchsorted(b, both, side="right") / len(b)
+    d = max(np.max(diffs), np.clip(-np.min(diffs), 0, 1))
+    return float(d), kstwo_sf(d, np.round(len(a) * len(b) / (len(a) + len(b))))

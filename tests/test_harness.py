@@ -4,6 +4,7 @@ A10)."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,160 @@ def test_ks_two_sample_calibration():
 def test_ks_two_sample_requires_enough_samples():
     with pytest.raises(ValueError):
         ks_two_sample(np.zeros(10), np.zeros(100))
+
+
+# --- parity with scipy.stats, bit for bit ----------------------------------
+
+def _bits(*values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+def _kstwo_branch(n: int, x: float) -> str:
+    """The branch Simard and L'Ecuyer's algorithm takes for Pr(D_n > x)."""
+    t, nxx = n * x, n * x * x
+    if x <= 0.5 / n or x >= 1.0:
+        return "support"
+    if t <= 1.0:
+        return "ruben-gambino low, product" if n <= 140 else "ruben-gambino low, stirling"
+    if t >= n - 1:
+        return "ruben-gambino high"
+    if x >= 0.5:
+        return "smirnov, x >= 1/2"
+    if n <= 140:
+        return "durbin" if nxx <= 0.754693 else "pomeranz" if nxx <= 4 else "smirnov, n <= 140"
+    if nxx >= 370:
+        return "zero"
+    if nxx >= 2.2:
+        return "smirnov, n > 140"
+    return "durbin, n > 140" if n <= 100000 and n * x**1.5 <= 1.4 else "pelz-good"
+
+
+#: the one function of `_kolmogorov` each branch calls, if any
+KSTWO_CALLS = {
+    "ruben-gambino low, stirling": "_log_nfactorial_div_n_pow_n",
+    "smirnov, x >= 1/2": "smirnov",
+    "durbin": "_kolmogn_DMTW",
+    "pomeranz": "_kolmogn_Pomeranz",
+    "smirnov, n <= 140": "smirnov",
+    "smirnov, n > 140": "smirnov",
+    "durbin, n > 140": "_kolmogn_DMTW",
+    "pelz-good": "_kolmogn_PelzGood",
+}
+
+
+def _kstwo_grid():
+    """(n, x) points in every branch: each n from 25 to 159, where the
+    exact methods switch at 140, and larger n up to 150 000, past the
+    Durbin cap of 100 000; x at both Ruben-Gambino edges, at z = x sqrt(n)
+    from the lower tail to the far upper tail, and at x = 0.6."""
+    zs = (0.1, 0.5, 0.8, 0.95, 1.2, 1.6, 2.5, 5.0, 25.0)
+    for n in [*range(25, 160), 500, 2000, 20000, 100001, 150000]:
+        xs = [0.75 / n, 1.0 / n, (n - 0.5) / n, 0.6, *(z / math.sqrt(n) for z in zs)]
+        if n > 140:
+            xs.append(0.9 * (1.4 / n) ** (2 / 3))  # Durbin's cap on n x^1.5
+        yield from ((n, x) for x in xs)
+
+
+def test_kstwo_sf_matches_scipy_on_every_branch(monkeypatch):
+    from fbmvar import _kolmogorov
+
+    calls = []
+    for name in set(KSTWO_CALLS.values()):
+        def spy(*args, _fn=getattr(_kolmogorov, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(_kolmogorov, name, spy)
+    seen = set()
+    for n, x in _kstwo_grid():
+        calls.clear()
+        branch = _kstwo_branch(n, x)
+        got = _kolmogorov.kstwo_sf(x, np.float64(n))
+        assert calls == ([KSTWO_CALLS[branch]] if branch in KSTWO_CALLS else []), (n, x, branch)
+        assert _bits(got) == _bits(sps.kstwo.sf(x, n)), (n, x, branch)
+        seen.add(branch)
+    assert seen == {"support", "ruben-gambino low, product", "ruben-gambino high", "zero",
+                    *KSTWO_CALLS}
+
+
+def _assert_ks_two_sample_matches_scipy(a, b):
+    res = sps.ks_2samp(a, b, method="asymp")
+    assert _bits(*ks_two_sample(a, b)) == _bits(res.statistic, res.pvalue)
+
+
+@pytest.mark.parametrize("m, n", [(200, 200), (50, 73), (73, 50), (300, 700)])
+@pytest.mark.parametrize("shift", [0.0, 0.3, 5.0])
+def test_ks_two_sample_matches_scipy(m, n, shift):
+    rng = np.random.default_rng(m * n)
+    a, b = rng.standard_normal(m), rng.standard_normal(n) + shift
+    _assert_ks_two_sample_matches_scipy(a, b)
+    _assert_ks_two_sample_matches_scipy(np.round(a, 1), np.round(b, 1))  # ties
+    _assert_ks_two_sample_matches_scipy(a, a.copy())
+
+
+@pytest.mark.parametrize("n", [50, 400, 20000])
+@pytest.mark.parametrize("cdf", ["norm", lambda v: sps.norm.cdf(v, scale=1.1)], ids=["norm", "callable"])
+def test_ks_one_sample_matches_scipy(n, cdf):
+    rng = np.random.default_rng(n)
+    for x in (rng.standard_normal(n), 1.2 * rng.standard_normal(n) + 0.1, np.round(rng.standard_normal(n), 1)):
+        res = sps.kstest(x, cdf, method="asymp")
+        assert _bits(*ks_one_sample(x, cdf)) == _bits(res.statistic, res.pvalue)
+
+
+def test_ks_one_sample_refuses_other_distribution_names():
+    with pytest.raises(ValueError, match="norm"):
+        ks_one_sample(np.zeros(100), "uniform")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["first", "second", "both"])
+def test_ks_tests_match_scipy_on_nan_and_inf(bad, where):
+    # scipy's nan_policy="propagate" gives (nan, nan) for a batch with a
+    # NaN, which fails every KS gate; an infinity is a value like any other
+    rng = np.random.default_rng(17)
+    a, b = rng.standard_normal(100), rng.standard_normal(80)
+    if where != "second":
+        a[7] = bad
+    if where != "first":
+        b[3] = bad
+    _assert_ks_two_sample_matches_scipy(a, b)
+    for x in (a, b):
+        for cdf in ("norm", lambda v: (v > 0).astype(float)):
+            res = sps.kstest(x, cdf, method="asymp")
+            assert _bits(*ks_one_sample(x, cdf)) == _bits(res.statistic, res.pvalue)
+    if bad != bad:
+        assert all(math.isnan(v) for v in ks_two_sample(a, b))
+
+
+def _assert_shape_matches_scipy(x):
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")  # scipy's precision-loss warning on a constant sample
+        want = sps.skew(x), sps.kurtosis(x)
+    desc = describe(x)
+    assert _bits(desc["skewness"], desc["ex_kurtosis"]) == _bits(*want)
+
+
+@pytest.mark.parametrize("n", [4, 50, 5000])
+def test_describe_shape_matches_scipy(n):
+    rng = np.random.default_rng(n)
+    for x in (rng.standard_normal(n), rng.standard_gamma(2.0, n) * 30 + 1e3, np.full(n, 0.7), np.zeros(n)):
+        _assert_shape_matches_scipy(x)
+
+
+def test_describe_skewness_matches_scipy_at_three_samples():
+    for x in ([1.0, 2.0, 4.0], [0.3, -1.0, 2.5], [5.0, 5.0, 5.0]):
+        desc = describe(np.array(x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert _bits(desc["skewness"]) == _bits(sps.skew(x))
+        assert desc["ex_kurtosis"] == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, (np.inf, -np.inf)])
+def test_describe_shape_matches_scipy_on_nan_and_inf(bad):
+    x = np.random.default_rng(3).standard_normal(60)
+    x[[4, 9]] = bad
+    with np.errstate(all="ignore"):
+        _assert_shape_matches_scipy(x)
 
 
 # --- replicate loop and reports ---------------------------------------------

@@ -1,9 +1,10 @@
 """Import cost: `import fbmvar` loads numpy, `dataclasses` and the
 package's own modules, and `fbmvar.cli` adds `argparse` and `json`.
-scipy's stats, special and linalg load only when a call needs them, the
-bare scipy package when an artifact records its version, numpy.random on
-the first draw, the thread pool on the first multi-thread `replicate_map`
-and `json` on the first `canonical_json`.
+`scipy.special` loads with the first KS test, the bare scipy package when
+an artifact records its version, numpy.random on the first draw, the
+thread pool on the first multi-thread `replicate_map` and `json` on the
+first `canonical_json`.  No check loads `scipy.stats` or `scipy.linalg`:
+`describe` loads no scipy, and the KS tests need only `scipy.special`.
 
 Each case runs in a fresh interpreter, since this test process has long
 since loaded them all.
@@ -16,6 +17,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_acceptance import SMALL
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFERRED = ("scipy", "scipy.stats", "scipy.special", "scipy.linalg")
@@ -68,10 +70,15 @@ def test_numpy_random_loads_on_first_draw():
     assert _loaded_after(code, ("numpy.random",)) == ["numpy.random"]
 
 
-def test_scipy_stats_loads_on_first_ks_test():
-    # the import is deferred, not dropped: A2's KS test still uses scipy.stats
-    code = "from fbmvar.acceptance import check_a2; check_a2(replicates=60, level=6)"
-    assert "scipy.stats" in _loaded_after(code)
+def test_checks_load_scipy_special_but_not_scipy_stats():
+    # every check A1-A10 in one process: the summaries and KS tests run on
+    # numpy and scipy.special alone, and the import of scipy.special is
+    # deferred to the first KS test, not dropped
+    code = ("from fbmvar.acceptance import ACCEPTANCE\n"
+            f"for name, config in {SMALL!r}.items(): ACCEPTANCE[name].fn(master_seed=5, **config)")
+    loaded = _loaded_after(code)
+    assert "scipy.stats" not in loaded
+    assert "scipy.special" in loaded
 
 
 PUBLIC_NAMES = [
