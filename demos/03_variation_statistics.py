@@ -67,4 +67,4 @@ ks, p = ks_two_sample(stat_draws, lim_draws)
 print(f"  sigma = {sigma.value:.4f}")
 print(f"  statistic: mean {stat_draws.mean():+.4f}, sd {stat_draws.std():.4f}")
 print(f"  limit:     mean {lim_draws.mean():+.4f}, sd {lim_draws.std():.4f}")
-print(f"  two-sample KS: D = {ks:.4f}, p = {p:.3f}")
+print(f"  two-sample KS, exact p for {REPS} + {REPS} draws: D = {ks:.4f}, p = {p:.3f}")

@@ -32,17 +32,20 @@ runs before sigma and before any stream.  The check calls it right after
 binds overrides to the defaults of the check's own signature, so `fbmvar
 verify` refuses every override of every check it names before any check
 runs.  A pass calls each rule's one owner: `GridSpec` for a grid's level
-and size, `harness._replicate_counts` for a replicate count, `as_hurst`
-for h, `get_weight` for a weight.  A1, A2, A3, A4 and A9 compare their
+and size, `harness._replicate_counts` for a replicate count,
+`harness._ks_samples` for a KS sample count, `as_hurst` for h,
+`get_weight` for a weight.  A1, A2, A3, A4 and A9 compare their
 draws with sigma(r, H), which is 0 at r = 1, so their passes refuse r < 2;
 sigma's own refusal of h >= 1/2 stays with `limit_sigma`, which those
 checks call right after the pass.  A check whose KS test needs more
 samples than it is asked for (`harness.KS_MIN_SAMPLES`) refuses them.
 
 Importing this module loads no scipy module, and no check loads scipy's
-statistics package.  The KS tests load `scipy.special` through `harness`,
-on their first call, and the summaries load no scipy; A2, A7 and A9's
-Donsker clause name their normal CDF to the KS test as "norm".
+statistics package.  The one-sample KS test loads `scipy.special` through
+`harness`, on its first call; A2, A7 and A9's Donsker clause name their
+normal CDF to it as "norm".  The summaries and the two-sample KS test,
+which A3, A4 and A9 run on their R statistic draws against R limit draws
+with its exact p-value, load no scipy.
 """
 
 from __future__ import annotations
@@ -75,9 +78,9 @@ from .gaussian import (
     midpoint_increment_overlap_closed,
 )
 from .harness import (
-    KS_MIN_SAMPLES,
     McReport,
     _grid_groups,
+    _ks_samples,
     _replicate_counts,
     describe,
     ks_one_sample,
@@ -146,13 +149,6 @@ def _sigma_order(r: int) -> None:
     sigma(1, H) is exactly 0."""
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}: sigma(1, H) = 0 leaves no limit law")
-
-
-def _ks_samples(**counts: int) -> None:
-    """Refuse a sample count too small for the asymptotic KS p-value."""
-    for name, count in counts.items():
-        if count < KS_MIN_SAMPLES:
-            raise ValueError(f"{name} must be >= {KS_MIN_SAMPLES} for a KS test, got {count}")
 
 
 def _paths(h, grid: GridSpec, seeds) -> FbmPath:

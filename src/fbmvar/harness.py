@@ -23,13 +23,14 @@ returns, so it covers the check's refusals, sigma and every draw.
 The summaries and KS tests give the bits of scipy's statistics package
 without loading it: `describe` computes its moments in numpy,
 `ks_one_sample` reads Kolmogorov's limit law from `scipy.special`, and
-`ks_two_sample` its finite-n law from `_kolmogorov`, a port of scipy's.
-Imports a call needs load with that call, not with the module, so a
-process never pays for what it does not run: `scipy.special` with the
-first `ks_one_sample` or `ks_two_sample` (`describe` loads no scipy),
-`ThreadPoolExecutor` (and with it `logging`, `queue` and `traceback`) with
-the first `replicate_map` on more than one thread, and `json` with the
-first `McReport.canonical_json`.
+`ks_two_sample`, which takes two batches of one size, counts its exact
+p-value in plain floats as scipy's exact method does.  Imports a call
+needs load with that call, not with the module, so a process never pays
+for what it does not run: `scipy.special` with the first `ks_one_sample`
+(`describe` and `ks_two_sample` load no scipy), `ThreadPoolExecutor`
+(and with it `logging`, `queue` and `traceback`) with the first
+`replicate_map` on more than one thread, and `json` with the first
+`McReport.canonical_json`.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ import numpy as np
 from .fbm import SeedSpec
 from .version import VERSION
 
-#: fewest samples per batch the asymptotic KS p-values are computed for
+#: fewest samples per batch either KS test takes (the one-sample p-value
+#: is Kolmogorov's limit law)
 KS_MIN_SAMPLES = 50
 
 #: most grid steps the seeds of one `replicate_map` chunk, or one batch of
@@ -140,6 +142,13 @@ def _replicate_counts(**counts: int) -> None:
             raise ValueError(f"{name} must be >= 1, got {count}")
 
 
+def _ks_samples(**counts: int) -> None:
+    """Refuse a sample count below KS_MIN_SAMPLES under its name."""
+    for name, count in counts.items():
+        if count < KS_MIN_SAMPLES:
+            raise ValueError(f"{name} must be >= {KS_MIN_SAMPLES} for a KS test, got {count}")
+
+
 def replicate_map(
     fn, replicates: int, master_seed: int, threads: int = 1, steps: int = 1
 ) -> np.ndarray:
@@ -183,11 +192,10 @@ def _grid_groups(grid_of, horizons):
             yield rows[lo : lo + cap], grid
 
 
-def _shape(centered: np.ndarray, mean) -> tuple[float, float]:
-    """Skewness and excess kurtosis of a sample from its centered array and
-    its mean: scipy's `skew` and `kurtosis` (biased, Fisher), bit for bit,
-    both NaN where scipy's guard finds the sample constant."""
-    d2 = centered**2
+def _shape(centered: np.ndarray, d2: np.ndarray, mean) -> tuple[float, float]:
+    """Skewness and excess kurtosis of a sample from its centered array, its
+    square and its mean: scipy's `skew` and `kurtosis` (biased, Fisher), bit
+    for bit, both NaN where scipy's guard finds the sample constant."""
     m2 = np.mean(d2)
     m3 = np.mean(d2 * centered)
     m4 = np.mean(d2**2)
@@ -200,15 +208,19 @@ def _shape(centered: np.ndarray, mean) -> tuple[float, float]:
 def describe(x: np.ndarray) -> dict:
     """Summary estimates with standard errors for mean and variance, and
     the sample's skewness (0.0 below 3 samples) and excess kurtosis (0.0
-    below 4)."""
+    below 4).  A sample holding an infinity gets a NaN variance, without a
+    warning, so that the gate on it fails."""
     x = np.asarray(x, dtype=float)
     n = len(x)
-    mean = np.mean(x)
-    var = float(np.var(x, ddof=1)) if n > 1 else 0.0
-    centered = x - mean
-    m4 = float(np.mean(centered**4))
+    with np.errstate(invalid="ignore"):
+        mean = np.mean(x)
+        centered = x - mean
+        d2 = centered**2
+        # np.var(x, ddof=1), bit for bit, without centering again
+        var = float(np.sum(d2) / (n - 1)) if n > 1 else 0.0
+        m4 = float(np.mean(centered**4))
+        skewness, ex_kurtosis = _shape(centered, d2, mean) if n > 2 else (0.0, 0.0)
     se_var = math.sqrt(max(m4 - var**2, 0.0) / n) if n > 1 else 0.0
-    skewness, ex_kurtosis = _shape(centered, mean) if n > 2 else (0.0, 0.0)
     return {
         "n": n,
         "mean": float(mean),
@@ -238,8 +250,7 @@ def ks_one_sample(samples, cdf) -> tuple[float, float]:
 
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
-    if n < KS_MIN_SAMPLES:
-        raise ValueError(f"need >= {KS_MIN_SAMPLES} samples, got {n}")
+    _ks_samples(samples=n)
     if isinstance(cdf, str):
         if cdf != "norm":
             raise ValueError(f'cdf must be "norm" or a callable, got {cdf!r}')
@@ -252,25 +263,54 @@ def ks_one_sample(samples, cdf) -> tuple[float, float]:
     return float(d), float(np.clip(kolmogorov(d * math.sqrt(n)), 0.0, 1.0))
 
 
-def ks_two_sample(a, b) -> tuple[float, float]:
-    """Two-sided two-sample Kolmogorov-Smirnov test:
-    scipy's `ks_2samp(a, b, method="asymp")`, bit for bit.
+def _prob_outside_square(n: int, h: int) -> float:
+    """Pr(D_{n,n} >= h/n) for 0 < h <= n: the share of the lattice paths
+    from (0, 0) to (n, n) that reach a diagonal x - y = +-h (Gnedenko and
+    Korolyuk 1951; Hodges 1958, *Ark. Mat.* 3, 469-486).
 
-    The p-value is Kolmogorov's finite-n distribution, Pr(D_n > d) at
-    n = round(mn / (m + n)) for batch sizes m and n (`_kolmogorov`).
+    A port of `_compute_prob_outside_square` in scipy 1.17.1's
+    `stats/_stats_py.py`, bit for bit: the alternating sum
+    2 (C(2n, n-h) - C(2n, n-2h) + ...) / C(2n, n), each term divided by
+    C(2n, n) and the common factors taken out in Horner form, which avoids
+    the sum's cancellation.  scipy is distributed under the BSD 3-Clause
+    license (Copyright (c) 2001-2002 Enthought, Inc. and 2003-2024 SciPy
+    Developers).
     """
-    from ._kolmogorov import kstwo_sf
+    p = 0.0
+    for k in range(n // h, -1, -1):
+        p1 = 1.0
+        for j in range(h):
+            p1 = (n - k * h - j) * p1 / (n + k * h + j + 1)
+        p = p1 * (1.0 - p)
+    return 2 * p
 
+
+def ks_two_sample(a, b) -> tuple[float, float]:
+    """Two-sided two-sample Kolmogorov-Smirnov test on two batches of one
+    size n, with exact p-value: scipy's `ks_2samp(a, b, method="exact")`,
+    bit for bit.
+
+    D = h/n for h the largest gap between the batches' ECDF counts, and
+    the p-value is Pr(D_{n,n} >= D) under the null (`_prob_outside_square`),
+    1.0 at h = 0.  Where rounding lifts that count above 1, at h up to
+    about 0.26 sqrt(n), scipy gives up the exact method with a warning and
+    returns the asymptotic law; this clips it to 1.0, within 1e-15 of the
+    true probability.  Batches of different sizes are refused: no check
+    draws them.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if len(a) < KS_MIN_SAMPLES or len(b) < KS_MIN_SAMPLES:
-        raise ValueError(f"need >= {KS_MIN_SAMPLES} samples in each batch")
+    n = len(a)
+    if len(b) != n:
+        raise ValueError(f"batches must have one size for the exact KS test, got {n} and {len(b)}")
+    _ks_samples(samples=n)
     if _has_nan(a, b):
         return math.nan, math.nan
     a = np.sort(a)
     b = np.sort(b)
     both = np.concatenate([a, b])
-    ecdf_a = np.searchsorted(a, both, side="right") / len(a)
-    diffs = ecdf_a - np.searchsorted(b, both, side="right") / len(b)
-    d = max(np.max(diffs), np.clip(-np.min(diffs), 0, 1))
-    return float(d), kstwo_sf(d, np.round(len(a) * len(b) / (len(a) + len(b))))
+    h = int(np.max(np.abs(np.searchsorted(a, both, side="right")
+                          - np.searchsorted(b, both, side="right"))))
+    if h == 0:
+        return 0.0, 1.0
+    return h / n, float(np.clip(_prob_outside_square(n, h), 0.0, 1.0))

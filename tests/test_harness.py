@@ -83,8 +83,16 @@ def test_ks_two_sample_calibration():
 
 
 def test_ks_two_sample_requires_enough_samples():
-    with pytest.raises(ValueError):
-        ks_two_sample(np.zeros(10), np.zeros(100))
+    with pytest.raises(ValueError, match="samples must be >= 50 for a KS test, got 10"):
+        ks_two_sample(np.zeros(10), np.zeros(10))
+
+
+@pytest.mark.parametrize("m, n", [(50, 73), (73, 50), (300, 700)])
+def test_ks_two_sample_refuses_unequal_batches(m, n):
+    # the exact p-value is the equal-size lattice count; no check draws
+    # batches of two sizes
+    with pytest.raises(ValueError, match=f"one size for the exact KS test, got {m} and {n}"):
+        ks_two_sample(np.zeros(m), np.zeros(n))
 
 
 # --- parity with scipy.stats, bit for bit ----------------------------------
@@ -93,86 +101,44 @@ def _bits(*values) -> bytes:
     return np.array(values, dtype=float).tobytes()
 
 
-def _kstwo_branch(n: int, x: float) -> str:
-    """The branch Simard and L'Ecuyer's algorithm takes for Pr(D_n > x)."""
-    t, nxx = n * x, n * x * x
-    if x <= 0.5 / n or x >= 1.0:
-        return "support"
-    if t <= 1.0:
-        return "ruben-gambino low, product" if n <= 140 else "ruben-gambino low, stirling"
-    if t >= n - 1:
-        return "ruben-gambino high"
-    if x >= 0.5:
-        return "smirnov, x >= 1/2"
-    if n <= 140:
-        return "durbin" if nxx <= 0.754693 else "pomeranz" if nxx <= 4 else "smirnov, n <= 140"
-    if nxx >= 370:
-        return "zero"
-    if nxx >= 2.2:
-        return "smirnov, n > 140"
-    return "durbin, n > 140" if n <= 100000 and n * x**1.5 <= 1.4 else "pelz-good"
-
-
-#: the one function of `_kolmogorov` each branch calls, if any
-KSTWO_CALLS = {
-    "ruben-gambino low, stirling": "_log_nfactorial_div_n_pow_n",
-    "smirnov, x >= 1/2": "smirnov",
-    "durbin": "_kolmogn_DMTW",
-    "pomeranz": "_kolmogn_Pomeranz",
-    "smirnov, n <= 140": "smirnov",
-    "smirnov, n > 140": "smirnov",
-    "durbin, n > 140": "_kolmogn_DMTW",
-    "pelz-good": "_kolmogn_PelzGood",
-}
-
-
-def _kstwo_grid():
-    """(n, x) points in every branch: each n from 25 to 159, where the
-    exact methods switch at 140, and larger n up to 150 000, past the
-    Durbin cap of 100 000; x at both Ruben-Gambino edges, at z = x sqrt(n)
-    from the lower tail to the far upper tail, and at x = 0.6."""
-    zs = (0.1, 0.5, 0.8, 0.95, 1.2, 1.6, 2.5, 5.0, 25.0)
-    for n in [*range(25, 160), 500, 2000, 20000, 100001, 150000]:
-        xs = [0.75 / n, 1.0 / n, (n - 0.5) / n, 0.6, *(z / math.sqrt(n) for z in zs)]
-        if n > 140:
-            xs.append(0.9 * (1.4 / n) ** (2 / 3))  # Durbin's cap on n x^1.5
-        yield from ((n, x) for x in xs)
-
-
-def test_kstwo_sf_matches_scipy_on_every_branch(monkeypatch):
-    from fbmvar import _kolmogorov
-
-    calls = []
-    for name in set(KSTWO_CALLS.values()):
-        def spy(*args, _fn=getattr(_kolmogorov, name), _name=name):
-            calls.append(_name)
-            return _fn(*args)
-        monkeypatch.setattr(_kolmogorov, name, spy)
-    seen = set()
-    for n, x in _kstwo_grid():
-        calls.clear()
-        branch = _kstwo_branch(n, x)
-        got = _kolmogorov.kstwo_sf(x, np.float64(n))
-        assert calls == ([KSTWO_CALLS[branch]] if branch in KSTWO_CALLS else []), (n, x, branch)
-        assert _bits(got) == _bits(sps.kstwo.sf(x, n)), (n, x, branch)
-        seen.add(branch)
-    assert seen == {"support", "ruben-gambino low, product", "ruben-gambino high", "zero",
-                    *KSTWO_CALLS}
-
-
 def _assert_ks_two_sample_matches_scipy(a, b):
-    res = sps.ks_2samp(a, b, method="asymp")
+    res = sps.ks_2samp(a, b, method="exact")
     assert _bits(*ks_two_sample(a, b)) == _bits(res.statistic, res.pvalue)
 
 
-@pytest.mark.parametrize("m, n", [(200, 200), (50, 73), (73, 50), (300, 700)])
+@pytest.mark.parametrize("m, n", [(50, 50), (51, 51), (200, 200), (500, 500), (5000, 5000),
+                                  (8000, 8000)])
 @pytest.mark.parametrize("shift", [0.0, 0.3, 5.0])
 def test_ks_two_sample_matches_scipy(m, n, shift):
     rng = np.random.default_rng(m * n)
     a, b = rng.standard_normal(m), rng.standard_normal(n) + shift
     _assert_ks_two_sample_matches_scipy(a, b)
     _assert_ks_two_sample_matches_scipy(np.round(a, 1), np.round(b, 1))  # ties
-    _assert_ks_two_sample_matches_scipy(a, a.copy())
+    _assert_ks_two_sample_matches_scipy(a, a.copy())  # h = 0
+    _assert_ks_two_sample_matches_scipy(a, a + 100.0 + shift)  # h = n
+
+
+def test_ks_two_sample_is_one_where_scipy_leaves_the_exact_count():
+    # pairs of a and of b alternate, so h = 2 at n = 60: the exact count
+    # rounds above 1 there, and scipy falls back to the asymptotic law
+    a = np.sort(np.concatenate([np.arange(0, 120, 4), np.arange(1, 120, 4)]))
+    with pytest.warns(RuntimeWarning, match="Exact calculation unsuccessful"):
+        res = sps.ks_2samp(a, a + 2.0, method="exact")
+    assert res.statistic == 2 / 60 and res.pvalue < 1.0
+    assert ks_two_sample(a, a + 2.0) == (2 / 60, 1.0)
+
+
+@pytest.mark.parametrize("r", [60, 200, 500, 1000, 2000, 5000])
+def test_exact_and_asymptotic_laws_reject_from_one_lattice_step(r):
+    # at the replicate counts the checks run, the least h = R D whose
+    # p-value is at or below ALPHA is the same under the exact count and
+    # under Kolmogorov's finite-n law at round(R/2), the p-value of
+    # ks_2samp's asymptotic method: no verdict at these sizes moves
+    def least_rejecting(sf):
+        return next(h for h in range(1, r + 1) if sf(h) <= acceptance.ALPHA)
+
+    exact = least_rejecting(lambda h: harness._prob_outside_square(r, h))
+    assert exact == least_rejecting(lambda h: sps.kstwo.sf(h / r, round(r / 2)))
 
 
 @pytest.mark.parametrize("n", [50, 400, 20000])
@@ -195,7 +161,7 @@ def test_ks_tests_match_scipy_on_nan_and_inf(bad, where):
     # scipy's nan_policy="propagate" gives (nan, nan) for a batch with a
     # NaN, which fails every KS gate; an infinity is a value like any other
     rng = np.random.default_rng(17)
-    a, b = rng.standard_normal(100), rng.standard_normal(80)
+    a, b = rng.standard_normal(100), rng.standard_normal(100)
     if where != "second":
         a[7] = bad
     if where != "first":
@@ -210,11 +176,13 @@ def test_ks_tests_match_scipy_on_nan_and_inf(bad, where):
 
 
 def _assert_shape_matches_scipy(x):
+    # the variance too: describe's is numpy's, from the squares it shares
+    # with the shape
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")  # scipy's precision-loss warning on a constant sample
-        want = sps.skew(x), sps.kurtosis(x)
+        want = np.var(x, ddof=1), sps.skew(x), sps.kurtosis(x)
     desc = describe(x)
-    assert _bits(desc["skewness"], desc["ex_kurtosis"]) == _bits(*want)
+    assert _bits(desc["variance"], desc["skewness"], desc["ex_kurtosis"]) == _bits(*want)
 
 
 @pytest.mark.parametrize("n", [4, 50, 5000])
@@ -235,10 +203,21 @@ def test_describe_skewness_matches_scipy_at_three_samples():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, (np.inf, -np.inf)])
 def test_describe_shape_matches_scipy_on_nan_and_inf(bad):
+    # describe itself runs under Tier-1's warnings-as-errors
     x = np.random.default_rng(3).standard_normal(60)
     x[[4, 9]] = bad
-    with np.errstate(all="ignore"):
-        _assert_shape_matches_scipy(x)
+    _assert_shape_matches_scipy(x)
+
+
+def test_describe_gives_nan_variance_for_an_infinite_draw_without_a_warning():
+    # an overflowing draw fails its gate on NaN estimates: it must not raise
+    # numpy's invalid-value warning, an error under Tier-1
+    x = np.random.default_rng(60).standard_normal(60)
+    x[17] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        desc = describe(x)
+    assert math.isnan(desc["variance"]) and math.isnan(desc["se_variance"])
 
 
 # --- replicate loop and reports ---------------------------------------------

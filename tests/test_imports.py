@@ -1,10 +1,11 @@
 """Import cost: `import fbmvar` loads numpy, `dataclasses` and the
 package's own modules, and `fbmvar.cli` adds `argparse` and `json`.
-`scipy.special` loads with the first KS test, the bare scipy package when
-an artifact records its version, numpy.random on the first draw, the
-thread pool on the first multi-thread `replicate_map` and `json` on the
-first `canonical_json`.  No check loads `scipy.stats` or `scipy.linalg`:
-`describe` loads no scipy, and the KS tests need only `scipy.special`.
+`scipy.special` loads with the first one-sample KS test, the bare scipy
+package when an artifact records its version, numpy.random on the first
+draw, the thread pool on the first multi-thread `replicate_map` and `json`
+on the first `canonical_json`.  No check loads `scipy.stats` or
+`scipy.linalg`: `describe` and the two-sample KS test load no scipy, and
+the one-sample KS test needs only `scipy.special`.
 
 Each case runs in a fresh interpreter, since this test process has long
 since loaded them all.
@@ -70,10 +71,17 @@ def test_numpy_random_loads_on_first_draw():
     assert _loaded_after(code, ("numpy.random",)) == ["numpy.random"]
 
 
+def test_ks_two_sample_loads_no_scipy():
+    # its exact p-value is a count in plain floats
+    code = ("import numpy as np; from fbmvar import ks_two_sample\n"
+            "x = np.linspace(0.0, 1.0, 200); assert ks_two_sample(x, x + 0.1)[1] < 1.0")
+    assert _loaded_after(code) == []
+
+
 def test_checks_load_scipy_special_but_not_scipy_stats():
     # every check A1-A10 in one process: the summaries and KS tests run on
     # numpy and scipy.special alone, and the import of scipy.special is
-    # deferred to the first KS test, not dropped
+    # deferred to the first one-sample KS test, not dropped
     code = ("from fbmvar.acceptance import ACCEPTANCE\n"
             f"for name, config in {SMALL!r}.items(): ACCEPTANCE[name].fn(master_seed=5, **config)")
     loaded = _loaded_after(code)
