@@ -61,7 +61,7 @@ for i in range(REPS):
     p2 = sample_fbm(H, GRID, seed.substream(1))
     # given the path the limit is normal: its conditional std times one normal
     z = seed.substream(2).rng().standard_normal()
-    lim_draws.append(limit_conditional_std(p2, f, sigma, 1.0) * z)
+    lim_draws.append(limit_conditional_std(p2, f, sigma.value, 1.0) * z)
 stat_draws, lim_draws = np.array(stat_draws), np.array(lim_draws)
 ks, p = ks_two_sample(stat_draws, lim_draws)
 print(f"  sigma = {sigma.value:.4f}")

@@ -23,7 +23,7 @@ print("One composite sample at walk level n=8")
 print("--------------------------------------")
 sample = sample_fbmbt(H, 8, 1.0, SeedSpec(11, 0))
 walk = sample.walk
-cc = crossing_counts(walk, 1.0)
+cc = crossing_counts(walk)
 print(f"  walk: {len(walk.steps)} steps, range [{walk.s.min()}, {walk.s.max()}],"
       f" terminal site {cc.terminal}")
 print(f"  crossing conservation: sum(U+D) = {cc.up.sum() + cc.down.sum()} = step count")
@@ -35,7 +35,7 @@ print()
 
 print("The three equivalent forms of the trapezoid-weighted odd-power sum")
 print("------------------------------------------------------------------")
-res = identity_residuals(sample, f, R, 1.0)
+res = identity_residuals(sample, f, R)
 print(f"  over walk steps:        {res['direct']:+.12f}")
 print(f"  crossing-weighted:      {res['crossing']:+.12f}")
 print(f"  spatial, at terminal:   {res['composed']:+.12f}")
@@ -58,7 +58,7 @@ for n, reps in ((8, 1500), (12, 1500), (16, 600)):
     vals = np.array(
         [
             2.0 ** (-n / 4.0)
-            * identity_residuals(sample_fbmbt(H, n, 1.0, SeedSpec(33 + n, i)), f1, R, 1.0)["direct"]
+            * identity_residuals(sample_fbmbt(H, n, 1.0, SeedSpec(33 + n, i)), f1, R)["direct"]
             for i in range(reps)
         ]
     )

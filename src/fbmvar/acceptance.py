@@ -41,11 +41,11 @@ checks call right after the pass.  A check whose KS test needs more
 samples than it is asked for (`harness.KS_MIN_SAMPLES`) refuses them.
 
 Importing this module loads no scipy module, and no check loads scipy's
-statistics package.  The one-sample KS test loads `scipy.special` through
-`harness`, on its first call; A2, A7 and A9's Donsker clause name their
-normal CDF to it as "norm".  The summaries and the two-sample KS test,
-which A3, A4 and A9 run on their R statistic draws against R limit draws
-with its exact p-value, load no scipy.
+statistics package.  The one-sample KS test, against the standard normal,
+loads `scipy.special` through `harness`, on its first call; A2, A7 and
+A9's Donsker clause run it on draws scaled to N(0, 1).  The summaries and
+the two-sample KS test, which A3, A4 and A9 run on their R statistic draws
+against R limit draws with its exact p-value, load no scipy.
 """
 
 from __future__ import annotations
@@ -180,7 +180,7 @@ def _mixture_draw(seeds, h, weight, r, rule, sigma, horizons, grid_of, sub) -> n
             at = t[rows] if each else t
             if side:
                 z = [seeds[i].substream(sub + 2).rng().standard_normal() for i in rows]
-                out[rows, 1] = limit_conditional_std(paths, weight, sigma, at) * np.array(z)
+                out[rows, 1] = limit_conditional_std(paths, weight, sigma.value, at) * np.array(z)
             else:
                 out[rows, 0] = variation(paths, weight, r, rule).value_at(at)
             out[rows, 2 + side] = paths.values[:, -1]
@@ -277,7 +277,7 @@ def check_a2(
     grid = _refuse_a2(**report.config)
     sigma = limit_sigma(r, h)
     draws = _unweighted_draws(h, r, grid, replicates, master_seed, threads)
-    _ks(report, "", ks_one_sample(draws / sigma.value, "norm"), "ks_vs_standard_normal")
+    _ks(report, "", ks_one_sample(draws / sigma.value), "ks_vs_standard_normal")
     return report.stop_clock()
 
 
@@ -386,7 +386,7 @@ def check_a5(
     blocks = []
     for idx, (n, count) in enumerate(zip(levels, per_level)):
         def chunk(seeds, n=n) -> np.ndarray:
-            res = [identity_residuals(sample, weight, r, 1.0)
+            res = [identity_residuals(sample, weight, r)
                    for sample in sample_fbmbt(h, n, 1.0, seeds)]
             return np.array([[x["residual_crossing"], x["residual_composition"]] for x in res])
 
@@ -515,7 +515,7 @@ def check_a7(
         _gate(report, zmax <= SE_WIDE, f"h={h}: max covariance z-score {zmax:.3g} > {SE_WIDE}",
               f"max_z h={h}", {"value": zmax, "bound": SE_WIDE})
         ks = _ks(report, f"h={h}: terminal ",
-                 ks_one_sample(np.concatenate(ends) / t_max**h, "norm"))
+                 ks_one_sample(np.concatenate(ends) / t_max**h))
         report.estimates[f"h={h}"] = {"max_z": zmax, "ks_terminal": ks}
     return report.stop_clock()
 
@@ -562,7 +562,7 @@ def check_a8(
     bands = {}
     for h in band_hs:
         ratios = [
-            coarse_increment_overlap(h, band_n, m, 1.0) / 2.0 ** (m * (1.0 - 2.0 * h))
+            coarse_increment_overlap(h, band_n, m) / 2.0 ** (m * (1.0 - 2.0 * h))
             for m in band_ms
         ]
         spread = max(ratios) / min(ratios)
@@ -681,7 +681,7 @@ def check_a9(
           "donsker_mean", {"gap": mean_gap, "allowed": mean_allowed})
     _gate(report, not var_gap > var_allowed, "walk terminal variance not within tolerance of 1",
           "donsker_variance", {"gap": var_gap, "allowed": var_allowed})
-    _ks(report, "Donsker ", ks_one_sample(ys, "norm"), "donsker_ks")
+    _ks(report, "Donsker ", ks_one_sample(ys), "donsker_ks")
     return report.stop_clock()
 
 

@@ -21,11 +21,14 @@ them.  Its "direct" entry is the walk statistic wherever one is needed.
 
 A walk (`EmbeddedWalk`) is built from its +-1 steps alone; its sites S_k
 are their partial sums, and both are read-only arrays, so the two cannot
-disagree.  The sites, and what
-several readers of one walk need, are computed once, on first read: its
-extent (lowest and highest site), read by `sample_fbmbt`, `FbmbtSample`
-and `crossing_counts`, and the lower site of each step's lattice interval,
-read by `crossing_counts` and `identity_residuals`.  `sample_walk` takes
+disagree.  What several readers of one walk need is computed once, on first
+read: the sites; the extent (lowest and highest site), read by
+`sample_fbmbt`, `FbmbtSample` and `crossing_counts`; and `crossed`, the
+lower site of each step's lattice interval, read by `crossing_counts` and
+`identity_residuals`.  Both read the whole walk: its horizon is its length.
+A shorter horizon is a prefix sample, `FbmbtSample(EmbeddedWalk(n,
+walk.steps[:k]), spatial)`: `sample_walk(n, t, seed)` draws the first
+floor(2^n t) steps of every longer walk of its seed.  `sample_walk` takes
 step k from the top bit of the k-th 32-bit half of its stream's raw PCG64
 words and builds the steps in place, and the walk validates them with
 reductions that allocate nothing, so a walk read for its terminal site
@@ -48,7 +51,7 @@ import numpy as np
 from .fbm import FbmPath, GridSpec, SeedSpec, sample_fbm
 from .gaussian import as_hurst
 from .harness import _grid_groups
-from .variations import _series, _steps, step_summands
+from .variations import _series, step_summands
 from .weights import WeightFunction
 
 #: spatial grids are padded to site multiples of this, to stabilize caches
@@ -99,19 +102,12 @@ class EmbeddedWalk:
         return int(self.s.min()), int(self.s.max())
 
     @functools.cached_property
-    def _lower(self) -> np.ndarray:
-        lower = np.minimum(self.s[:-1], self.s[1:])
-        lower.flags.writeable = False
-        return lower
-
-    def horizon(self, t: float) -> int:
-        """Number of steps up to time t, i.e. floor(2^n t)."""
-        return _steps(t, self.level, (), len(self.steps), "walk")
-
-    def crossed(self, k: int) -> np.ndarray:
-        """Lower site min(S_i, S_{i+1}) of the lattice interval that each of
-        the first k steps crosses (a read-only view)."""
-        return self._lower[:k]
+    def crossed(self) -> np.ndarray:
+        """Lower site min(S_k, S_{k+1}) of the lattice interval that each
+        step crosses (read-only)."""
+        crossed = np.minimum(self.s[:-1], self.s[1:])
+        crossed.flags.writeable = False
+        return crossed
 
 
 def _walk_steps(n: int, t: float) -> int:
@@ -161,8 +157,7 @@ def _lattice_grid(level: int, lo: int, hi: int) -> GridSpec:
 class CrossingCounts:
     """Up/down crossing counts of the lattice intervals [j, j+1] per site j."""
 
-    horizon: int
-    terminal: int  # walk site S_horizon
+    terminal: int  # the walk's last site S_K
     j_lo: int  # site index of up[0] / down[0]
     up: np.ndarray
     down: np.ndarray
@@ -174,24 +169,22 @@ class CrossingCounts:
         return self.up - self.down
 
 
-def crossing_counts(walk: EmbeddedWalk, t: float) -> CrossingCounts:
-    """Single pass over the first K = floor(2^n t) steps.
+def crossing_counts(walk: EmbeddedWalk) -> CrossingCounts:
+    """Single pass over the walk's K steps.
 
     An up step from S_k = j and a down step from S_k = j+1 both cross
     interval j.  The net-crossing profile takes the indicator form: net(j)
     = 1 for 0 <= j < S_K when S_K > 0, -1 for S_K <= j < 0 when S_K < 0,
     and identically 0 when S_K = 0.
     """
-    k = walk.horizon(t)
-    s = walk.s[: k + 1]
-    j_lo, j_hi = walk._extent if k == len(walk.steps) else (int(s.min()), int(s.max()))
+    j_lo, j_hi = walk._extent
     width = j_hi - j_lo  # number of visited intervals
     # interval offset i counts a down step at 2i and an up step at 2i + 1
-    key = walk.crossed(k) - j_lo
+    key = walk.crossed - j_lo
     key *= 2
-    key += walk.steps[:k] > 0
+    key += walk.steps > 0
     both = np.bincount(key, minlength=2 * width).astype(np.int64, copy=False)
-    return CrossingCounts(k, int(s[-1]), j_lo, both[1::2], both[0::2])
+    return CrossingCounts(int(walk.s[-1]), j_lo, both[1::2], both[0::2])
 
 
 @dataclass(frozen=True)
@@ -255,13 +248,13 @@ def sample_fbmbt(h, n: int, t: float, seed: SeedSpec | Sequence[SeedSpec]):
 RESIDUAL_TOL = 1e-9
 
 
-def identity_residuals(sample: FbmbtSample, f: WeightFunction, r: int, t: float) -> dict:
+def identity_residuals(sample: FbmbtSample, f: WeightFunction, r: int) -> dict:
     """The three forms of the statistic on one sample, from one trapezoid
     table and one crossing pass, and the relative residuals of the two
     exact identities between them.
 
-    "direct" is the trapezoid-weighted odd-power sum over the first
-    K = floor(2^n t) walk steps,
+    "direct" is the trapezoid-weighted odd-power sum over the K steps of
+    the sample's walk,
 
         sum_k (f(Z_k)+f(Z_{k+1}))/2 * (2^(nH/2) (Z_{k+1}-Z_k))^(2r-1).
 
@@ -284,9 +277,9 @@ def identity_residuals(sample: FbmbtSample, f: WeightFunction, r: int, t: float)
     table = step_summands(sample.spatial, f, r, "trapezoid")
     zero = sample.spatial.grid.zero_index
     walk = sample.walk
-    counts = crossing_counts(walk, t)  # builds the walk's crossed sites, read again here
-    k, m = counts.horizon, counts.terminal
-    direct = float((walk.steps[:k] * table[zero + walk.crossed(k)]).sum())
+    counts = crossing_counts(walk)  # builds the walk's crossed sites, read again here
+    m = counts.terminal
+    direct = float((walk.steps * table[zero + walk.crossed]).sum())
     crossing = float((table[zero + counts.sites()] * counts.net()).sum())
     raw = _series(sample.spatial.grid.level, table, 1.0).raw
     composed = float(raw[zero + m] - raw[zero])

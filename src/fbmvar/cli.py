@@ -270,7 +270,7 @@ def cmd_simulate_fbmbt(args) -> int:
         sample = sample_fbmbt(cfg["h"], cfg["n"], cfg["t"], SeedSpec(cfg["seed"], 0))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    res = identity_residuals(sample, get_weight(cfg["f"]), cfg["r"], cfg["t"])
+    res = identity_residuals(sample, get_weight(cfg["f"]), cfg["r"])
     results = {
         "walk_variation": res["direct"],
         "spatial_variation_at_terminal": res["composed"],

@@ -341,8 +341,9 @@ def _coarse_levels(n: int, m: int) -> None:
         raise ValueError("need n > m >= 2")
 
 
-def coarse_increment_overlap(h, n: int, m: int, t_max: float) -> float:
-    """Sum over j < floor(2^n T) of |Cov(fine increment, coarse midpoint avg)|.
+def coarse_increment_overlap(h, n: int, m: int) -> float:
+    """Sum over the 2^n level-n steps j of [0, 1] of |Cov(fine increment,
+    coarse midpoint avg)|.
 
     The coarse index is k(j) = floor(j 2^(m-n)), i.e. the largest level-m
     grid point at or below j 2^-n.  No closed form exists; the value is used
@@ -350,10 +351,7 @@ def coarse_increment_overlap(h, n: int, m: int, t_max: float) -> float:
     """
     _coarse_levels(n, m)
     hp = as_hurst(h)
-    count = math.floor((2**n) * t_max)
-    if count <= 0:
-        return 0.0
-    j = np.arange(count, dtype=np.int64)
+    j = np.arange(2**n, dtype=np.int64)
     k = j >> (n - m)
     a = j * 2.0**-n
     b = (j + 1) * 2.0**-n

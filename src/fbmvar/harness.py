@@ -22,15 +22,15 @@ returns, so it covers the check's refusals, sigma and every draw.
 
 The summaries and KS tests give the bits of scipy's statistics package
 without loading it: `describe` computes its moments in numpy,
-`ks_one_sample` reads Kolmogorov's limit law from `scipy.special`, and
-`ks_two_sample`, which takes two batches of one size, counts its exact
-p-value in plain floats as scipy's exact method does.  Imports a call
-needs load with that call, not with the module, so a process never pays
-for what it does not run: `scipy.special` with the first `ks_one_sample`
-(`describe` and `ks_two_sample` load no scipy), `ThreadPoolExecutor`
-(and with it `logging`, `queue` and `traceback`) with the first
-`replicate_map` on more than one thread, and `json` with the first
-`McReport.canonical_json`.
+`ks_one_sample`, which tests against N(0, 1) alone, reads the normal CDF
+and Kolmogorov's limit law from `scipy.special`, and `ks_two_sample`,
+which takes two batches of one size, counts its exact p-value in plain
+floats as scipy's exact method does.  Imports a call needs load with that
+call, not with the module, so a process never pays for what it does not
+run: `scipy.special` with the first `ks_one_sample` (`describe` and
+`ks_two_sample` load no scipy), `ThreadPoolExecutor` (and with it
+`logging`, `queue` and `traceback`) with the first `replicate_map` on more
+than one thread, and `json` with the first `McReport.canonical_json`.
 """
 
 from __future__ import annotations
@@ -208,23 +208,23 @@ def _shape(centered: np.ndarray, d2: np.ndarray, mean) -> tuple[float, float]:
 def describe(x: np.ndarray) -> dict:
     """Summary estimates with standard errors for mean and variance, and
     the sample's skewness (0.0 below 3 samples) and excess kurtosis (0.0
-    below 4).  A sample holding an infinity gets a NaN variance, without a
-    warning, so that the gate on it fails."""
+    below 4).  A sample with an infinity, or whose squares or fourth powers
+    overflow, gets non-finite estimates without a warning, so its gate fails."""
     x = np.asarray(x, dtype=float)
     n = len(x)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         mean = np.mean(x)
         centered = x - mean
         d2 = centered**2
         # np.var(x, ddof=1), bit for bit, without centering again
-        var = float(np.sum(d2) / (n - 1)) if n > 1 else 0.0
-        m4 = float(np.mean(centered**4))
+        var = np.sum(d2) / (n - 1) if n > 1 else 0.0
+        # a numpy var**2 is libm's pow, as a float's, but inf on overflow
+        se_var = math.sqrt(max(np.mean(centered**4) - var**2, 0.0) / n) if n > 1 else 0.0
         skewness, ex_kurtosis = _shape(centered, d2, mean) if n > 2 else (0.0, 0.0)
-    se_var = math.sqrt(max(m4 - var**2, 0.0) / n) if n > 1 else 0.0
     return {
         "n": n,
         "mean": float(mean),
-        "variance": var,
+        "variance": float(var),
         "se_mean": math.sqrt(var / n) if n else 0.0,
         "se_variance": se_var,
         "skewness": skewness,
@@ -238,27 +238,21 @@ def _has_nan(*batches: np.ndarray) -> bool:
     return any(np.isnan(b).any() for b in batches)
 
 
-def ks_one_sample(samples, cdf) -> tuple[float, float]:
-    """Two-sided one-sample Kolmogorov-Smirnov test with asymptotic p-value:
-    scipy's `kstest(samples, cdf, method="asymp")`, bit for bit.
-
-    `cdf` is "norm" (the standard normal) or a callable CDF, which is
-    called once on the sorted samples.  The p-value is Kolmogorov's limit
-    law at D sqrt(n).
+def ks_one_sample(samples) -> tuple[float, float]:
+    """Two-sided one-sample Kolmogorov-Smirnov test against N(0, 1) with
+    asymptotic p-value: scipy's `kstest(samples, "norm", method="asymp")`,
+    bit for bit.  The normal CDF is `scipy.special.ndtr`, which "norm"
+    reads; the p-value is Kolmogorov's limit law at D sqrt(n).
     """
     from scipy.special import kolmogorov, ndtr
 
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
     _ks_samples(samples=n)
-    if isinstance(cdf, str):
-        if cdf != "norm":
-            raise ValueError(f'cdf must be "norm" or a callable, got {cdf!r}')
-        cdf = ndtr
     if _has_nan(samples):
         return math.nan, math.nan
     x = np.sort(samples)
-    c = cdf(x)
+    c = ndtr(x)
     d = max(np.max(c - np.arange(0.0, n) / n), np.max(np.arange(1.0, n + 1) / n - c))
     return float(d), float(np.clip(kolmogorov(d * math.sqrt(n)), 0.0, 1.0))
 

@@ -73,21 +73,20 @@ class VariationSeries:
         """Right-continuous step evaluation: the sum over j < floor(2^n t),
         scale * raw[..., k]; a float for one series; for a batch, one value
         per row, at one time or at one time per row."""
-        k = _steps(t, self.level, self.raw.shape[:-1], self.raw.shape[-1] - 1,
-                   "series")
+        k = _steps(t, self.level, self.raw.shape[:-1], self.raw.shape[-1] - 1)
         rows = np.arange(len(k)) if np.ndim(k) else Ellipsis
         value = self.scale * self.raw[rows, k]
         return float(value) if value.ndim == 0 else value
 
 
-def _steps(t, level: int, rows: tuple, last: int, what: str):
+def _steps(t, level: int, rows: tuple, last: int):
     """floor(2^level t) for one time, or an array of them for one time per
     row of a batch of leading shape `rows`; refused outside 0..last."""
     if np.ndim(t) and rows != (len(t),):
-        raise ValueError(f"{len(t)} times for a {what} of {rows} rows: give one time, or one per row")
+        raise ValueError(f"{len(t)} times for a series of {rows} rows: give one time, or one per row")
     k = [math.floor(s * 2**level) for s in np.ravel(t).tolist()]  # floats: numpy scalars are slow
     if not all(0 <= i <= last for i in k):
-        raise ValueError(f"t={t} outside the {what} range")
+        raise ValueError(f"t={t} outside the series range")
     return np.array(k) if np.ndim(t) else k[0]
 
 
@@ -173,16 +172,15 @@ def limit_quadrature(path: FbmPath, f: WeightFunction, t):
     return _series(path.grid.level, 0.5 * (g[..., :-1] + g[..., 1:]), path.grid.spacing).value_at(t)
 
 
-def limit_conditional_std(path: FbmPath, f: WeightFunction, sigma, t):
-    """Conditional std of the mixture-law limit at t given the path:
-    sigma * sqrt(sum_j f(X_j)^2 2^-n) over the floor(2^n t) steps of [0, t],
-    the weight read at each step's left end; the sum is a running sum read
-    by `value_at`, so an off-grid t floors.  Given the path, the limit is
-    exactly normal with this std, so one draw is this std times a standard
-    normal.  A float; or, for a batch, one std per row, at one time or at
-    one time per row."""
+def limit_conditional_std(path: FbmPath, f: WeightFunction, sigma: float, t):
+    """Conditional std of the mixture-law limit at t given the path, for a
+    float sigma (`LimitSigma.value`): sigma * sqrt(sum_j f(X_j)^2 2^-n) over
+    the floor(2^n t) steps of [0, t], the weight read at each step's left
+    end; the sum is a running sum read by `value_at`, so an off-grid t
+    floors.  Given the path, the limit is exactly normal with this std, so
+    one draw is this std times a standard normal.  A float; or, for a batch,
+    one std per row, at one time or at one time per row."""
     # f on whole rows, then the last column dropped: f is slower on a strided view
     sq = f(path.values[..., path.grid.zero_index :]) ** 2
-    std = float(getattr(sigma, "value", sigma)) * np.sqrt(
-        _series(path.grid.level, sq[..., :-1], path.grid.spacing).value_at(t))
+    std = sigma * np.sqrt(_series(path.grid.level, sq[..., :-1], path.grid.spacing).value_at(t))
     return float(std) if std.ndim == 0 else std

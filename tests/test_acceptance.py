@@ -399,7 +399,7 @@ def test_a9_composition_draws_have_the_direct_walk_law(weight):
     h, n, r, count = 0.25, 10, 2, 2000
     f = get_weight(weight)
     walks = (sample_fbmbt(h, n, 1.0, SeedSpec(61, i)) for i in range(count))
-    direct = [2.0 ** (-n / 4) * identity_residuals(s, f, r, 1.0)["direct"] for s in walks]
+    direct = [2.0 ** (-n / 4) * identity_residuals(s, f, r)["direct"] for s in walks]
     composed = []
     for i in range(count):
         sites = abs(2 * int(SeedSpec(62, i).rng().binomial(2**n, 0.5)) - 2**n)
@@ -420,7 +420,7 @@ def _a9_rows_one_seed_at_a_time(h, level, r, seeds):
         path = sample_fbm(h, acceptance._brownian_time_grid(level, sites[0]), seed.substream(1))
         stat = variation(path, weight, r, "trapezoid").value_at(sites[0] * spacing)
         path = sample_fbm(h, acceptance._brownian_time_grid(level, sites[1]), seed.substream(2))
-        std = limit_conditional_std(path, weight, sigma, sites[1] * spacing)
+        std = limit_conditional_std(path, weight, sigma.value, sites[1] * spacing)
         rows.append((stat, std * seed.substream(3).rng().standard_normal()))
     return np.array(rows)
 

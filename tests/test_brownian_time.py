@@ -31,6 +31,17 @@ def _walk(steps, level=2):
     return EmbeddedWalk(level=level, steps=steps)
 
 
+def _prefix(walk, t):
+    """The walk's first floor(2^n t) steps, a walk of its own: the walk up
+    to time t."""
+    return EmbeddedWalk(level=walk.level, steps=walk.steps[: math.floor(t * 2**walk.level)])
+
+
+def _prefix_sample(sample, t):
+    """The sample up to time t: the prefix walk on the same spatial path."""
+    return FbmbtSample(walk=_prefix(sample.walk, t), spatial=sample.spatial)
+
+
 @pytest.mark.parametrize(
     "steps",
     [[1, 0, -1], [1, 2], np.array([1.0, -1.0]), [[1, -1]], np.diff([0, 2, 3, 2, 3])],
@@ -66,19 +77,31 @@ def test_sample_walk_sites_equal_the_cumsum_of_its_draw():
             assert walk.steps.tobytes() == draw.tobytes()
 
 
+def test_sample_walk_draws_a_prefix_of_the_longer_walk():
+    # the walk up to t is the first floor(2^n t) steps of the walk up to 1,
+    # odd step counts included, so a prefix sample is the walk drawn at t
+    for n in (2, 6, 10, 12):
+        for index in range(20):
+            seed = SeedSpec(500 + n, index)
+            whole = sample_walk(n, 1.0, seed)
+            for t in (2.0**-n, 0.25, 0.5, 0.9, 1.0 - 2.0**-n):
+                walk = sample_walk(n, t, seed)
+                assert walk.steps.tobytes() == _prefix(whole, t).steps.tobytes()
+
+
 def test_crossing_counts_hand_example():
     walk = _walk([1, 1, -1, 1])
-    cc = crossing_counts(walk, 1.0)
+    cc = crossing_counts(walk)
     assert dict(zip(cc.sites().tolist(), cc.up.tolist())) == {0: 1, 1: 2}
     assert dict(zip(cc.sites().tolist(), cc.down.tolist())) == {0: 0, 1: 1}
     assert cc.up.sum() + cc.down.sum() == 4
 
 
 def test_crossing_counts_empty_horizon():
-    walk = _walk([1, -1, 1, -1])
-    cc = crossing_counts(walk, 2.0**-4)
+    walk = _prefix(_walk([1, -1, 1, -1]), 2.0**-4)  # no step up to t = 1/16
+    cc = crossing_counts(walk)
     assert cc.up.sum() + cc.down.sum() == 0
-    assert len(cc.up) == 0
+    assert len(cc.up) == 0 and cc.terminal == 0
 
 
 def test_crossing_conservation_random():
@@ -87,24 +110,24 @@ def test_crossing_conservation_random():
         n = int(rng.integers(3, 9))
         walk = sample_walk(n, 1.0, SeedSpec(int(rng.integers(1 << 30)), 0))
         t = rng.uniform(2.0**-n, 1.0)
-        cc = crossing_counts(walk, t)
+        cc = crossing_counts(_prefix(walk, t))
         assert cc.up.sum() + cc.down.sum() == math.floor(t * 2**n)
 
 
 def test_terminal_site_matches_indicator_profile():
     walk = _walk([1, 1, -1, 1])
-    assert crossing_counts(walk, 1.0).terminal == 2
+    assert crossing_counts(walk).terminal == 2
     down = _walk([-1, -1, -1], level=2)
-    cc = crossing_counts(down, 0.76)
+    cc = crossing_counts(down)
     assert cc.terminal == -3
     assert np.array_equal(cc.net(), [-1, -1, -1])
     flat = _walk([1, -1])
-    assert crossing_counts(flat, 0.5).terminal == 0
+    assert crossing_counts(flat).terminal == 0
     # on every random walk the net profile is +1 on [0, S_K), -1 on [S_K, 0)
     rng = np.random.default_rng(78)
     for _ in range(25):
         walk = sample_walk(int(rng.integers(3, 10)), 1.0, SeedSpec(int(rng.integers(1 << 30)), 0))
-        cc = crossing_counts(walk, 1.0)
+        cc = crossing_counts(walk)
         m, j = cc.terminal, cc.sites()
         assert m == walk.s[-1]
         assert np.array_equal(cc.net(), ((0 <= j) & (j < m)).astype(int) - ((m <= j) & (j < 0)))
@@ -122,10 +145,10 @@ def test_walk_steps_and_sites_are_read_only():
                 array[:] = 1
 
 
-def _crossing_counts_per_step(walk, t):
+def _crossing_counts_per_step(walk):
     """Reference: up/down counts, lowest site and terminal site, one step at a time."""
-    k = math.floor(t * 2**walk.level)
-    s = [int(v) for v in walk.s[: k + 1]]
+    k = len(walk.steps)
+    s = [int(v) for v in walk.s]
     j_lo = min(s)
     up = [0] * (max(s) - j_lo)
     down = [0] * (max(s) - j_lo)
@@ -138,22 +161,22 @@ def _crossing_counts_per_step(walk, t):
 
 
 def test_crossing_counts_equal_per_step_loop():
-    walks = [(_walk([-1, -1, 1, -1]), 1.0), (_walk([1, -1, 1, -1]), 2.0**-4)]
+    walks = [_walk([-1, -1, 1, -1]), _prefix(_walk([1, -1, 1, -1]), 2.0**-4)]
     rng = np.random.default_rng(79)
     for _ in range(40):
         n = int(rng.integers(2, 9))
         walk = sample_walk(n, 1.0, SeedSpec(int(rng.integers(1 << 30)), 0))
-        walks.append((walk, rng.uniform(0.0, 1.0)))
+        walks.append(_prefix(walk, rng.uniform(0.0, 1.0)))
     terminals = set()
-    for walk, t in walks:
-        cc = crossing_counts(walk, t)
-        up, down, j_lo, terminal = _crossing_counts_per_step(walk, t)
+    for walk in walks:
+        cc = crossing_counts(walk)
+        up, down, j_lo, terminal = _crossing_counts_per_step(walk)
         assert cc.up.tolist() == up and cc.down.tolist() == down
         assert cc.j_lo == j_lo and cc.terminal == terminal
         assert cc.up.dtype == cc.down.dtype == np.int64
         terminals.add(int(np.sign(terminal)))
     assert terminals == {-1, 0, 1}
-    assert crossing_counts(*walks[1]).horizon == 0
+    assert len(walks[1].steps) == 0
 
 
 def test_identity_residuals_builds_one_table_and_one_crossing_pass(monkeypatch):
@@ -171,7 +194,7 @@ def test_identity_residuals_builds_one_table_and_one_crossing_pass(monkeypatch):
     for name in calls:
         monkeypatch.setattr(brownian_time, name, counted(name))
     sample = sample_fbmbt(0.25, 8, 1.0, SeedSpec(5, 0))
-    identity_residuals(sample, F_GAUSS, 2, 1.0)
+    identity_residuals(sample, F_GAUSS, 2)
     assert calls == {"step_summands": 1, "crossing_counts": 1}
 
 
@@ -180,13 +203,14 @@ def test_identity_forms_equal_sums_over_a_direct_table(weight):
     f = get_weight(weight)
     for i in range(6):
         n = (4, 8, 12)[i % 3]
-        sample = sample_fbmbt(0.3, n, 1.0, SeedSpec(70 + n, i))
+        whole = sample_fbmbt(0.3, n, 1.0, SeedSpec(70 + n, i))
         for r in (1, 2, 3):
             for t in (0.4, 1.0):
-                res = identity_residuals(sample, f, r, t)
+                sample = _prefix_sample(whole, t)
+                res = identity_residuals(sample, f, r)
                 table = step_summands(sample.spatial, f, r, "trapezoid")
                 zero = sample.spatial.grid.zero_index
-                up, down, j_lo, j_star = _crossing_counts_per_step(sample.walk, t)
+                up, down, j_lo, j_star = _crossing_counts_per_step(sample.walk)
                 sites = zero + np.arange(j_lo, j_lo + len(up))
                 net = np.array(up, dtype=np.int64) - np.array(down, dtype=np.int64)
                 crossing = float(np.sum(table[sites] * net))
@@ -258,8 +282,8 @@ def test_sample_covers_walk_range():
 
 def test_variation_trivial_cases():
     sample = sample_fbmbt(0.25, 8, 1.0, SeedSpec(10, 0))
-    assert identity_residuals(sample, get_weight("zero"), 2, 1.0)["direct"] == 0.0
-    assert identity_residuals(sample, F_GAUSS, 2, 2.0**-9)["direct"] == 0.0
+    assert identity_residuals(sample, get_weight("zero"), 2)["direct"] == 0.0
+    assert identity_residuals(_prefix_sample(sample, 2.0**-9), F_GAUSS, 2)["direct"] == 0.0
 
 
 def test_walk_returning_to_origin_gives_zero():
@@ -267,7 +291,7 @@ def test_walk_returning_to_origin_gives_zero():
     grid = GridSpec(level=1, t_min=-1.0, t_max=1.0)
     spatial = sample_fbm(0.25, grid, SeedSpec(11, 0))
     sample = FbmbtSample(walk=walk, spatial=spatial)
-    res = identity_residuals(sample, F_GAUSS, 2, 1.0)
+    res = identity_residuals(sample, F_GAUSS, 2)
     assert res["direct"] == res["crossing"] == res["composed"] == 0.0
 
 
@@ -280,7 +304,7 @@ def test_single_step_reduces_to_one_trapezoid_term():
     x1 = spatial.value_at(0.5)
     scale = 2.0 ** (2 * 0.3 / 2.0)
     expected = 0.5 * (math.exp(-x0 * x0) + math.exp(-x1 * x1)) * (scale * (x1 - x0)) ** 3
-    direct = identity_residuals(sample, F_GAUSS, 2, 0.25)["direct"]
+    direct = identity_residuals(sample, F_GAUSS, 2)["direct"]
     assert direct == pytest.approx(expected, rel=1e-12)
 
 
@@ -288,15 +312,15 @@ def test_single_step_reduces_to_one_trapezoid_term():
 def test_identities_on_random_samples(n):
     for i in range(40):
         sample = sample_fbmbt(0.25, n, 1.0, SeedSpec(1000 + n, i))
-        res = identity_residuals(sample, F_GAUSS, 2, 1.0)
+        res = identity_residuals(sample, F_GAUSS, 2)
         assert res["residual_crossing"] <= RESIDUAL_TOL
         assert res["residual_composition"] <= RESIDUAL_TOL
 
 
 def test_identities_at_partial_horizons():
-    sample = sample_fbmbt(0.3, 10, 1.0, SeedSpec(2020, 0))
+    whole = sample_fbmbt(0.3, 10, 1.0, SeedSpec(2020, 0))
     for t in (0.25, 0.5, 0.75, 1.0):
-        res = identity_residuals(sample, F_GAUSS, 2, t)
+        res = identity_residuals(_prefix_sample(whole, t), F_GAUSS, 2)
         assert res["residual_crossing"] <= RESIDUAL_TOL
         assert res["residual_composition"] <= RESIDUAL_TOL
 
@@ -308,7 +332,7 @@ def test_spatial_variation_edges():
     grid = GridSpec(level=4, t_min=-1.0, t_max=1.0)
     path = sample_fbm(0.25, grid, SeedSpec(13, 0))
     home = FbmbtSample(walk=_walk([1, -1, -1, 1], level=8), spatial=path)
-    assert identity_residuals(home, F_GAUSS, 2, 4 / 2**8)["composed"] == 0.0
+    assert identity_residuals(home, F_GAUSS, 2)["composed"] == 0.0
     for sign in (1, -1):
         with pytest.raises(ValueError):
             FbmbtSample(walk=_walk([sign] * 24, level=8), spatial=path)
@@ -321,7 +345,7 @@ def test_spatial_variation_telescopes_for_unit_weight():
     path = sample_fbm(0.3, grid, SeedSpec(14, 0))
     for steps in ([1] * 16, [1] * 32 + [-1] * 8, [-1] * 25 + [1]):
         sample = FbmbtSample(walk=_walk(steps, level=10), spatial=path)
-        res = identity_residuals(sample, F_ONE, 1, len(steps) / 2**10)
+        res = identity_residuals(sample, F_ONE, 1)
         target = 2.0 ** (5 * 0.3) * path.values[path.grid.zero_index + sum(steps)]
         assert res["composed"] == pytest.approx(target, rel=1e-12, abs=1e-13)
 
@@ -372,9 +396,9 @@ def test_batch_sample_fbmbt_rows_equal_each_seed_alone(chunk_steps, monkeypatch)
         assert sample.spatial.values.tobytes() == path.values.tobytes()
 
 
-def _walk_power_variation_per_step(sample, f, r, t):
+def _walk_power_variation_per_step(sample, f, r):
     """Reference: the weight and power evaluated at every walk step."""
-    z = sample.z_values()[: sample.walk.horizon(t) + 1]
+    z = sample.z_values()
     if len(z) < 2:
         return 0.0
     dz = 2.0 ** (sample.walk.level * sample.spatial.h.h / 2.0) * np.diff(z)
@@ -387,12 +411,13 @@ def _walk_power_variation_per_step(sample, f, r, t):
 def test_walk_variation_table_equals_per_step_formula(n, weight):
     f = get_weight(weight)
     for i in range(4):
-        sample = sample_fbmbt(0.25, n, 1.0, SeedSpec(60 + n, i))
+        whole = sample_fbmbt(0.25, n, 1.0, SeedSpec(60 + n, i))
         for r in (1, 2, 3):
             for t in (0.7, 1.0):
-                got = identity_residuals(sample, f, r, t)["direct"]
-                assert got == _walk_power_variation_per_step(sample, f, r, t)
-            assert identity_residuals(sample, f, r, 0.5 / 2**n)["direct"] == 0.0
+                sample = _prefix_sample(whole, t)
+                got = identity_residuals(sample, f, r)["direct"]
+                assert got == _walk_power_variation_per_step(sample, f, r)
+            assert identity_residuals(_prefix_sample(whole, 0.5 / 2**n), f, r)["direct"] == 0.0
 
 
 @pytest.mark.parametrize("steps", [
@@ -411,12 +436,13 @@ def test_walk_validation_accepts_signed_plus_minus_one_and_empty(dtype):
     walk = EmbeddedWalk(level=2, steps=np.array([1, -1, -1], dtype=dtype))
     assert walk.s.tolist() == [0, 1, 0, -1]
     empty = EmbeddedWalk(level=2, steps=np.array([], dtype=dtype))
-    assert empty.s.tolist() == [0] and crossing_counts(empty, 0.0).horizon == 0
+    cc = crossing_counts(empty)
+    assert empty.s.tolist() == [0] and cc.terminal == 0 and len(cc.up) == len(cc.down) == 0
 
 
 def test_crossed_sites_are_read_only_and_built_once():
     walk = sample_walk(6, 1.0, SeedSpec(9, 0))
-    first = walk.crossed(64)
+    first = walk.crossed
     assert np.array_equal(first, np.minimum(walk.s[:-1], walk.s[1:]))
     assert not first.flags.writeable
-    assert np.shares_memory(first, walk.crossed(10))
+    assert walk.crossed is first

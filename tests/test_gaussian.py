@@ -305,12 +305,11 @@ def test_overlap_sum_rejects_bad_window():
 
 
 def test_coarse_overlap_trivial_and_band():
-    assert coarse_increment_overlap(0.25, 10, 4, 2.0**-11) == 0.0
-    v = coarse_increment_overlap(0.25, 10, 4, 1.0)
+    v = coarse_increment_overlap(0.25, 10, 4)
     assert v > 0.0
     # empirical boundedness: ratio to 2^(m(1-2H)) stays in a factor-4 band
     ratios = [
-        coarse_increment_overlap(0.3, 12, m, 1.0) / 2.0 ** (m * (1.0 - 0.6))
+        coarse_increment_overlap(0.3, 12, m) / 2.0 ** (m * (1.0 - 0.6))
         for m in (3, 4, 5, 6)
     ]
     assert max(ratios) / min(ratios) < 4.0
@@ -318,6 +317,6 @@ def test_coarse_overlap_trivial_and_band():
 
 def test_coarse_overlap_rejects_bad_levels():
     with pytest.raises(ValueError):
-        coarse_increment_overlap(0.25, 4, 4, 1.0)
+        coarse_increment_overlap(0.25, 4, 4)
     with pytest.raises(ValueError):
-        coarse_increment_overlap(0.25, 4, 1, 1.0)
+        coarse_increment_overlap(0.25, 4, 1)

@@ -39,7 +39,7 @@ EXACT = settings(max_examples=300, derandomize=True, database=None, deadline=Non
 )
 def test_a5_crossing_and_composition_identities(h, r, n, t, f, seed):
     sample = sample_fbmbt(h, n, t, SeedSpec(seed, 0))
-    res = identity_residuals(sample, get_weight(f), r, t)
+    res = identity_residuals(sample, get_weight(f), r)
     assert res["residual_crossing"] <= 1e-9
     assert res["residual_composition"] <= 1e-9
 

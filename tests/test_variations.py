@@ -285,7 +285,7 @@ def test_limit_conditional_std_unit_weight_law():
     path = _path(level=8, seed=20)
     for t, steps in ((1.0, 256), (0.3, 76)):
         expected = sigma.value * math.sqrt(steps / 256)
-        assert limit_conditional_std(path, F_ONE, sigma, t) == pytest.approx(expected, rel=1e-14)
+        assert limit_conditional_std(path, F_ONE, sigma.value, t) == pytest.approx(expected, rel=1e-14)
 
 
 @pytest.mark.parametrize("weight", ["one", "gauss", "sin"])
@@ -295,7 +295,7 @@ def test_limit_conditional_std_reads_one_time_per_row(weight):
     grid = GridSpec(level=7, t_min=-0.25, t_max=1.0)
     values = sample_fbm(0.3, grid, [SeedSpec(9, i) for i in range(4)])
     batch = FbmPath(grid, as_hurst(0.3), values)
-    f, sigma, last = get_weight(weight), limit_sigma(2, 0.3), 2**7
+    f, sigma, last = get_weight(weight), limit_sigma(2, 0.3).value, 2**7
     alone = [FbmPath(grid, batch.h, row) for row in values]
     for ks in ((0, 1, last // 2, last), (last, last // 2, 1, 0), (1, 1, last, last)):
         t = np.array(ks) * 2.0**-7
@@ -469,7 +469,7 @@ def test_limit_functionals_match_the_correctly_rounded_sum(level):
     # left end, so its bound counts every term left of the origin
     samples = sample_fbmbt(0.3, level, 1.0, [SeedSpec(27, i) for i in range(8)])
     sample = next(s for s in samples if s.walk.s[-1] < 0)
-    res = identity_residuals(sample, F_GAUSS, 2, 1.0)
+    res = identity_residuals(sample, F_GAUSS, 2)
     table = step_summands(sample.spatial, F_GAUSS, 2, "trapezoid")
     zero, m = sample.spatial.grid.zero_index, res["terminal_site"]
     assert m == sample.walk.s[-1] < 0
