@@ -40,12 +40,11 @@ sigma's own refusal of h >= 1/2 stays with `limit_sigma`, which those
 checks call right after the pass.  A check whose KS test needs more
 samples than it is asked for (`harness.KS_MIN_SAMPLES`) refuses them.
 
-Importing this module loads no scipy module, and no check loads scipy's
-statistics package.  The one-sample KS test, against the standard normal,
-loads `scipy.special` through `harness`, on its first call; A2, A7 and
-A9's Donsker clause run it on draws scaled to N(0, 1).  The summaries and
-the two-sample KS test, which A3, A4 and A9 run on their R statistic draws
-against R limit draws with its exact p-value, load no scipy.
+Neither this module nor any check loads scipy: the summaries and both KS
+tests of `harness` run on numpy and the standard library.  A2, A7 and
+A9's Donsker clause run the one-sample test on draws scaled to N(0, 1);
+A3, A4 and A9 run the two-sample test, with its exact p-value, on their
+R statistic draws against R limit draws.
 """
 
 from __future__ import annotations

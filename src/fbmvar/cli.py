@@ -8,8 +8,8 @@ at A5's bound `brownian_time.RESIDUAL_TOL` and records it beside them.
 Configuration may come from a flat key=value file (--config); explicit
 flags override file values.  Every emitted artifact embeds the effective
 config, the master seed, and the package version, and is byte-reproducible
-from that embedded config on the same environment, whose Python, numpy and
-scipy versions it records (the FFT backend can move output bits).  A file
+from that embedded config on the same environment, whose Python and numpy
+versions it records (the FFT backend can move output bits).  A file
 that cannot be read or written is a usage error too: an --out whose
 directory is missing or not writable, or which is a directory, is refused
 with the config, before anything is computed or printed.  A refusal the
@@ -20,10 +20,9 @@ checks too late: a flag's name in the message and an unused --r or --f.
 `verify` runs the refusal pass of every check it names, with its
 overrides, before any check runs, so a refused override prints nothing.
 
-The module adds `argparse` and `json` to what `import fbmvar` loads; the
-`scipy` package loads only when an artifact records its version, and
+The module adds `argparse` and `json` to what `import fbmvar` loads, and
 `tempfile` only to probe an --out directory, so a command without --out
-imports neither.
+does not import it.  No command loads scipy.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
@@ -153,10 +152,7 @@ def _check_out(out: str) -> None:
 def _artifact(command: str, cfg: dict, master_seed, **body) -> dict:
     """An artifact: its command, version, config, seed and environment,
     then `body`; the environment stays outside the canonical reports."""
-    import scipy
-
-    environment = {"python": platform.python_version(), "numpy": np.__version__,
-                   "scipy": scipy.__version__}
+    environment = {"python": platform.python_version(), "numpy": np.__version__}
     return {"command": command, "version": VERSION, "config": cfg, "master_seed": master_seed,
             "environment": environment, **body}
 

@@ -5,16 +5,18 @@ prefixes of `canonical_json()`.
 A change that keeps every sampled bit keeps these digests; one that moves a
 bit on purpose (a new sampler, a new stream layout, a new summation order)
 must re-record them and re-run A1-A10.  The bits depend on numpy's PCG64,
-ziggurat and pocketfft and on scipy's special functions, so the digests are
-checked only on the versions they were recorded on.  They do not depend on
-the platform's long double: every statistic is summed in float64.
+ziggurat and pocketfft, so the digests are checked only on the numpy they
+were recorded on; no check loads scipy.  They do not depend on the
+platform's long double: every statistic is summed in float64.  The
+one-sample KS p-value reads the C library's `erfc` and `exp`, which
+IEEE 754 does not round exactly, so a report holding one (those of A2,
+A7 and A9) can move in its last bits with the C library too.
 """
 
 import hashlib
 
 import numpy as np
 import pytest
-import scipy
 
 from fbmvar import acceptance
 
@@ -32,7 +34,7 @@ PINNED = [
     ("check_a9", {"level": 14, "replicates": 1000, "donsker_replicates": 2000},
      "7ca3cbd3a5fb6e39"),
     ("check_a6", {}, "efc6985084e9851d"),
-    ("check_a7", {}, "df9396be87d7851a"),
+    ("check_a7", {}, "76445330f7a072a3"),
     ("check_a8", {}, "71f39894791be438"),
 ]
 
@@ -48,7 +50,7 @@ PINNED = [
 #: test.
 FAILING = [
     ("6b3b77", "check_a1", SEED, {"level": 2, "replicates": 500, "h": 0.45}, "ef476b2a63e96176"),
-    ("cff051", "check_a2", SEED, {"level": 2, "replicates": 200}, "cff051c0dd928c1d"),
+    ("cff051", "check_a2", SEED, {"level": 2, "replicates": 200}, "fa3fcc6501df47d1"),
     ("5ffad7", "check_a3", SEED, {"level": 1, "replicates": 60}, "b624073791fb5b66"),
     ("b57af5", "check_a3", SEED, {"level": 2, "replicates": 200, "f": "sin"},
                "98463cc5ab9c703f"),
@@ -78,11 +80,11 @@ FAILING = [
                                    "widths": (0.5, 2**-10)}, "1e5fc47dd8401853"),
 ]
 
-RECORDED_ON = {"numpy": "2.4.6", "scipy": "1.17.1"}
+RECORDED_ON = {"numpy": "2.4.6"}
 
 recorded_versions_only = pytest.mark.skipif(
-    (np.__version__, scipy.__version__) != (RECORDED_ON["numpy"], RECORDED_ON["scipy"]),
-    reason=f"digests recorded on numpy {RECORDED_ON['numpy']} and scipy {RECORDED_ON['scipy']}",
+    np.__version__ != RECORDED_ON["numpy"],
+    reason=f"digests recorded on numpy {RECORDED_ON['numpy']}",
 )
 
 

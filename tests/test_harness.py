@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy import stats as sps
-from scipy.special import ndtri
+from scipy.special import kolmogorov, ndtr, ndtri
 
 from fbmvar import (
     FbmPath,
@@ -94,7 +94,7 @@ def test_ks_two_sample_refuses_unequal_batches(m, n):
         ks_two_sample(np.zeros(m), np.zeros(n))
 
 
-# --- parity with scipy.stats, bit for bit ----------------------------------
+# --- parity with scipy: bit for bit, or within stated bounds ------------
 
 def _bits(*values) -> bytes:
     return np.array(values, dtype=float).tobytes()
@@ -140,12 +140,22 @@ def test_exact_and_asymptotic_laws_reject_from_one_lattice_step(r):
     assert exact == least_rejecting(lambda h: sps.kstwo.sf(h / r, round(r / 2)))
 
 
+def _assert_ks_one_sample_near_scipy(x):
+    # within stated bounds, not bit for bit: the CDF is math.erfc and the
+    # p-value Kolmogorov's own series, not scipy.special's ndtr and kolmogorov
+    res = sps.kstest(x, "norm", method="asymp")
+    stat, p = ks_one_sample(x)
+    if math.isnan(res.statistic):
+        assert _bits(stat, p) == _bits(math.nan, math.nan)
+    else:
+        assert abs(stat - res.statistic) <= 1e-15 and abs(p - res.pvalue) <= 1e-13
+
+
 @pytest.mark.parametrize("n", [50, 400, 20000], ids=lambda n: f"norm-{n}")
 def test_ks_one_sample_matches_scipy(n):
     rng = np.random.default_rng(n)
     for x in (rng.standard_normal(n), 1.2 * rng.standard_normal(n) + 0.1, np.round(rng.standard_normal(n), 1)):
-        res = sps.kstest(x, "norm", method="asymp")
-        assert _bits(*ks_one_sample(x)) == _bits(res.statistic, res.pvalue)
+        _assert_ks_one_sample_near_scipy(x)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -161,10 +171,43 @@ def test_ks_tests_match_scipy_on_nan_and_inf(bad, where):
         b[3] = bad
     _assert_ks_two_sample_matches_scipy(a, b)
     for x in (a, b):
-        res = sps.kstest(x, "norm", method="asymp")
-        assert _bits(*ks_one_sample(x)) == _bits(res.statistic, res.pvalue)
+        _assert_ks_one_sample_near_scipy(x)
     if bad != bad:
         assert all(math.isnan(v) for v in ks_two_sample(a, b))
+
+
+def test_kolmogorov_sf_matches_scipy():
+    # [0, 40] with a dense patch around the cut between the two series, and
+    # two y whose pi/y or sqrt(2 pi)/y overflows
+    cut = harness._KOLMOGOROV_CUT
+    y = np.concatenate([np.linspace(0.0, 40.0, 40001), np.linspace(cut - 0.01, cut + 0.01, 2001),
+                        [np.nextafter(cut, 0.0), cut, np.nextafter(cut, 1.0), 1e-160, 5e-324]])
+    ours = np.array([harness._kolmogorov_sf(v) for v in y.tolist()])
+    ref = kolmogorov(y)
+    err = np.abs(ours - ref)
+    assert err.max() <= 1e-14
+    tail = ref >= 1e-300
+    assert np.max(err[tail] / ref[tail]) <= 1e-12
+    assert ours[0] == 1.0 and ours[40000] == 0.0  # y = 0 and y = 40, exp(-3200) = 0
+
+
+def test_kolmogorov_sf_is_close_to_the_true_law():
+    # scipy stops each series after four terms, about 1e-14 short just
+    # above the cut; against the true law in 40-digit arithmetic ours is
+    # within the rounding of its input, whose y^2 alone moves exp(-2y^2)
+    # by about y^2 ulp
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for y in np.linspace(0.2, 6.0, 59).tolist() + [harness._KOLMOGOROV_CUT]:
+            true = 2 * mpmath.nsum(lambda k: (-1)**(k - 1) * mpmath.exp(-2 * k * k * mpmath.mpf(y)**2),
+                                   [1, mpmath.inf])
+            assert abs(harness._kolmogorov_sf(y) - true) <= (4 + 2 * y * y) * 2**-53 * true
+
+
+def test_normal_cdf_matches_scipy():
+    x = np.concatenate([np.linspace(-40.0, 40.0, 80001), [-np.inf, np.inf, -0.0]])
+    assert np.max(np.abs(harness._normal_cdf(x) - ndtr(x))) <= 2**-52
+    assert harness._normal_cdf(np.array([-np.inf, np.inf])).tolist() == [0.0, 1.0]
 
 
 def _assert_shape_matches_scipy(x):

@@ -1,14 +1,14 @@
 """Import cost: `import fbmvar` loads numpy, `dataclasses` and the
 package's own modules, and `fbmvar.cli` adds `argparse` and `json`.
-`scipy.special` loads with the first one-sample KS test, the bare scipy
-package when an artifact records its version, numpy.random on the first
-draw, the thread pool on the first multi-thread `replicate_map` and `json`
-on the first `canonical_json`.  No check loads `scipy.stats` or
-`scipy.linalg`: `describe` and the two-sample KS test load no scipy, and
-the one-sample KS test needs only `scipy.special`.
+numpy.random loads on the first draw, the thread pool on the first
+multi-thread `replicate_map` and `json` on the first `canonical_json`.
+No check, command or artifact loads scipy: `describe` and both KS tests
+run on numpy and the standard library alone, and an artifact records the
+Python and numpy versions only.
 
 Each case runs in a fresh interpreter, since this test process has long
-since loaded them all.
+since loaded them all, and with `sys.modules["scipy"] = None`, so that any
+import of scipy or of a submodule raises.
 """
 
 import json
@@ -21,19 +21,21 @@ import pytest
 from test_acceptance import SMALL
 
 ROOT = Path(__file__).resolve().parent.parent
-DEFERRED = ("scipy", "scipy.stats", "scipy.special", "scipy.linalg")
 
 
-def _loaded_after(code: str, modules=DEFERRED) -> list[str]:
-    """Which of `modules` (by default scipy and its deferred submodules) are
-    in sys.modules once `code` has run."""
-    # read sys.modules before the report's own json import
-    report = f"loaded = [m for m in {modules!r} if m in sys.modules]; import json; print(json.dumps(loaded))"
+def _loaded_after(code: str, modules=None) -> list[str]:
+    """Which of `modules` (by default every scipy module) are loaded once
+    `code` has run in a fresh interpreter whose scipy import raises."""
+    # read sys.modules before the report's own json import; a blocked
+    # module's entry is None
+    wanted = "m.partition('.')[0] == 'scipy'" if modules is None else f"m in {modules!r}"
+    report = (f"loaded = sorted(m for m, mod in list(sys.modules.items()) if {wanted} and mod is not None)"
+              "; import json; print(json.dumps(loaded))")
     src = str(ROOT / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", f"import sys\n{code}\n{report}"], cwd=ROOT, env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", f"import sys\nsys.modules['scipy'] = None\n{code}\n{report}"], cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -42,11 +44,12 @@ def _loaded_after(code: str, modules=DEFERRED) -> list[str]:
 @pytest.mark.parametrize("code", [
     "import fbmvar",
     "import fbmvar.cli",
-    # without --out no artifact records scipy's version
     "import fbmvar.cli; assert fbmvar.cli.main(['sigma', '--r', '2', '--h', '0.25']) == 0",
-], ids=["import", "import-cli", "cli-sigma"])
-def test_scipy_submodules_not_loaded(code):
-    assert _loaded_after(code) == []
+    # an artifact records the Python and numpy versions alone
+    "import fbmvar.cli; assert fbmvar.cli.main(['sigma', '--r', '2', '--h', '0.25', '--out', {out!r}]) == 0",
+], ids=["import", "import-cli", "cli-sigma", "cli-sigma-out"])
+def test_scipy_submodules_not_loaded(tmp_path, code):
+    assert _loaded_after(code.format(out=str(tmp_path / "sigma.json"))) == []
 
 
 def test_import_loads_no_thread_pool_or_json():
@@ -78,15 +81,13 @@ def test_ks_two_sample_loads_no_scipy():
     assert _loaded_after(code) == []
 
 
-def test_checks_load_scipy_special_but_not_scipy_stats():
+def test_checks_load_no_scipy():
     # every check A1-A10 in one process: the summaries and KS tests run on
-    # numpy and scipy.special alone, and the import of scipy.special is
-    # deferred to the first one-sample KS test, not dropped
+    # numpy and the standard library alone (the one-sample test on math.erfc
+    # and Kolmogorov's series)
     code = ("from fbmvar.acceptance import ACCEPTANCE\n"
             f"for name, config in {SMALL!r}.items(): ACCEPTANCE[name].fn(master_seed=5, **config)")
-    loaded = _loaded_after(code)
-    assert "scipy.stats" not in loaded
-    assert "scipy.special" in loaded
+    assert _loaded_after(code) == []
 
 
 PUBLIC_NAMES = [
